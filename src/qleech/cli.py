@@ -63,9 +63,7 @@ def _cmd_coeffs(args) -> tuple[bool, dict]:
             f"order {args.order} exceeds the ceiling {ORDER_CEILING};"
             " pass --unsafe-order to proceed"
         )
-    table = modforms.coefficient_table(
-        args.series, args.order, j_padding=args.seed_order_padding
-    )
+    table = modforms.coefficient_table(args.series, args.order)
     payload = {
         "series": table.name,
         "valuation": table.valuation,
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"allow orders beyond the default ceiling of {ORDER_CEILING}",
     )
-    p.add_argument("--seed-order-padding", type=int, default=2, help=argparse.SUPPRESS)
     add_out(p)
 
     p = sub.add_parser("verify", help="check the mod-70 coefficient observations")

@@ -25,11 +25,12 @@ from typing import Sequence
 
 from .modforms import delta, eisenstein_e4, sigma
 from .lorentz import (
+    ConstructionError,
     GramMatrix,
     bareiss_determinant,
     inertia,
+    ldl,
     leech_gram,
-    solve_linear_exact,
 )
 
 DEFAULT_DELTA = Fraction(3, 4)
@@ -136,30 +137,16 @@ def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
 
 def is_lll_reduced(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> bool:
     """Check size reduction and the Lovasz condition directly on a Gram
-    matrix, recomputing the orthogonalization from scratch."""
+    matrix, recomputing the orthogonalization from scratch: with
+    d, q = ldl(G), the squared lengths are d[k] and mu_kj = q[j][k]."""
     delta = Fraction(delta)
+    d, q = ldl(gram.entries)
     n = gram.dim
-    g = gram.entries
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    big_b = [Fraction(0)] * n
-    for k in range(n):
-        for j in range(k + 1):
-            s = Fraction(g[k][j])
-            for i in range(j):
-                s -= mu[j][i] * mu[k][i] * big_b[i]
-            if j < k:
-                mu[k][j] = s / big_b[j]
-            else:
-                if s <= 0:
-                    return False
-                big_b[k] = s
-    for ki in range(1, n):
-        for j in range(ki):
-            if 2 * abs(mu[ki][j]) > 1:
-                return False
-        if big_b[ki] < (delta - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
-            return False
-    return True
+    return (
+        all(b > 0 for b in d)
+        and all(2 * abs(q[j][k]) <= 1 for k in range(n) for j in range(k))
+        and all(d[k] >= (delta - q[k - 1][k] ** 2) * d[k - 1] for k in range(1, n))
+    )
 
 
 @dataclass(frozen=True)
@@ -173,51 +160,27 @@ class ShortVectorCount:
     max_norm: int
     counts: dict[int, int]
 
-    def count(self, norm: int) -> int:
-        if not 1 <= norm <= self.max_norm:
-            raise ValueError(f"norm must lie in [1, {self.max_norm}]")
-        return self.counts[norm]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "maxNorm": str(self.max_norm),
-            "counts": {str(m): str(c) for m, c in sorted(self.counts.items())},
-        }
-
 
 def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
-    """Quadratic-completion tables for Q(x) = sum_i q_ii (x_i + sum_j q_ij x_j)^2,
-    scaled to pure integers.
+    """Quadratic-completion tables for Q(x) = sum_i d_i (x_i + sum_j q_ij x_j)^2,
+    the d, q = ldl(entries) form, scaled to pure integers.
 
     Returns (diag, rows, line_scale, level_scale, total_scale): with
     L = line_scale[i], row entries A[i][j] = L * q_ij are integers,
     E = level_scale[i] = total_scale / L^3, and the level-i contribution to
     total_scale * Q(x) is E * A[i][i] * (L x_i + sum_{j>i} A[i][j] x_j)^2.
     """
-    n = len(entries)
-    q = [[Fraction(x) for x in row] for row in entries]
-    for i in range(n):
-        pivot = q[i][i]
-        if pivot <= 0:
-            raise ValueError("not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / pivot
-        for a in range(i + 1, n):
-            for b in range(a, n):
-                q[a][b] -= q[a][i] * q[i][b]
+    d, q = ldl(entries)
+    if any(p <= 0 for p in d):
+        raise ValueError("not positive definite")
     line_scale = []
     diag = []
     rows = []
-    for i in range(n):
-        l = lcm(*(q[i][j].denominator for j in range(i, n)))
+    for i, p in enumerate(d):
+        l = lcm(p.denominator, *(x.denominator for x in q[i][i + 1 :]))
         line_scale.append(l)
-        diag.append(int(q[i][i] * l))
-        rows.append([int(q[i][j] * l) if j > i else 0 for j in range(n)])
+        diag.append(int(p * l))
+        rows.append([int(x * l) for x in q[i]])
     total_scale = lcm(*(l**3 for l in line_scale))
     level_scale = [total_scale // l**3 for l in line_scale]
     return diag, rows, line_scale, level_scale, total_scale
@@ -261,8 +224,9 @@ def _count_range(args) -> dict[int, int]:
         if level == 0:
             used = budget - rem
             if used > 0:
-                assert used % total_scale == 0
-                norm = used // total_scale
+                norm, r = divmod(used, total_scale)
+                if r:
+                    raise ConstructionError("scaled norm is not a multiple of the scale")
                 counts[norm] = counts.get(norm, 0) + 2
             continue
         nxt = level - 1
@@ -355,16 +319,16 @@ def e8_gram() -> GramMatrix:
         for b in _E8_SIMPLE_ROOTS:
             s = sum(x * y for x, y in zip(a, b))
             if s % 4:
-                raise ValueError("root coordinates are not on the doubled grid")
+                raise ConstructionError("root coordinates are not on the doubled grid")
             row.append(s // 4)
         entries.append(row)
     gram = GramMatrix.from_rows(entries)
     if not gram.is_even:
-        raise ValueError("E8 Gram must be even")
+        raise ConstructionError("E8 Gram must be even")
     if bareiss_determinant(gram.entries) != 1:
-        raise ValueError("E8 Gram determinant must be 1")
+        raise ConstructionError("E8 Gram determinant must be 1")
     if inertia(gram.entries) != (n, 0, 0):
-        raise ValueError("E8 Gram must be positive definite")
+        raise ConstructionError("E8 Gram must be positive definite")
     return gram
 
 
@@ -418,10 +382,13 @@ def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
         [e4_cubed.coeff(0), disc.coeff(0)],
         [e4_cubed.coeff(1), disc.coeff(1)],
     ]
-    a, b = solve_linear_exact(system, [1, 0])
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError("weight-12 combination is not integral")
-    a, b = a.numerator, b.numerator
+    # Cramer's rule for system . (a, b) = (1, 0)
+    det = bareiss_determinant(system)
+    num_a = bareiss_determinant([[1, system[0][1]], [0, system[1][1]]])
+    num_b = bareiss_determinant([[system[0][0], 1], [system[1][0], 0]])
+    if det == 0 or num_a % det or num_b % det:
+        raise ConstructionError("weight-12 combination is not integral")
+    a, b = num_a // det, num_b // det
     rows = []
     for nn in range(1, half + 1):
         coeff = a * e4_cubed.coeff(nn) + b * disc.coeff(nn)

@@ -19,10 +19,15 @@ extracted with integer row reduction, and 24 representatives spanning a
 complement of w inside it give an even positive definite Gram matrix of
 determinant 1.
 
-The integer linear algebra lives here too: extended gcd, row-style Hermite
-normal form with its unimodular transform, fraction-free determinants,
-symmetric inertia counts, and exact rational solves.  Everything is plain
-int or Fraction; nothing here ever rounds.
+The exact linear algebra lives here too, as two elimination routines and a
+determinant.  A row-style Hermite normal form returns its unimodular
+transform U together with the transpose of U^-1, built step by step; it
+yields the lattice basis, the complement of w, the coordinates of w in that
+complement and the unimodular completion.  One symmetric LDL^T over the
+rationals gives the inertia, and the lattice module reuses it for the LLL
+check and the Fincke-Pohst tables.  Fraction-free Bareiss elimination gives
+determinants by an independent integer route.  Everything is plain int or
+Fraction; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
 SPACELIKE_DIM = 25
@@ -139,14 +143,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def hermite_normal_form(
-    rows: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Row-style Hermite normal form H of an integer matrix M.
+def _hermite(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row-style Hermite normal form with both transforms: (H, U, V) with
+    H = U M, U unimodular and V the transpose of U^-1, so M = V^T H.
 
-    Returns (H, U) with H = U M, U unimodular.  Pivots are positive and
-    strictly step right going down, entries above each pivot are reduced
-    into [0, pivot), and zero rows sink to the bottom.
+    V is kept in step with U: each 2x2 step E = [[s, t], [-p_i, p_r]] on
+    rows (r, i) of U applies E^-T = [[p_r, p_i], [-t, s]] to the same rows
+    of V, a negation of U[r] negates V[r], and subtracting q U[r] from U[i]
+    adds q V[i] to V[r].
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -154,6 +158,15 @@ def hermite_normal_form(
         raise ValueError("ragged matrix")
     h = [list(map(int, r)) for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [row[:] for row in u]
+
+    def mix(a, r, i, s, t, p, q):
+        # rows (r, i) of a become (s a_r + t a_i, p a_r + q a_i)
+        a[r], a[i] = (
+            [s * x + t * y for x, y in zip(a[r], a[i])],
+            [p * x + q * y for x, y in zip(a[r], a[i])],
+        )
+
     r = 0
     for c in range(n):
         if r == m:
@@ -164,26 +177,35 @@ def hermite_normal_form(
                 continue
             g, s, t = xgcd(h[r][c], h[i][c])
             pr, pi = h[r][c] // g, h[i][c] // g
-            h[r], h[i] = (
-                [s * x + t * y for x, y in zip(h[r], h[i])],
-                [pr * y - pi * x for x, y in zip(h[r], h[i])],
-            )
-            u[r], u[i] = (
-                [s * x + t * y for x, y in zip(u[r], u[i])],
-                [pr * y - pi * x for x, y in zip(u[r], u[i])],
-            )
+            mix(h, r, i, s, t, -pi, pr)
+            mix(u, r, i, s, t, -pi, pr)
+            mix(v, r, i, pr, pi, -t, s)
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            for a in (h, u, v):
+                a[r] = [-x for x in a[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                v[r] = [x + q * y for x, y in zip(v[r], v[i])]
         r += 1
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+    return tuple(tuple(tuple(row) for row in a) for a in (h, u, v))
+
+
+def hermite_normal_form(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Row-style Hermite normal form H of an integer matrix M.
+
+    Returns (H, U) with H = U M, U unimodular.  Pivots are positive and
+    strictly step right going down, entries above each pivot are reduced
+    into [0, pivot), and zero rows sink to the bottom.
+    """
+    h, u, _ = _hermite(rows)
+    return h, u
 
 
 def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -214,9 +236,18 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix, by symmetric congruence diagonalization over the rationals."""
+def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Symmetric LDL^T of a symmetric integer matrix A over the rationals.
+
+    Returns pivots d and multipliers q (q[k][j] for j > k, zero elsewhere)
+    with x^T A x = sum_k d[k] (x_k + sum_{j>k} q[k][j] x_j)^2.  A zero
+    pivot is first replaced by a symmetric swap with a later nonzero
+    diagonal entry or, when the whole trailing diagonal vanishes, by folding
+    a later row and column into row k; a pivot that stays zero is recorded
+    as 0.  Both steps are congruences, so the signs of d always give the
+    inertia.  A positive definite input never takes either step, so there d
+    and q are its Gram-Schmidt data: d[k] = |b_k*|^2 and q[k][j] = mu_jk.
+    """
     n = len(rows)
     a = [[Fraction(x) for x in r] for r in rows]
     if any(len(r) != n for r in a):
@@ -225,7 +256,8 @@ def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
-    pos = neg = zero = 0
+    d = [Fraction(0)] * n
+    q = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
@@ -237,7 +269,6 @@ def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             else:
                 off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if off is None:
-                    zero += 1
                     continue
                 # all trailing diagonal entries vanish; fold row/col `off`
                 # into k to manufacture the pivot 2 a[k][off]
@@ -245,73 +276,23 @@ def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                     a[k][j] += a[off][j]
                 for i in range(k, n):
                     a[i][k] += a[i][off]
-        pivot = a[k][k]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivot = d[k] = a[k][k]
         for i in range(k + 1, n):
-            f = a[i][k] / pivot
+            f = q[k][i] = a[k][i] / pivot
             if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-                a[i][k] = Fraction(0)
-    return pos, neg, zero
+                # update the upper half and mirror it: the block stays symmetric
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = a[i][j] - f * a[k][j]
+    return d, q
 
 
-def solve_linear_exact(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int]
-) -> tuple[Fraction, ...]:
-    """The unique rational solution of (rows) x = rhs.
-
-    Accepts overdetermined systems; raises if the solution is not unique
-    (column rank deficit) or the system is inconsistent.
-    """
-    m = len(rows)
-    if len(rhs) != m:
-        raise ValueError("right-hand side length mismatch")
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    if any(len(row) != n + 1 for row in a):
-        raise ValueError("ragged matrix")
-    pivots: list[int] = []
-    dead_columns = False
-    r = 0
-    for c in range(n):
-        hit = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if hit is None:
-            dead_columns = True
-            continue
-        a[r], a[hit] = a[hit], a[r]
-        p = a[r][c]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c] / p
-                for j in range(c, n + 1):
-                    a[i][j] -= f * a[r][j]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
-        if a[i][n] != 0:
-            raise ValueError("inconsistent system")
-    if dead_columns:
-        raise ValueError("solution is not unique")
-    return tuple(a[i][n] / a[i][pivots[i]] for i in range(n))
-
-
-def integer_matrix_inverse(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    cols = []
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for j in range(n):
-        x = solve_linear_exact(rows, ident[j])
-        if any(f.denominator != 1 for f in x):
-            raise ValueError("matrix has no integer inverse")
-        cols.append([f.numerator for f in x])
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix: the signs of its LDL^T pivots."""
+    d, _ = ldl(rows)
+    pos = sum(1 for p in d if p > 0)
+    neg = sum(1 for p in d if p < 0)
+    return pos, neg, len(d) - pos - neg
 
 
 # -- Gram matrices -----------------------------------------------------------
@@ -337,9 +318,6 @@ class GramMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramMatrix":
         return cls(len(rows), tuple(tuple(r) for r in rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
 
     @property
     def is_even(self) -> bool:
@@ -404,57 +382,58 @@ def lattice_basis() -> tuple[tuple[LorentzVector, ...], GramMatrix]:
     return basis, gram
 
 
+def _combination(coefs: Sequence[int], vectors: Sequence[LorentzVector]) -> LorentzVector:
+    """sum_k coefs[k] vectors[k]."""
+    d = [0] * DIM
+    for coef, b in zip(coefs, vectors):
+        if coef:
+            for k in range(DIM):
+                d[k] += coef * b.doubled[k]
+    return LorentzVector(tuple(d))
+
+
 def coordinates_in_basis(v: LorentzVector) -> tuple[int, ...]:
-    """Integer coordinates of a member with respect to lattice_basis()."""
+    """Integer coordinates of a member with respect to lattice_basis().
+
+    The basis is a full-rank Hermite staircase: row k has its pivot in
+    column k and zeros to the left of it, so the coordinates follow by
+    forward substitution with exact division.
+    """
     basis, _ = lattice_basis()
-    system = [[b.doubled[k] for b in basis] for k in range(DIM)]
-    sol = solve_linear_exact(system, v.doubled)
-    if any(f.denominator != 1 for f in sol):
-        raise ConstructionError("member has non-integer basis coordinates")
-    return tuple(f.numerator for f in sol)
+    coords: list[int] = []
+    for k, b in enumerate(basis):
+        rest = v.doubled[k] - sum(c * e.doubled[k] for c, e in zip(coords, basis))
+        c, r = divmod(rest, b.doubled[k])
+        if r:
+            raise ConstructionError("member has non-integer basis coordinates")
+        coords.append(c)
+    return tuple(coords)
+
+
+def _complement(w: LorentzVector):
+    """(complement basis, V) from the HNF U P = H of the column P of
+    pairings <b_k, w>: the complement is U[1:] applied to the basis, and V
+    is the transpose of U^-1."""
+    if w.is_zero:
+        raise ValueError("the zero vector has no orthogonal complement basis")
+    basis, _ = lattice_basis()
+    h, u, v = _hermite([[inner_product(b, w)] for b in basis])
+    # the lattice is unimodular, so w is primitive iff its pairings are coprime
+    if h[0][0] != 1:
+        raise ValueError("non-primitive vector")
+    comp = tuple(_combination(row, basis) for row in u[1:])
+    if any(inner_product(vec, w) for vec in comp):
+        raise ConstructionError("complement vector is not orthogonal to w")
+    return comp, v
 
 
 def orthogonal_complement_basis(w: LorentzVector) -> tuple[LorentzVector, ...]:
     """A basis of the rank-25 sublattice of vectors orthogonal to w.
 
-    w must be nonzero and primitive (its basis coordinates coprime).
+    w must be nonzero and primitive (its pairings with the lattice coprime,
+    which in a unimodular lattice is the same as coprime basis coordinates).
     """
-    if w.is_zero:
-        raise ValueError("the zero vector has no orthogonal complement basis")
-    coords = coordinates_in_basis(w)
-    if gcd(*coords) != 1:
-        raise ValueError("non-primitive vector")
-    basis, _ = lattice_basis()
-    pairings = [[inner_product(b, w)] for b in basis]
-    h, u = hermite_normal_form(pairings)
-    if h[0][0] == 0 or any(h[i][0] for i in range(1, DIM)):
-        raise ConstructionError("pairing column did not reduce to a single pivot")
-    out = []
-    for krow in u[1:]:
-        d = [0] * DIM
-        for coef, b in zip(krow, basis):
-            if coef:
-                for k in range(DIM):
-                    d[k] += coef * b.doubled[k]
-        vec = LorentzVector(tuple(d))
-        if inner_product(vec, w) != 0:
-            raise ConstructionError("complement vector is not orthogonal to w")
-        out.append(vec)
-    return tuple(out)
-
-
-def _complete_to_unimodular(first_row: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """A unimodular integer matrix whose first row is the given primitive
-    vector; the rows below descend to a basis of any complement."""
-    n = len(first_row)
-    h, u = hermite_normal_form([[c] for c in first_row])
-    if h[0][0] != 1:
-        raise ValueError("row is not primitive")
-    v = integer_matrix_inverse(u)
-    w = tuple(tuple(v[i][j] for i in range(n)) for j in range(n))
-    if w[0] != tuple(first_row):
-        raise ConstructionError("unimodular completion lost the first row")
-    return w
+    return _complement(w)[0]
 
 
 @lru_cache(maxsize=1)
@@ -462,28 +441,22 @@ def quotient_representatives() -> tuple[LorentzVector, ...]:
     """24 members of w_perp descending to a basis of w_perp / w.
 
     Extends the coordinate vector of w (primitive inside w_perp) to a
-    unimodular basis of the coordinate space; the other 24 rows, mapped back
-    to lattice vectors, represent the quotient classes.
+    unimodular basis of the coordinate space: V from the HNF of that vector
+    as a column has it as its first row.  The other 24 rows, mapped back to
+    lattice vectors, represent the quotient classes.
     """
     w = weyl_vector()
-    comp = orthogonal_complement_basis(w)
-    system = [[b.doubled[k] for b in comp] for k in range(DIM)]
-    sol = solve_linear_exact(system, w.doubled)
-    if any(f.denominator != 1 for f in sol):
-        raise ConstructionError("w has non-integer coordinates in its complement")
-    wcoords = tuple(f.numerator for f in sol)
-    if gcd(*wcoords) != 1:
+    comp, v = _complement(w)
+    # w = c . basis = (c U^-1) . (U basis); row 0 of U basis pairs with w to
+    # 1, so entry 0 is <w, w> = 0 and the rest are w's coordinates in comp
+    c = coordinates_in_basis(w)
+    wcoords = tuple(sum(x * y for x, y in zip(c, row)) for row in v)
+    if wcoords[0] != 0:
+        raise ConstructionError("w does not lie in its orthogonal complement")
+    h, _, completion = _hermite([[x] for x in wcoords[1:]])
+    if h[0][0] != 1 or completion[0] != wcoords[1:]:
         raise ConstructionError("w is imprimitive inside its complement")
-    rows = _complete_to_unimodular(wcoords)
-    reps = []
-    for row in rows[1:]:
-        d = [0] * DIM
-        for coef, b in zip(row, comp):
-            if coef:
-                for k in range(DIM):
-                    d[k] += coef * b.doubled[k]
-        reps.append(LorentzVector(tuple(d)))
-    return tuple(reps)
+    return tuple(_combination(row, comp) for row in completion[1:])
 
 
 @lru_cache(maxsize=1)

@@ -101,9 +101,6 @@ class CoefficientTable:
     order: int
     entries: dict[int, int]
 
-    def coefficient(self, m: int) -> int:
-        return self.entries[m]
-
 
 _SERIES_BUILDERS = {
     "j": (j_invariant, 0),
@@ -117,17 +114,14 @@ def series_names() -> tuple[str, ...]:
     return tuple(_SERIES_BUILDERS)
 
 
-def coefficient_table(name: str, order: int, j_padding: int = 2) -> CoefficientTable:
+def coefficient_table(name: str, order: int) -> CoefficientTable:
     """Expand one of the named series and list every known coefficient."""
     if name not in _SERIES_BUILDERS:
         raise ValueError(f"unknown series {name!r}; choose from {sorted(_SERIES_BUILDERS)}")
     builder, min_order = _SERIES_BUILDERS[name]
     if order < min_order:
         raise ValueError(f"series {name!r} needs order >= {min_order}")
-    if name == "j":
-        series = builder(order, j_padding)
-    else:
-        series = builder(order)
+    series = builder(order)
     return CoefficientTable(name, series.valuation, series.order, series.coefficients())
 
 

@@ -191,18 +191,19 @@ class LaurentSeries:
                 return LaurentSeries.one(max(self.order, 1))
             return LaurentSeries.one(max(self.order - self.valuation, 1))
         # binary powering without an identity seed keeps truncation orders
-        # identical to repeated multiplication
-        result: LaurentSeries | None = None
+        # identical to repeated multiplication: the lowest set bit of k
+        # starts the product
         square = self
-        e = k
-        while True:
-            if e & 1:
-                result = square if result is None else result * square
-            e >>= 1
-            if e == 0:
-                break
+        while not k & 1:
             square = square * square
-        assert result is not None
+            k >>= 1
+        result = square
+        k >>= 1
+        while k:
+            square = square * square
+            if k & 1:
+                result = result * square
+            k >>= 1
         return result
 
     def invert(self) -> "LaurentSeries":

@@ -5,7 +5,9 @@ import json
 import pytest
 
 import qleech.cli as cli
+import qleech.lattices as lattices
 from qleech.cli import main
+from qleech.modforms import delta
 from qleech.observations import CongruenceReport
 
 
@@ -136,26 +138,15 @@ def test_order_ceiling(capsys):
     assert parsed["payload"]["order"] == "5001"
 
 
-def test_seed_order_padding_hidden_but_functional(capsys):
-    code, a = run_json(capsys, ["coeffs", "--series", "j", "--order", "5"])
-    assert code == 0
-    code, b = run_json(
+def test_seed_order_padding_rejected(capsys):
+    # the working precision of j is internal; no flag reaches past the ceiling
+    code, out, err = run(
         capsys,
         ["coeffs", "--series", "j", "--order", "5", "--seed-order-padding", "9"],
     )
-    assert code == 0
-    assert strip_elapsed(a) == strip_elapsed(b)
-    _, out, _ = run(capsys, ["coeffs", "--help"])
-    assert "--seed-order-padding" not in out
-
-
-def test_seed_order_padding_domain(capsys):
-    code, _, err = run(
-        capsys,
-        ["coeffs", "--series", "j", "--order", "5", "--seed-order-padding", "1"],
-    )
     assert code == 2
-    assert err
+    assert out == ""
+    assert "--seed-order-padding" in err
 
 
 # -- verify --------------------------------------------------------------------
@@ -275,6 +266,17 @@ def test_leech_kissing_command(capsys):
     assert {"norm": "4", "enumerated": "196560", "seriesCoefficient": "196560",
             "matches": True} in rows
     assert_payload_strings(payload)
+
+
+def test_leech_kissing_internal_failure_exits_one(monkeypatch, capsys):
+    # a Delta stand-in whose weight-12 combination has no integral solution
+    # is a failed self-check, not bad usage
+    monkeypatch.setattr(lattices, "delta", lambda order: 7 * delta(order))
+    code, out, err = run(capsys, ["leech", "kissing", "--max-norm", "2"])
+    assert code == 1
+    assert out == ""
+    assert "internal failure" in err
+    assert "weight-12 combination is not integral" in err
 
 
 def test_leech_kissing_rejects_odd_norm(capsys):

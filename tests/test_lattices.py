@@ -1,7 +1,8 @@
 """LLL reduction, short-vector enumeration, and the two theta cross-checks.
 
 Enumeration counts in low dimension are verified against a dumb box search
-that bounds each coordinate through the inverse Gram diagonal.
+that bounds each coordinate through the inverse Gram diagonal, and the
+LLL check against a Gram-Schmidt recomputed entry by entry.
 """
 
 import random
@@ -84,6 +85,33 @@ def brute_counts(gram, max_norm):
     return counts
 
 
+def oracle_is_lll_reduced(gram, delta=DEFAULT_DELTA):
+    """Size reduction and the Lovasz condition from a Gram-Schmidt
+    orthogonalization built one inner product at a time."""
+    n = gram.dim
+    g = gram.entries
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    big_b = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k + 1):
+            s = Fraction(g[k][j])
+            for i in range(j):
+                s -= mu[j][i] * mu[k][i] * big_b[i]
+            if j < k:
+                mu[k][j] = s / big_b[j]
+            else:
+                if s <= 0:
+                    return False
+                big_b[k] = s
+    for ki in range(1, n):
+        for j in range(ki):
+            if 2 * abs(mu[ki][j]) > 1:
+                return False
+        if big_b[ki] < (delta - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
+            return False
+    return True
+
+
 def random_spd_gram(rng, n, spread=4):
     while True:
         b = [[rng.randint(-spread, spread) for _ in range(n)] for _ in range(n)]
@@ -152,6 +180,23 @@ def test_lll_delta_domain():
 def test_is_lll_reduced_flags_unordered_diagonal():
     assert not is_lll_reduced(GramMatrix.from_rows([[4, 0], [0, 1]]))
     assert is_lll_reduced(GramMatrix.from_rows([[1, 0], [0, 4]]))
+    # forms that are not positive definite are never reduced: indefinite,
+    # singular, and with a zero diagonal that takes the LDL^T fold step
+    rng = random.Random(31)
+    cases = [[[0, 1, 0], [1, 0, 2], [0, 2, 0]], [[1, 1], [1, 1]], [[2, 3], [3, 2]]]
+    for n in (2, 3, 4):
+        for _ in range(10):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+            cases.append(rows)
+    tight = Fraction(99, 100)
+    for rows in cases:
+        g = GramMatrix.from_rows(rows)
+        assert is_lll_reduced(g) == oracle_is_lll_reduced(g)
+        assert is_lll_reduced(g, tight) == oracle_is_lll_reduced(g, tight)
+    assert not is_lll_reduced(GramMatrix.from_rows(cases[0]))
 
 
 def test_lll_random_spd_certificates():
@@ -165,6 +210,9 @@ def test_lll_random_spd_certificates():
             assert fraction_det(red.gram.entries) == fraction_det(g.entries)
             assert is_lll_reduced(red.gram)
             assert red.gram.is_positive_definite
+            for h in (g, red.gram):
+                assert is_lll_reduced(h) == oracle_is_lll_reduced(h)
+                assert h.inertia() == (n, 0, 0)
 
 
 def test_lll_recovers_identity_from_sheared_basis():
@@ -176,7 +224,7 @@ def test_lll_recovers_identity_from_sheared_basis():
         g = conjugate(eye, random_unimodular(rng, 6, shears=12))
         red = lll(g)
         assert red.gram == eye
-        assert red.gram.entry(0, 0) <= min(g.entry(i, i) for i in range(6))
+        assert red.gram.entries[0][0] <= min(g.entries[i][i] for i in range(6))
 
 
 def test_lll_first_vector_against_brute_minimum():
@@ -186,9 +234,9 @@ def test_lll_first_vector_against_brute_minimum():
             g = random_spd_gram(rng, n, spread=3)
             red = lll(g)
             minimum = min(
-                m for m, c in brute_counts(g, g.entry(0, 0) + 1).items() if c
+                m for m, c in brute_counts(g, g.entries[0][0] + 1).items() if c
             )
-            first = red.gram.entry(0, 0)
+            first = red.gram.entries[0][0]
             assert minimum <= first <= 2 ** (n - 1) * minimum
 
 
@@ -199,7 +247,7 @@ def test_short_vectors_square_lattice():
     g = GramMatrix.from_rows([[1, 0], [0, 1]])
     found = short_vectors(g, 1)
     assert found.counts == {1: 4}
-    assert found.total == 4
+    assert sum(found.counts.values()) == 4
     assert short_vectors(g, 2).counts == {1: 4, 2: 4}
 
 
@@ -220,7 +268,7 @@ def test_short_vectors_against_box_search():
     for n in (2, 3, 4):
         for _ in range(4):
             g = random_spd_gram(rng, n, spread=3)
-            max_norm = min(g.entry(i, i) for i in range(n)) + 3
+            max_norm = min(g.entries[i][i] for i in range(n)) + 3
             assert short_vectors(g, max_norm).counts == brute_counts(g, max_norm)
 
 
@@ -253,11 +301,10 @@ def test_short_vectors_domain():
 
 def test_short_vector_count_accessors():
     c = ShortVectorCount(3, {1: 0, 2: 6, 3: 0})
-    assert c.count(2) == 6
-    assert c.total == 6
-    with pytest.raises(ValueError):
-        c.count(4)
-    assert c.to_jsonable() == {"maxNorm": "3", "counts": {"1": "0", "2": "6", "3": "0"}}
+    assert c.max_norm == 3
+    assert c.counts[2] == 6
+    with pytest.raises(KeyError):
+        c.counts[4]
 
 
 # -- the two root systems ------------------------------------------------------
@@ -266,7 +313,7 @@ def test_short_vector_count_accessors():
 def test_e8_gram_certificate():
     g = e8_gram()
     assert g.dim == 8
-    assert all(g.entry(i, i) == 2 for i in range(8))
+    assert all(g.entries[i][i] == 2 for i in range(8))
     assert g.is_even
     assert fraction_det(g.entries) == 1
     assert g.is_positive_definite
@@ -288,7 +335,7 @@ def test_e8_theta_counts():
 def test_e8_counts_match_divisor_sums():
     found = short_vectors(e8_gram(), 6)
     for n in (1, 2, 3):
-        assert found.count(2 * n) == 240 * sigma(3, n)
+        assert found.counts[2 * n] == 240 * sigma(3, n)
 
 
 def test_e8_theta_domain():

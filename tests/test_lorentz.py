@@ -2,7 +2,9 @@
 
 Determinants and ranks asserted here are recomputed with a plain
 fraction-based Gaussian elimination so the library's Bareiss/HNF code is
-never its own witness.
+never its own witness.  Two slow routes live here as oracles: a rational
+Gauss-Jordan solver for coordinates, and a congruence diagonalization for
+inertia that eliminates without recording multipliers.
 """
 
 import random
@@ -16,20 +18,19 @@ from qleech.lorentz import (
     ConstructionError,
     GramMatrix,
     LorentzVector,
+    _hermite,
     bareiss_determinant,
     coordinates_in_basis,
     gram_of,
     hermite_normal_form,
     inertia,
     inner_product,
-    integer_matrix_inverse,
     is_member,
     lattice_basis,
     leech_gram,
     orthogonal_complement_basis,
     quotient_representatives,
     raw_form,
-    solve_linear_exact,
     weyl_vector,
     xgcd,
 )
@@ -72,6 +73,95 @@ def fraction_rank(rows):
         rank += 1
         row += 1
     return rank
+
+
+def solve_linear_exact(rows, rhs):
+    """The unique rational solution of (rows) x = rhs, by Gauss-Jordan.
+
+    Accepts overdetermined systems; raises if the solution is not unique
+    (column rank deficit) or the system is inconsistent.
+    """
+    m = len(rows)
+    if len(rhs) != m:
+        raise ValueError("right-hand side length mismatch")
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    if any(len(row) != n + 1 for row in a):
+        raise ValueError("ragged matrix")
+    pivots = []
+    dead_columns = False
+    r = 0
+    for c in range(n):
+        hit = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if hit is None:
+            dead_columns = True
+            continue
+        a[r], a[hit] = a[hit], a[r]
+        p = a[r][c]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c] / p
+                for j in range(c, n + 1):
+                    a[i][j] -= f * a[r][j]
+        pivots.append(c)
+        r += 1
+    for i in range(r, m):
+        if a[i][n] != 0:
+            raise ValueError("inconsistent system")
+    if dead_columns:
+        raise ValueError("solution is not unique")
+    return tuple(a[i][n] / a[i][pivots[i]] for i in range(n))
+
+
+def oracle_inertia(rows):
+    """(positive, negative, zero) counts by symmetric congruence
+    diagonalization, with the same swap and fold for zero pivots as the
+    library but no multipliers kept."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                for j in range(k, n):
+                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
+                for i in range(k, n):
+                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    zero += 1
+                    continue
+                for j in range(k, n):
+                    a[k][j] += a[off][j]
+                for i in range(k, n):
+                    a[i][k] += a[i][off]
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            f = a[i][k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+                a[i][k] = Fraction(0)
+    return pos, neg, zero
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def assert_inverse_transpose(m):
+    """_hermite agrees with hermite_normal_form and U V^T = I."""
+    h, u, v = _hermite(m)
+    assert (h, u) == hermite_normal_form(m)
+    eye = [[int(i == j) for j in range(len(u))] for i in range(len(u))]
+    assert matmul(u, list(zip(*v))) == eye
+    assert matmul(list(zip(*v)), h) == [list(r) for r in m]
 
 
 def unit_doubled(i, value=2):
@@ -220,6 +310,7 @@ def test_hnf_random_square():
         assert abs(fraction_det(u)) == 1
         assert abs(fraction_det(h)) == abs(fraction_det(m))
         _staircase_ok(h)
+        assert_inverse_transpose(m)
 
 
 def test_hnf_rectangular_and_rank_deficient():
@@ -228,6 +319,13 @@ def test_hnf_rectangular_and_rank_deficient():
     _staircase_ok(h)
     assert h[-1] == (0, 0, 0)
     assert abs(fraction_det(u)) == 1
+    assert_inverse_transpose(m)
+    rng = random.Random(13)
+    for rows, cols in ((3, 5), (5, 3), (5, 1), (1, 4)):
+        for _ in range(5):
+            m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            _staircase_ok(hermite_normal_form(m)[0])
+            assert_inverse_transpose(m)
 
 
 def test_bareiss_matches_fraction_gauss():
@@ -245,6 +343,12 @@ def test_inertia_examples():
     assert inertia([[0, 0], [0, 0]]) == (0, 0, 2)
     eye4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert inertia(eye4) == (4, 0, 0)
+    # a zero diagonal takes the fold step; singular and empty matrices too
+    assert inertia([[0, 1, 0], [1, 0, 2], [0, 2, 0]]) == (1, 1, 1)
+    assert inertia([[1, 2], [2, 4]]) == (1, 0, 1)
+    assert inertia([]) == (0, 0, 0)
+    with pytest.raises(ValueError, match="symmetric"):
+        inertia([[1, 2], [3, 4]])
 
 
 def test_inertia_random_congruence_invariance():
@@ -252,6 +356,7 @@ def test_inertia_random_congruence_invariance():
     rng = random.Random(5)
     base = [[2, 1, 0], [1, 2, 1], [0, 1, -4]]
     want = inertia(base)
+    assert want == oracle_inertia(base) == (2, 1, 0)
     for _ in range(10):
         t = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
         for _ in range(4):
@@ -267,6 +372,23 @@ def test_inertia_random_congruence_invariance():
             for i in range(3)
         ]
         assert inertia(m) == want
+    # random symmetric matrices: indefinite, singular (rank-deficient
+    # products B^T D B) and with zeros on the diagonal, against the oracle
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            s = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    s[i][j] = s[j][i] = rng.choice((0, 0, rng.randint(-5, 5)))
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n - 1)]
+            diag = [rng.choice((-1, 0, 2)) for _ in range(n - 1)]
+            low = [
+                [sum(b[k][i] * diag[k] * b[k][j] for k in range(n - 1)) for j in range(n)]
+                for i in range(n)
+            ]
+            for m in (s, low):
+                assert inertia(m) == oracle_inertia(m)
+                assert sum(inertia(m)[:2]) == fraction_rank(m)
 
 
 def test_solve_linear_exact():
@@ -279,13 +401,6 @@ def test_solve_linear_exact():
     # overdetermined but consistent is fine
     x = solve_linear_exact([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
     assert x == (Fraction(2), Fraction(3))
-
-
-def test_integer_matrix_inverse():
-    inv = integer_matrix_inverse([[1, 1], [0, 1]])
-    assert inv == ((1, -1), (0, 1))
-    with pytest.raises(ValueError):
-        integer_matrix_inverse([[2, 0], [0, 1]])
 
 
 def test_gram_matrix_validation():
@@ -310,13 +425,16 @@ def test_lattice_basis_certificate():
     assert gram.is_even
     assert fraction_det(gram.entries) == -1
     assert gram.inertia() == (SPACELIKE_DIM, 1, 0)
+    assert oracle_inertia(gram.entries) == (SPACELIKE_DIM, 1, 0)
 
 
 def test_lattice_basis_spans_sample_members():
-    for v in (weyl_vector(), LorentzVector((1,) * DIM)):
+    basis, _ = lattice_basis()
+    cols = [[b.doubled[k] for b in basis] for k in range(DIM)]
+    for v in (weyl_vector(), LorentzVector((1,) * DIM), *quotient_representatives()):
         coords = coordinates_in_basis(v)
         assert all(isinstance(c, int) for c in coords)
-        basis, _ = lattice_basis()
+        assert coords == solve_linear_exact(cols, v.doubled)
         acc = [0] * DIM
         for c, b in zip(coords, basis):
             acc = [x + c * y for x, y in zip(acc, b.doubled)]
@@ -334,10 +452,16 @@ def test_complement_of_weyl_vector():
 
 
 def test_weyl_vector_in_complement_span():
+    # w and the 24 representatives have integer coordinates in the
+    # complement basis, and together they form another basis of it
     comp = orthogonal_complement_basis(weyl_vector())
     cols = [[Fraction(v.doubled[i]) for v in comp] for i in range(DIM)]
-    sol = solve_linear_exact(cols, [Fraction(c) for c in weyl_vector().doubled])
-    assert all(x.denominator == 1 for x in sol)
+    coords = [
+        solve_linear_exact(cols, [Fraction(c) for c in v.doubled])
+        for v in (weyl_vector(), *quotient_representatives())
+    ]
+    assert all(x.denominator == 1 for row in coords for x in row)
+    assert abs(fraction_det(coords)) == 1
 
 
 def test_complement_rejects_bad_input():
@@ -389,6 +513,6 @@ def test_gram_of_mixed_vectors():
     w = weyl_vector()
     ones = LorentzVector((1,) * DIM)
     g = gram_of([w, ones])
-    assert g.entry(0, 0) == 0
-    assert g.entry(1, 1) == 6
-    assert g.entry(0, 1) == g.entry(1, 0)
+    assert g.entries[0][0] == 0
+    assert g.entries[1][1] == 6
+    assert g.entries[0][1] == g.entries[1][0]

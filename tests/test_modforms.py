@@ -189,13 +189,13 @@ def test_table_for_j():
     assert isinstance(t, CoefficientTable)
     assert t.name == "j" and t.valuation == -1 and t.order == 3
     assert t.entries == {-1: 1, 0: 744, 1: 196884, 2: 21493760}
-    assert t.coefficient(2) == 21493760
+    assert t.entries[2] == 21493760
 
 
 def test_table_covers_full_window():
     t = coefficient_table("delta", 9)
     assert sorted(t.entries) == list(range(1, 9))
-    assert t.coefficient(5) == 4830
+    assert t.entries[5] == 4830
 
 
 def test_table_euler_valuation_zero():
@@ -213,4 +213,4 @@ def test_table_rejects_bad_input():
 def test_table_lookup_outside_window():
     t = coefficient_table("e4", 4)
     with pytest.raises(KeyError):
-        t.coefficient(4)
+        t.entries[4]

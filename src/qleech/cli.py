@@ -11,9 +11,9 @@ corrupt them.  elapsedMillis is the only field allowed to differ between
 otherwise identical runs.
 
 Exit codes: 0 when every asserted identity held and the arguments were
-valid, 1 when a verification or internal assertion failed, 2 on usage
-errors.  No environment variables are consulted; configuration is flags
-only.
+valid, 1 when a verification failed or anything raised past argument
+checking (an internal failure), 2 on usage errors and nothing else.  No
+environment variables are consulted; configuration is flags only.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .lorentz import leech_gram
 from .observations import cannonball, check_congruence
 
 ORDER_CEILING = 5000
+# the search is linear in --max-n: about 3 s at the ceiling
+MAX_N_CEILING = 10**7
 EXPECTED_RESIDUE = 42
 
 # observation ids: jm sums squared j coefficients, yhh squared tau values
@@ -63,6 +65,9 @@ def _cmd_coeffs(args) -> tuple[bool, dict]:
             f"order {args.order} exceeds the ceiling {ORDER_CEILING};"
             " pass --unsafe-order to proceed"
         )
+    least = modforms.min_order(args.series)
+    if args.order < least:
+        raise UsageError(f"series {args.series!r} needs --order >= {least}")
     table = modforms.coefficient_table(args.series, args.order)
     payload = {
         "series": table.name,
@@ -97,6 +102,8 @@ def _cmd_verify(args) -> tuple[bool, dict]:
 def _cmd_cannonball(args) -> tuple[bool, dict]:
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
+    if args.max_n > MAX_N_CEILING:
+        raise UsageError(f"--max-n {args.max_n} exceeds the ceiling {MAX_N_CEILING}")
     solutions = cannonball(args.max_n)
     payload = {
         "maxN": args.max_n,
@@ -292,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         ok, payload = handler(args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"qleech: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -7,16 +7,16 @@ The three expansions used here:
     E4(q)    = 1 + 240 sum_{n>=1} sigma_3(n) q^n
     Delta(q) = q prod_{n>=1} (1 - q^n)^24          (coefficients tau(n))
     j(q)     = E4(q)^3 / Delta(q)                  (simple pole, lead 1/q)
+             = q^-1 E4(q)^3 prod_{n>=1} (1 - q^n)^-24
 
-Single-coefficient accessors are backed by a cache of whole expansions at
-power-of-two orders, so repeated coefficient queries do not recompute the
-series; the cache never changes any value, only who pays for it.
+Both products are powers of the sparse pentagonal series, so Delta and j
+come straight from the series power recurrence; j needs no Delta and no
+dense inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 from .qseries import LaurentSeries, euler_product_pentagonal
@@ -49,45 +49,38 @@ def eisenstein_e4(order: int) -> LaurentSeries:
 def delta(order: int) -> LaurentSeries:
     """The discriminant form Delta modulo q^order; valuation 1, lead 1.
 
-    Built as q * (euler product)^24 with one extra working coefficient so
-    the final window is exactly [1, order).
+    Built as q * (euler product)^24, the power taken to order - 1 so that
+    the shifted window is exactly [1, order).
     """
     if order < 2:
         raise ValueError("order must be at least 2 to see the leading term")
-    eta24 = euler_product_pentagonal(order) ** 24
-    return eta24.shift(1).truncate(order)
+    return (euler_product_pentagonal(order - 1) ** 24).shift(1)
 
 
 def tau(m: int) -> int:
     """Ramanujan tau(m), the coefficient of q^m in Delta, for m >= 1."""
     if m < 1:
         raise ValueError("tau is indexed from 1")
-    return _delta_cached(_cache_order(m + 1)).coeff(m)
+    return delta(m + 1).coeff(m)
 
 
-def j_invariant(order: int, padding: int = 2) -> LaurentSeries:
+def j_invariant(order: int) -> LaurentSeries:
     """The modular invariant j modulo q^order; valuation -1, lead 1.
 
-    Computed as E4^3 * Delta^(-1).  The division costs two orders of
-    truncation (Delta has valuation 1), so inputs are expanded to
-    order + padding and the result re-truncated; any padding >= 2 must give
-    identical coefficients, and the parameter is exposed so that invariance
-    is testable.
+    Computed as q^-1 * E4^3 * (euler product)^-24 with both factors taken
+    to order + 1, so that the shifted window is exactly [-1, order).
     """
     if order < 0:
         raise ValueError("order must be at least 0 to see the pole")
-    if padding < 2:
-        raise ValueError("padding below 2 cannot reach the requested order")
-    work = order + padding
-    numerator = eisenstein_e4(work) ** 3
-    return (numerator * delta(work).invert()).truncate(order)
+    work = order + 1
+    return (eisenstein_e4(work) ** 3 * euler_product_pentagonal(work) ** -24).shift(-1)
 
 
 def j_coeff(m: int) -> int:
     """Coefficient of q^m in j, for m >= -1."""
     if m < -1:
         raise ValueError("j has a simple pole: no coefficients below q^-1")
-    return _j_cached(_cache_order(m + 1)).coeff(m)
+    return j_invariant(m + 1).coeff(m)
 
 
 @dataclass(frozen=True)
@@ -114,28 +107,18 @@ def series_names() -> tuple[str, ...]:
     return tuple(_SERIES_BUILDERS)
 
 
+def min_order(name: str) -> int:
+    """The least order at which the named series shows its leading term."""
+    return _SERIES_BUILDERS[name][1]
+
+
 def coefficient_table(name: str, order: int) -> CoefficientTable:
     """Expand one of the named series and list every known coefficient."""
     if name not in _SERIES_BUILDERS:
         raise ValueError(f"unknown series {name!r}; choose from {sorted(_SERIES_BUILDERS)}")
-    builder, min_order = _SERIES_BUILDERS[name]
-    if order < min_order:
-        raise ValueError(f"series {name!r} needs order >= {min_order}")
-    series = builder(order)
+    least = min_order(name)
+    if order < least:
+        raise ValueError(f"series {name!r} needs order >= {least}")
+    series = _SERIES_BUILDERS[name][0](order)
     return CoefficientTable(name, series.valuation, series.order, series.coefficients())
 
-
-def _cache_order(order: int) -> int:
-    # round up to a power of two, floor 32, so nearby queries share one entry
-    n = max(order, 32)
-    return 1 << (n - 1).bit_length()
-
-
-@lru_cache(maxsize=8)
-def _delta_cached(order: int) -> LaurentSeries:
-    return delta(order)
-
-
-@lru_cache(maxsize=8)
-def _j_cached(order: int) -> LaurentSeries:
-    return j_invariant(order)

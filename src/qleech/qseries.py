@@ -11,9 +11,10 @@ Truncation orders propagate pessimistically but tightly:
 
     add:  order = min(a.order, b.order)
     mul:  order = min(a.order + b.valuation, b.order + a.valuation)
-    inv:  valuation = -v, order = a.order - 2 v      (unit leading coeff)
+    pow:  valuation = k v, order = k v + a.order - v  (k < 0: unit lead)
 
-so a product of series each correct to N relative terms is again correct to
+so invert(), the power k = -1, has valuation -v and order a.order - 2 v, and
+a product of series each correct to N relative terms is again correct to
 N relative terms.
 """
 
@@ -181,30 +182,21 @@ class LaurentSeries:
         return LaurentSeries(self.valuation, self.order, tuple(c * a for a in self.coeffs))
 
     def __pow__(self, k: int) -> "LaurentSeries":
+        """self ** k for any integer k; k < 0 needs a leading coefficient +-1."""
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            raise ValueError("negative powers are spelled invert() then pow")
+        if k < 0 and (self.is_zero or self.coeffs[0] not in (1, -1)):
+            raise NonUnitError("negative powers need a leading coefficient of +-1")
+        if self.is_zero:
+            if k == 0:
+                return LaurentSeries.one(max(self.order, 1))
+            # the product of k copies is known to vanish to k times the order
+            return LaurentSeries.zero(k * self.order)
+        n = self.order - self.valuation
         if k == 0:
             # empty product: the constant 1 at the base's relative precision
-            if self.is_zero:
-                return LaurentSeries.one(max(self.order, 1))
-            return LaurentSeries.one(max(self.order - self.valuation, 1))
-        # binary powering without an identity seed keeps truncation orders
-        # identical to repeated multiplication: the lowest set bit of k
-        # starts the product
-        square = self
-        while not k & 1:
-            square = square * square
-            k >>= 1
-        result = square
-        k >>= 1
-        while k:
-            square = square * square
-            if k & 1:
-                result = result * square
-            k >>= 1
-        return result
+            return LaurentSeries.one(n)
+        return LaurentSeries(k * self.valuation, k * self.valuation + n, _power(self.coeffs, k))
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse; requires leading coefficient +-1.
@@ -212,22 +204,7 @@ class LaurentSeries:
         The result has valuation -v and order reduced by 2v, so that
         self * self.invert() is 1 at the original relative precision.
         """
-        if self.is_zero:
-            raise NonUnitError("the zero series has no inverse")
-        lead = self.coeffs[0]
-        if lead not in (1, -1):
-            raise NonUnitError(f"non-unit leading coefficient {lead}")
-        n = self.order - self.valuation
-        u = self.coeffs
-        w = [0] * n
-        w[0] = lead
-        for m in range(1, n):
-            acc = 0
-            for k in range(1, m + 1):
-                if u[k]:
-                    acc += u[k] * w[m - k]
-            w[m] = -lead * acc
-        return LaurentSeries(-self.valuation, self.order - 2 * self.valuation, tuple(w))
+        return self ** -1
 
     # -- reshaping -----------------------------------------------------------
 
@@ -271,6 +248,34 @@ class LaurentSeries:
                 break
         parts.append(f"O(q^{self.order})")
         return " + ".join(parts)
+
+
+def _power(f: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The first len(f) coefficients of (sum f_i q^i)^k, given f_0 != 0.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7) comes from
+    comparing coefficients in f p' = k f' p for p = f^k:
+
+        m f_0 p_m = sum_{1 <= i <= m} ((k + 1) i - m) f_i p_{m-i}
+
+    The division is exact because p has integer coefficients.  Only the
+    nonzero f_i enter the sums, so a sparse base such as the pentagonal
+    series costs O(n sqrt n) instead of O(n^2).
+    """
+    f0 = f[0]
+    # f0 is +-1 whenever k < 0, and then f0^k = f0^-k
+    p = [f0 ** abs(k)]
+    terms = [(i, c, (k + 1) * i * c) for i, c in enumerate(f) if i and c]
+    for m in range(1, len(f)):
+        weighted = plain = 0
+        for i, c, w in terms:
+            if i > m:
+                break
+            q = p[m - i]
+            weighted += w * q
+            plain += c * q
+        p.append((weighted - m * plain) // (m * f0))
+    return tuple(p)
 
 
 def euler_product(order: int) -> LaurentSeries:

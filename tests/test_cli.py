@@ -122,9 +122,23 @@ def test_coeffs_rejects_unknown_series(capsys):
 
 
 def test_coeffs_rejects_bad_order(capsys):
-    code, _, err = run(capsys, ["coeffs", "--series", "delta", "--order", "1"])
-    assert code == 2
-    assert err
+    for series, order in (("delta", "1"), ("j", "-1")):
+        code, out, err = run(capsys, ["coeffs", "--series", series, "--order", order])
+        assert code == 2
+        assert out == ""
+        assert "--order" in err
+
+
+def test_library_value_error_is_internal_failure(monkeypatch, capsys):
+    # only the argument checks of the command layer mean bad usage
+    def broken(name, order):
+        raise ValueError("broken builder")
+
+    monkeypatch.setattr(cli.modforms, "coefficient_table", broken)
+    code, out, err = run(capsys, ["coeffs", "--series", "e4", "--order", "3"])
+    assert code == 1
+    assert out == ""
+    assert "internal failure: broken builder" in err
 
 
 def test_order_ceiling(capsys):
@@ -213,6 +227,18 @@ def test_cannonball_domain(capsys):
         code, _, err = run(capsys, ["cannonball", "--max-n", bad])
         assert code == 2
         assert err
+
+
+def test_cannonball_ceiling(monkeypatch, capsys):
+    def never(max_n):
+        raise AssertionError("the search must not start")
+
+    monkeypatch.setattr(cli, "cannonball", never)
+    code, out, err = run(capsys, ["cannonball", "--max-n", str(cli.MAX_N_CEILING + 1)])
+    assert cli.MAX_N_CEILING == 10**7
+    assert code == 2
+    assert out == ""
+    assert "ceiling" in err
 
 
 # -- leech ---------------------------------------------------------------------

@@ -129,9 +129,12 @@ def test_pow_zero_is_one():
     assert a**0 == LaurentSeries.one(a.order - a.valuation)
 
 
-def test_pow_negative_rejected():
-    with pytest.raises(ValueError):
-        LaurentSeries.one(4) ** -1
+def test_pow_negative_needs_unit_lead():
+    for k in (-1, -3):
+        with pytest.raises(NonUnitError):
+            LaurentSeries.from_coeffs(0, [2, 1]) ** k
+        with pytest.raises(NonUnitError):
+            LaurentSeries.zero(4) ** k
 
 
 def test_invert_one():
@@ -269,6 +272,17 @@ def test_pow_matches_repeated_mul(a, k):
     for _ in range(k - 1):
         by_mul = by_mul * a
     assert a**k == by_mul
+
+
+@settings(deadline=None)
+@given(unit_series_st(), st.integers(min_value=1, max_value=4))
+def test_pow_negative_matches_invert(a, k):
+    inv = a.invert()
+    by_mul = inv
+    for _ in range(k - 1):
+        by_mul = by_mul * inv
+    assert a**-k == by_mul
+    assert a**-k * a**k == LaurentSeries.one(a.order - a.valuation)
 
 
 @given(unit_series_st())

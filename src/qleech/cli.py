@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -31,6 +32,8 @@ from .observations import cannonball, check_congruence
 ORDER_CEILING = 5000
 # the search is linear in --max-n: about 3 s at the ceiling
 MAX_N_CEILING = 10**7
+# --jobs N starts up to N worker processes (one per enumeration subtree at most)
+MAX_JOBS = 64
 EXPECTED_RESIDUE = 42
 
 # observation ids: jm sums squared j coefficients, yhh squared tau values
@@ -202,6 +205,23 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_atomic(path: str, body: str) -> None:
+    """Write body to path through a temporary file beside it, so that path
+    holds either its old contents or all of body; the temporary file is
+    removed if anything fails after it was created."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(body)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _render(args, result: dict) -> tuple[str, str]:
     """(stdout body, --out body) for the chosen format."""
     fmt = getattr(args, "format", "json")
@@ -238,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="parallel enumeration workers (output bytes unchanged)",
+            help=f"parallel enumeration workers, at most {MAX_JOBS} (output bytes unchanged)",
         )
 
     p = sub.add_parser("coeffs", help="expand a named q-series")
@@ -291,13 +311,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "jobs", 1) < 1:
-        print("qleech: --jobs must be at least 1", file=sys.stderr)
-        return 2
 
     handler = _HANDLERS[args.command]
     start = time.perf_counter()
     try:
+        if not 1 <= getattr(args, "jobs", 1) <= MAX_JOBS:
+            raise UsageError(f"--jobs must be between 1 and {MAX_JOBS}")
         ok, payload = handler(args)
     except UsageError as exc:
         print(f"qleech: {exc}", file=sys.stderr)
@@ -316,8 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     stdout_body, out_body = _render(args, result)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(out_body)
+            _write_atomic(args.out, out_body)
         except OSError as exc:
             print(f"qleech: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2

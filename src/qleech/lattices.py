@@ -6,7 +6,9 @@ floating point arithmetic anywhere.  LLL runs over Fractions and returns
 both the reduced Gram matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints, which keeps a 24-dimensional
-norm-4 sweep in the low millions of nodes.
+norm-4 sweep in the low millions of nodes.  Each level's centre is kept up
+to date incrementally from Schnorr-Euchner partial sums, and parallel runs
+deal the subtrees a few levels below the top out to the workers.
 
 The theta checks compare enumerated counts per norm with coefficients of
 weight-12 modular forms computed independently in the series modules; for
@@ -34,6 +36,10 @@ from .lorentz import (
 )
 
 DEFAULT_DELTA = Fraction(3, 4)
+# the enumeration splits into subtrees this many levels below the top: deep
+# enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
+# enough that each worker walks the levels above the split in milliseconds
+SPLIT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -162,69 +168,83 @@ class ShortVectorCount:
 
 
 def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
-    """Quadratic-completion tables for Q(x) = sum_i d_i (x_i + sum_j q_ij x_j)^2,
+    """Quadratic-completion tables for Q(x) = sum_i d_i (x_i + sum_{j>i} q_ij x_j)^2,
     the d, q = ldl(entries) form, scaled to pure integers.
 
-    Returns (diag, rows, line_scale, level_scale, total_scale): with
-    L = line_scale[i], row entries A[i][j] = L * q_ij are integers,
-    E = level_scale[i] = total_scale / L^3, and the level-i contribution to
-    total_scale * Q(x) is E * A[i][i] * (L x_i + sum_{j>i} A[i][j] x_j)^2.
+    Returns (rows, step, scale).  L_i = rows[i][i] is the lcm of the
+    denominators of q_ij (j > i), so rows[i][j] = L_i q_ij are integers; the
+    scale T is the lcm of the denominators of d_i / L_i^2 (a divisor of
+    lcm_i(den(d_i) L_i^2)), so every step[i] = T d_i / L_i^2 is an integer,
+    and T Q(x) = sum_i step[i] (sum_{j>=i} rows[i][j] x_j)^2.
     """
     d, q = ldl(entries)
     if any(p <= 0 for p in d):
         raise ValueError("not positive definite")
-    line_scale = []
-    diag = []
     rows = []
-    for i, p in enumerate(d):
-        l = lcm(p.denominator, *(x.denominator for x in q[i][i + 1 :]))
-        line_scale.append(l)
-        diag.append(int(p * l))
-        rows.append([int(x * l) for x in q[i]])
-    total_scale = lcm(*(l**3 for l in line_scale))
-    level_scale = [total_scale // l**3 for l in line_scale]
-    return diag, rows, line_scale, level_scale, total_scale
+    for i in range(len(d)):
+        l = lcm(1, *(x.denominator for x in q[i][i + 1 :]))
+        rows.append([l if j == i else int(x * l) for j, x in enumerate(q[i])])
+    weights = [p / rows[i][i] ** 2 for i, p in enumerate(d)]
+    scale = lcm(*(w.denominator for w in weights))
+    step = [int(scale * w) for w in weights]
+    return rows, step, scale
 
 
-def _count_range(args) -> dict[int, int]:
-    """Count vectors whose top coordinate lies in [lo_top, hi_top], walking
-    the completion levels from last to first; each vector found stands for
-    its +-v pair, so leaves add 2."""
-    diag, rows, line_scale, level_scale, total_scale, budget, lo_top, hi_top = args
-    n = len(diag)
-    step_scale = [level_scale[i] * diag[i] for i in range(n)]
+def _walk(args) -> tuple[dict[int, int], int]:
+    """Count the vectors with T Q(x) <= budget, walking the completion
+    levels from last to first.  Each vector found stands for its +-v pair
+    (the one whose last nonzero coordinate is positive), so leaves add 2.
+
+    The nodes at level SPLIT_DEPTH below the top (level 0 at the least) root
+    the subtrees, numbered in walk order.  The walk descends only into
+    subtree k with k % workers == index, so indices 0..workers-1 share the
+    count out and an index outside that range walks only the levels above
+    the split.  Returns the counts by norm and the number of subtrees.
+
+    Centres are kept incrementally: sig[i][j] = sum_{k>=j} rows[i][k] x_k,
+    and no x_j with j > stale[i] has changed since row i was last brought up
+    to date, so a descent refreshes only sig[i][stale[i]] down to
+    sig[i][i+1] (Schnorr-Euchner partial sums).
+    """
+    rows, step, scale, budget, workers, index = args
+    n = len(rows)
+    top = n - 1
+    split = max(top - SPLIT_DEPTH, 0)
+    line = [row[i] for i, row in enumerate(rows)]
+    sig = [[0] * (n + 1) for _ in range(n)]
+    stale = [top] * n
     counts: dict[int, int] = {}
+    subtrees = 0
     x = [0] * n
     remaining = [0] * n
-    offset = [0] * n
-    lo = [0] * n
+    centre = [0] * n
     hi = [0] * n
     zero_prefix = [False] * n
 
-    top = n - 1
     remaining[top] = budget
-    offset[top] = 0
     zero_prefix[top] = True
-    ymax = isqrt(budget // step_scale[top])
-    lo[top] = max(0, lo_top)
-    hi[top] = min(ymax // line_scale[top], hi_top)
-    x[top] = lo[top] - 1
-
+    hi[top] = isqrt(budget // step[top]) // line[top]
+    x[top] = -1
     level = top
     while True:
-        x[level] += 1
-        if x[level] > hi[level]:
+        xi = x[level] + 1
+        if xi > hi[level]:
             level += 1
             if level == n:
                 break
+            stale[level - 1] = level
             continue
-        xi = x[level]
-        y = line_scale[level] * xi + offset[level]
-        rem = remaining[level] - step_scale[level] * y * y
+        x[level] = xi
+        y = line[level] * xi + centre[level]
+        rem = remaining[level] - step[level] * y * y
+        if level == split:
+            subtrees += 1
+            if (subtrees - 1) % workers != index:
+                continue
         if level == 0:
             used = budget - rem
             if used > 0:
-                norm, r = divmod(used, total_scale)
+                norm, r = divmod(used, scale)
                 if r:
                     raise ConstructionError("scaled norm is not a multiple of the scale")
                 counts[norm] = counts.get(norm, 0) + 2
@@ -232,62 +252,57 @@ def _count_range(args) -> dict[int, int]:
         nxt = level - 1
         remaining[nxt] = rem
         zero_prefix[nxt] = zero_prefix[level] and xi == 0
+        s = stale[nxt]
+        if stale[nxt - 1] < s:
+            # at nxt == 0 this writes stale[top], which no descent reads
+            stale[nxt - 1] = s
         row = rows[nxt]
-        acc = 0
-        for j in range(level, n):
-            xj = x[j]
-            if xj:
-                acc += row[j] * xj
-        offset[nxt] = acc
-        ymax = isqrt(rem // step_scale[nxt])
-        l = line_scale[nxt]
-        low = -((ymax + acc) // l)
-        high = (ymax - acc) // l
+        sig_row = sig[nxt]
+        for j in range(s, nxt, -1):
+            sig_row[j] = sig_row[j + 1] + row[j] * x[j]
+        c = centre[nxt] = sig_row[level]
+        ymax = isqrt(rem // step[nxt])
+        l = line[nxt]
+        low = -((ymax + c) // l)
         if zero_prefix[nxt] and low < 0:
             low = 0
-        lo[nxt] = low
-        hi[nxt] = high
+        hi[nxt] = (ymax - c) // l
         x[nxt] = low - 1
         level = nxt
-    return counts
+    return counts, subtrees
 
 
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:
     """Count all lattice vectors of each norm 1..max_norm.
 
     The Gram matrix is LLL-reduced first; the enumeration then works on the
-    reduced form, which leaves counts unchanged.  jobs > 1 splits the top
-    coordinate range across processes; results are merged deterministically.
+    reduced form, which leaves counts unchanged.  jobs > 1 deals the
+    subtrees SPLIT_DEPTH levels below the top out to min(jobs, subtrees)
+    worker processes; the counts are merged in worker order, so they do not
+    depend on jobs.
     """
     if not isinstance(max_norm, int) or max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError("jobs must be a positive integer")
     reduced = lll(gram)
-    tables = _fincke_pohst_tables(reduced.gram.entries)
-    diag, rows, line_scale, level_scale, total_scale = tables
-    budget = max_norm * total_scale
-    top = len(diag) - 1
-    hi_top = isqrt(budget // (level_scale[top] * diag[top])) // line_scale[top]
-    merged: dict[int, int] = {}
-    if jobs == 1 or hi_top == 0:
-        merged = _count_range(
-            (diag, rows, line_scale, level_scale, total_scale, budget, 0, hi_top)
-        )
+    rows, step, scale = _fincke_pohst_tables(reduced.gram.entries)
+    budget = max_norm * scale
+    workers = 1
+    if jobs > 1:
+        # index -1 owns no subtree: this walk only counts them
+        _, subtrees = _walk((rows, step, scale, budget, 1, -1))
+        workers = min(jobs, subtrees)
+    arglist = [(rows, step, scale, budget, workers, i) for i in range(workers)]
+    if workers == 1:
+        parts = [_walk(arglist[0])]
     else:
-        width = hi_top + 1
-        chunks = min(jobs, width)
-        arglist = []
-        for c in range(chunks):
-            lo_c = c * width // chunks
-            hi_c = (c + 1) * width // chunks - 1
-            arglist.append(
-                (diag, rows, line_scale, level_scale, total_scale, budget, lo_c, hi_c)
-            )
-        with ProcessPoolExecutor(max_workers=chunks) as pool:
-            for part in pool.map(_count_range, arglist):
-                for norm, cnt in part.items():
-                    merged[norm] = merged.get(norm, 0) + cnt
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_walk, arglist))
+    merged: dict[int, int] = {}
+    for part, _ in parts:
+        for norm, cnt in part.items():
+            merged[norm] = merged.get(norm, 0) + cnt
     counts = {m: merged.get(m, 0) for m in range(1, max_norm + 1)}
     return ShortVectorCount(max_norm=max_norm, counts=counts)
 

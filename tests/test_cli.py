@@ -115,6 +115,27 @@ def test_coeffs_out_unwritable(tmp_path, capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("stage", ["fsync", "replace"])
+def test_coeffs_out_failure_leaves_no_file(tmp_path, capsys, monkeypatch, stage):
+    # a write that fails part way leaves neither a partial target nor the
+    # temporary file, and an existing target keeps its old contents
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, stage, fail)
+    argv = ["coeffs", "--series", "j", "--order", "2", "--out"]
+    code, out, err = run(capsys, argv + [str(tmp_path / "new.json")])
+    assert (code, out) == (2, "")
+    assert "cannot write" in err and "disk full" in err
+    assert list(tmp_path.iterdir()) == []
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    code, out, _ = run(capsys, argv + [str(kept)])
+    assert (code, out) == (2, "")
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "old\n"
+
+
 def test_coeffs_rejects_unknown_series(capsys):
     code, _, err = run(capsys, ["coeffs", "--series", "zeta", "--order", "3"])
     assert code == 2
@@ -281,6 +302,24 @@ def test_leech_rejects_bad_jobs(capsys):
     code, _, err = run(capsys, ["leech", "min", "--jobs", "0"])
     assert code == 2
     assert err
+
+
+def test_jobs_ceiling(monkeypatch, capsys):
+    # above the ceiling no enumeration starts, so no worker either
+    def no_enumeration(*args, **kwargs):
+        raise RuntimeError("enumeration started")
+
+    monkeypatch.setattr(cli, "short_vectors", no_enumeration)
+    monkeypatch.setattr(lattices, "short_vectors", no_enumeration)
+    over = str(cli.MAX_JOBS + 1)
+    for argv in (["leech", "min"], ["leech", "kissing"], ["e8", "--max-norm", "2"]):
+        code, out, err = run(capsys, argv + ["--jobs", over])
+        assert (code, out) == (2, "")
+        assert f"between 1 and {cli.MAX_JOBS}" in err
+        # the ceiling itself passes the check and reaches the stand-in
+        code, out, err = run(capsys, argv + ["--jobs", str(cli.MAX_JOBS)])
+        assert (code, out) == (1, "")
+        assert "enumeration started" in err
 
 
 def test_leech_kissing_command(capsys):

@@ -1,16 +1,19 @@
 """LLL reduction, short-vector enumeration, and the two theta cross-checks.
 
 Enumeration counts in low dimension are verified against a dumb box search
-that bounds each coordinate through the inverse Gram diagonal, and the
-LLL check against a Gram-Schmidt recomputed entry by entry.
+that bounds each coordinate through the inverse Gram diagonal, and in every
+dimension against a plain Fincke-Pohst walk kept here as an oracle (one
+lcm(L^3) scale for every level, every centre recomputed at every node).  The LLL check is
+compared with a Gram-Schmidt recomputed entry by entry.
 """
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
+import qleech.lattices as lattices
 from qleech.lattices import (
     DEFAULT_DELTA,
     ShortVectorCount,
@@ -21,7 +24,7 @@ from qleech.lattices import (
     theta_check_e8,
     theta_check_leech,
 )
-from qleech.lorentz import GramMatrix, leech_gram
+from qleech.lorentz import GramMatrix, ldl, leech_gram
 from qleech.modforms import sigma
 
 
@@ -85,6 +88,73 @@ def brute_counts(gram, max_norm):
     return counts
 
 
+def oracle_tables(entries):
+    """The plain scaling: L_i clears the denominators of d_i and of row i,
+    and one total scale lcm(L_i^3) serves every level."""
+    d, q = ldl(entries)
+    line_scale, diag, rows = [], [], []
+    for i, p in enumerate(d):
+        l = lcm(p.denominator, *(x.denominator for x in q[i][i + 1 :]))
+        line_scale.append(l)
+        diag.append(int(p * l))
+        rows.append([int(x * l) for x in q[i]])
+    total_scale = lcm(*(l**3 for l in line_scale))
+    level_scale = [total_scale // l**3 for l in line_scale]
+    return diag, rows, line_scale, level_scale, total_scale
+
+
+def oracle_count(gram, max_norm):
+    """A plain serial enumeration of the LLL-reduced form: the whole top
+    range in one walk, every centre recomputed in full at every node."""
+    tables = oracle_tables(lll(gram).gram.entries)
+    diag, rows, line_scale, level_scale, total_scale = tables
+    n = len(diag)
+    budget = max_norm * total_scale
+    step_scale = [level_scale[i] * diag[i] for i in range(n)]
+    counts = {m: 0 for m in range(1, max_norm + 1)}
+    x = [0] * n
+    remaining = [0] * n
+    offset = [0] * n
+    hi = [0] * n
+    zero_prefix = [False] * n
+    top = n - 1
+    remaining[top] = budget
+    zero_prefix[top] = True
+    hi[top] = isqrt(budget // step_scale[top]) // line_scale[top]
+    x[top] = -1
+    level = top
+    while True:
+        x[level] += 1
+        if x[level] > hi[level]:
+            level += 1
+            if level == n:
+                return counts
+            continue
+        xi = x[level]
+        y = line_scale[level] * xi + offset[level]
+        rem = remaining[level] - step_scale[level] * y * y
+        if level == 0:
+            used = budget - rem
+            if used > 0:
+                norm, r = divmod(used, total_scale)
+                assert r == 0
+                counts[norm] += 2
+            continue
+        nxt = level - 1
+        remaining[nxt] = rem
+        zero_prefix[nxt] = zero_prefix[level] and xi == 0
+        acc = sum(rows[nxt][j] * x[j] for j in range(level, n))
+        offset[nxt] = acc
+        ymax = isqrt(rem // step_scale[nxt])
+        l = line_scale[nxt]
+        low = -((ymax + acc) // l)
+        if zero_prefix[nxt] and low < 0:
+            low = 0
+        hi[nxt] = (ymax - acc) // l
+        x[nxt] = low - 1
+        level = nxt
+
+
 def oracle_is_lll_reduced(gram, delta=DEFAULT_DELTA):
     """Size reduction and the Lovasz condition from a Gram-Schmidt
     orthogonalization built one inner product at a time."""
@@ -129,6 +199,17 @@ def random_unimodular(rng, n, shears=8):
         for k in range(n):
             t[i][k] += c * t[j][k]
     return t
+
+
+def block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(row)] = row
+        at += len(b)
+    return GramMatrix.from_rows(rows)
 
 
 def conjugate(gram, t):
@@ -287,6 +368,117 @@ def test_short_vectors_jobs_agree():
     split = short_vectors(g, 4, jobs=3)
     assert lone.counts == split.counts
     assert short_vectors(g, 2, jobs=2).counts == short_vectors(g, 2).counts
+
+
+def oracle_cases():
+    """(gram, max_norm) pairs: random forms of dimension 5 to 8, E8, Leech at
+    norm 2, and forms whose top coordinate range is {0}, so the +-v rule
+    decides on a lower level, across the subtree split as well."""
+    rng = random.Random(47)
+    cases = []
+    for n in (5, 6, 7, 8):
+        for _ in range(2):
+            g = random_spd_gram(rng, n, spread=2)
+            cases.append((g, lll(g).gram.entries[0][0] + 2))
+    a2 = [[2, 1], [1, 2]]
+    cases += [
+        (e8_gram(), 6),
+        (leech_gram(), 2),
+        (GramMatrix.from_rows([[3]]), 2),
+        (GramMatrix.from_rows([[3]]), 7),
+        (block_diagonal(a2, [[40]]), 6),
+        (block_diagonal(a2, a2, a2, [[40]]), 4),
+    ]
+    return cases
+
+
+def test_tables_scale_identity():
+    # every level step is an integer and T Q(x) is the sum of the level
+    # terms exactly; T divides the lcm(den(d_i) L_i^2) of the plain formula
+    rng = random.Random(53)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(5):
+            g = random_spd_gram(rng, n)
+            rows, step, scale = lattices._fincke_pohst_tables(g.entries)
+            d, q = ldl(g.entries)
+            for i in range(n):
+                l = rows[i][i]
+                assert l == lcm(1, *(v.denominator for v in q[i][i + 1 :]))
+                assert all(rows[i][j] == l * q[i][j] for j in range(i + 1, n))
+                assert isinstance(step[i], int) and step[i] == scale * d[i] / l**2
+            assert lcm(*(d[i].denominator * rows[i][i] ** 2 for i in range(n))) % scale == 0
+            for _ in range(10):
+                x = [rng.randint(-6, 6) for _ in range(n)]
+                norm = sum(x[a] * g.entries[a][b] * x[b] for a in range(n) for b in range(n))
+                terms = sum(
+                    step[i] * sum(rows[i][j] * x[j] for j in range(i, n)) ** 2
+                    for i in range(n)
+                )
+                assert terms == scale * norm
+
+
+def test_tables_scale_smaller_than_oracle():
+    entries = lll(leech_gram()).gram.entries
+    scale = lattices._fincke_pohst_tables(entries)[2]
+    assert scale.bit_length() < oracle_tables(entries)[4].bit_length()
+
+
+def test_walk_subtree_shares_cover_the_count():
+    # the shares of 1..4 workers add up to the serial count, every share
+    # sees the same subtrees, and an index outside 0..workers-1 walks only
+    # the levels above the split
+    for g, max_norm in oracle_cases():
+        rows, step, scale = lattices._fincke_pohst_tables(lll(g).gram.entries)
+        budget = max_norm * scale
+        whole, subtrees = lattices._walk((rows, step, scale, budget, 1, 0))
+        assert lattices._walk((rows, step, scale, budget, 1, -1)) == ({}, subtrees)
+        for workers in (2, 3, 4):
+            merged = {}
+            for index in range(workers):
+                part, seen = lattices._walk((rows, step, scale, budget, workers, index))
+                assert seen == subtrees
+                for norm, cnt in part.items():
+                    merged[norm] = merged.get(norm, 0) + cnt
+            assert merged == whole
+
+
+def test_short_vectors_against_oracle_walk():
+    for g, max_norm in oracle_cases():
+        want = oracle_count(g, max_norm)
+        for jobs in (1, 2, 3):
+            assert short_vectors(g, max_norm, jobs=jobs).counts == want
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records how many workers were
+    asked for and maps in this process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
+    started = []
+    monkeypatch.setattr(
+        lattices, "ProcessPoolExecutor", lambda max_workers: RecordingPool(started, max_workers)
+    )
+    line = GramMatrix.from_rows([[2]])
+    # norm <= 8 on the line: x = 0, 1, 2 are the three subtrees
+    want = {1: 0, 2: 2, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2}
+    assert short_vectors(line, 8, jobs=5).counts == want
+    assert short_vectors(line, 8, jobs=2).counts == short_vectors(line, 8).counts
+    # a single subtree needs no pool
+    assert short_vectors(line, 1, jobs=4).counts == {1: 0}
+    assert started == [3, 2]
 
 
 def test_short_vectors_domain():

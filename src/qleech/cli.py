@@ -25,15 +25,13 @@ import sys
 import time
 
 from . import modforms
-from .lattices import short_vectors, theta_check_e8, theta_check_leech
+from .lattices import MAX_JOBS, short_vectors, theta_check_e8, theta_check_leech
 from .lorentz import leech_gram
 from .observations import cannonball, check_congruence
 
 ORDER_CEILING = 5000
 # the search is linear in --max-n: about 3 s at the ceiling
 MAX_N_CEILING = 10**7
-# --jobs N starts up to N worker processes (one per enumeration subtree at most)
-MAX_JOBS = 64
 EXPECTED_RESIDUE = 42
 
 # observation ids: jm sums squared j coefficients, yhh squared tau values

@@ -40,6 +40,8 @@ DEFAULT_DELTA = Fraction(3, 4)
 # enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
 SPLIT_DEPTH = 4
+# jobs N starts up to N worker processes (one per subtree at most)
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,12 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
     reduced form, which leaves counts unchanged.  jobs > 1 deals the
     subtrees SPLIT_DEPTH levels below the top out to min(jobs, subtrees)
     worker processes; the counts are merged in worker order, so they do not
-    depend on jobs.
+    depend on jobs.  jobs must lie in 1..MAX_JOBS.
     """
     if not isinstance(max_norm, int) or max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError("jobs must be a positive integer")
+    if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     reduced = lll(gram)
     rows, step, scale = _fincke_pohst_tables(reduced.gram.entries)
     budget = max_norm * scale

@@ -9,9 +9,15 @@ The three expansions used here:
     j(q)     = E4(q)^3 / Delta(q)                  (simple pole, lead 1/q)
              = q^-1 E4(q)^3 prod_{n>=1} (1 - q^n)^-24
 
-Both products are powers of the sparse pentagonal series, so Delta and j
-come straight from the series power recurrence; j needs no Delta and no
-dense inverse.
+Both products are powers of the sparse pentagonal series, so Delta and the
+factor P^-24 of j (P the pentagonal series) come straight from the series
+power recurrence, which is cheap on a sparse base.  E4 is dense, so its
+cube is two products instead:
+
+    j = q^-1 * E4 * E4 * E4 * P^-24
+
+three multiplications by the Kronecker-substitution kernel, with no Delta
+and no dense inverse.
 """
 
 from __future__ import annotations
@@ -39,10 +45,19 @@ def sigma(k: int, n: int) -> int:
 
 
 def eisenstein_e4(order: int) -> LaurentSeries:
-    """E4 modulo q^order; constant term 1, then 240 sigma_3(n)."""
+    """E4 modulo q^order; constant term 1, then 240 sigma_3(n).
+
+    The divisor sums come from one sieve: each d < order adds 240 d^3 to
+    every multiple of d, O(order log order) steps in all.
+    """
     if order < 1:
         raise ValueError("order must be at least 1")
-    coeffs = [1] + [240 * sigma(3, n) for n in range(1, order)]
+    coeffs = [0] * order
+    for d in range(1, order):
+        term = 240 * d**3
+        for n in range(d, order, d):
+            coeffs[n] += term
+    coeffs[0] = 1
     return LaurentSeries.from_coeffs(0, coeffs, order)
 
 
@@ -67,13 +82,14 @@ def tau(m: int) -> int:
 def j_invariant(order: int) -> LaurentSeries:
     """The modular invariant j modulo q^order; valuation -1, lead 1.
 
-    Computed as q^-1 * E4^3 * (euler product)^-24 with both factors taken
-    to order + 1, so that the shifted window is exactly [-1, order).
+    Computed as q^-1 * E4 * E4 * E4 * (euler product)^-24 with every factor
+    taken to order + 1, so that the shifted window is exactly [-1, order).
     """
     if order < 0:
         raise ValueError("order must be at least 0 to see the pole")
     work = order + 1
-    return (eisenstein_e4(work) ** 3 * euler_product_pentagonal(work) ** -24).shift(-1)
+    e4 = eisenstein_e4(work)
+    return (e4 * e4 * e4 * euler_product_pentagonal(work) ** -24).shift(-1)
 
 
 def j_coeff(m: int) -> int:

@@ -16,6 +16,14 @@ Truncation orders propagate pessimistically but tightly:
 so invert(), the power k = -1, has valuation -v and order a.order - 2 v, and
 a product of series each correct to N relative terms is again correct to
 N relative terms.
+
+There is one multiplication kernel: Kronecker substitution packs each
+coefficient window into one Python int, one signed fixed-width slot per
+coefficient, multiplies the two ints once and unpacks the product's slots.
+The slot width is derived from the operands (the bit lengths of their
+largest coefficients plus that of the window length, plus a sign bit), so
+the result is exact with no setting to choose.  Powers, inverses included,
+come from J.C.P. Miller's recurrence, which is cheapest on a sparse base.
 """
 
 from __future__ import annotations
@@ -147,6 +155,14 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product with an integer scalar or with another series.
+
+        A series product is one big-integer multiplication (Kronecker
+        substitution, see _product): the coefficients are packed into
+        fixed-width slots of width max|a|.bit_length() + max|b|.bit_length()
+        + n.bit_length() + 1 bits, rounded up to whole bytes, where n is the
+        product's relative precision.
+        """
         if isinstance(other, int):
             return self._scale(other)
         if not isinstance(other, LaurentSeries):
@@ -159,17 +175,8 @@ class LaurentSeries:
             return LaurentSeries.zero(min(self.order + b_val, other.order + a_val))
         order = min(self.order + other.valuation, other.order + self.valuation)
         val = self.valuation + other.valuation
-        n = order - val  # equals min of the two relative precisions
-        out = [0] * n
-        a, b = self.coeffs, other.coeffs
-        for i in range(min(n, len(a))):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(n - i, len(b))):
-                out[i + j] += ai * b[j]
         # leading term a0*b0 is nonzero over the integers, no re-tightening
-        return LaurentSeries(val, order, tuple(out))
+        return LaurentSeries(val, order, _product(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -248,6 +255,46 @@ class LaurentSeries:
                 break
         parts.append(f"O(q^{self.order})")
         return " + ".join(parts)
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The first n = min(len(a), len(b)) coefficients of (sum a_i q^i)(sum b_i q^i).
+
+    Kronecker substitution (Harvey, arXiv:0712.4046): evaluate both
+    polynomials at q = 2^w by packing each coefficient into a w-bit slot of
+    one Python int, multiply the two ints once (CPython's Karatsuba does the
+    work), and read the product's coefficients back from its slots.
+
+    Each of the first n product coefficients is a sum of at most n terms
+    a_i b_j, so its magnitude is below 2^(|a| + |b| + n.bit_length()), where
+    |a| is the bit length of max |a_i| over the first n entries.  One more
+    bit for the sign gives the slot width, rounded up to whole bytes.
+
+    Signed values go into the slots with a bias of 2^(w-1) added, which
+    makes each slot an unsigned w-bit digit for int.to_bytes; subtracting
+    the packed biases leaves the true value sum a_i 2^(w i).  The product's
+    coefficients are signed too, and a negative one borrows from the slot
+    above it: adding the biases back before unpacking makes every slot a
+    nonnegative digit again, so each reads back with one int.from_bytes and
+    no borrow pass.  Slots n and above cannot disturb the first n and are
+    masked off.
+    """
+    n = min(len(a), len(b))
+    a, b = a[:n], b[:n]
+    width = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
+    size = (width + 7) // 8  # bytes per slot
+    bias = 1 << (8 * size - 1)
+    biases = int.from_bytes(bias.to_bytes(size, "little") * n, "little")
+
+    def pack(c: tuple[int, ...]) -> int:
+        slots = b"".join([(x + bias).to_bytes(size, "little") for x in c])
+        return int.from_bytes(slots, "little") - biases
+
+    low = (pack(a) * pack(b) + biases) & ((1 << (8 * size * n)) - 1)
+    raw = low.to_bytes(size * n, "little")
+    return tuple(
+        [int.from_bytes(raw[i : i + size], "little") - bias for i in range(0, size * n, size)]
+    )
 
 
 def _power(f: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -1,8 +1,12 @@
 """Command layer: exit codes, the JSON envelope, and output formats."""
 
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qleech.cli as cli
 import qleech.lattices as lattices
@@ -396,3 +400,85 @@ def test_elapsed_is_native_int(capsys):
     parsed = json.loads(out)
     assert isinstance(parsed["elapsedMillis"], int)
     assert not isinstance(parsed["elapsedMillis"], bool)
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+# every run stays small: orders up to 60, cannonball up to 1000, E8 up to
+# norm 4, Leech kissing at norm 2 only (3 is refused), and no --jobs above 1
+# that passes the checks (0 and 65 are refused before any worker starts);
+# no malformed token parses as an integer
+JOBS = st.sampled_from([[], ["--jobs", "0"], ["--jobs", "1"], ["--jobs", "65"]])
+MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-", "--", "--order", "2 3", "nan"])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["coeffs", "cannonball", "e8", "leech", "verify"]))
+    if command == "coeffs":
+        argv = [
+            "coeffs",
+            "--series",
+            draw(st.sampled_from(["j", "delta", "e4", "euler"])),
+            "--order",
+            str(draw(st.integers(min_value=-2, max_value=60))),
+        ]
+        argv += draw(st.sampled_from([[]] + [["--format", f] for f in ("json", "csv", "text")]))
+    elif command == "cannonball":
+        argv = ["cannonball", "--max-n", str(draw(st.integers(min_value=-2, max_value=1000)))]
+    elif command == "e8":
+        argv = ["e8", "--max-norm", str(draw(st.integers(min_value=1, max_value=4)))] + draw(JOBS)
+    elif command == "leech":
+        # the check comes last, so a cut-short list cannot fall back to the
+        # default kissing norm 4: without the check it is a usage error
+        norm = draw(st.sampled_from([[], ["--max-norm", "2"], ["--max-norm", "3"]]))
+        check = "kissing" if norm else draw(st.sampled_from(["gram", "min"]))
+        argv = ["leech"] + draw(JOBS) + norm + [check]
+    else:
+        observation = draw(st.sampled_from([[], ["--observation", "jm"], ["--observation", "yhh"]]))
+        argv = ["verify"] + observation
+    # half the lists stay well-formed, so every envelope is checked often
+    mutation = draw(st.sampled_from(["none"] * 3 + ["replace", "truncate", "append"]))
+    if mutation == "replace":
+        argv[draw(st.integers(min_value=0, max_value=len(argv) - 1))] = draw(MALFORMED)
+    elif mutation == "truncate":
+        argv = argv[: draw(st.integers(min_value=0, max_value=len(argv) - 1))]
+    elif mutation == "append":
+        argv.append(draw(MALFORMED))
+    return argv
+
+
+def last_value(argv, flag, default):
+    """The value argparse keeps for flag: the token after its last use."""
+    spots = [i for i, token in enumerate(argv[:-1]) if token == flag]
+    return argv[spots[-1] + 1] if spots else default
+
+
+@settings(deadline=None, max_examples=150)
+@given(cli_argv())
+def test_cli_fuzz_exit_codes_and_envelope(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err
+        return
+    fmt = last_value(argv, "--format", "json") if argv[0] == "coeffs" else "json"
+    assert out.endswith("\n")
+    if fmt == "json":
+        parsed = json.loads(out)
+        assert set(parsed) == {"command", "ok", "payload", "elapsedMillis"}
+        assert parsed["command"] == argv[0]
+        assert parsed["ok"] is (code == 0)
+        assert isinstance(parsed["elapsedMillis"], int)
+        assert_payload_strings(parsed["payload"])
+    elif fmt == "csv":
+        assert all(re.fullmatch(r"-?\d+,-?\d+", line) for line in out.splitlines())
+    else:
+        series = last_value(argv, "--series", None)
+        head, *rows = out.splitlines()
+        assert head.startswith(f"{series} expansion, exponents ")
+        assert all(re.fullmatch(r"  q\^-?\d+: -?\d+", row) for row in rows)

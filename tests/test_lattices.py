@@ -481,12 +481,28 @@ def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
     assert started == [3, 2]
 
 
-def test_short_vectors_domain():
+def test_short_vectors_domain(monkeypatch):
+    started = []
+    monkeypatch.setattr(
+        lattices, "ProcessPoolExecutor", lambda max_workers: RecordingPool(started, max_workers)
+    )
+
+    def no_walk(args):
+        raise RuntimeError("walk started")
+
+    monkeypatch.setattr(lattices, "_walk", no_walk)
     g = GramMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
         short_vectors(g, 0)
     with pytest.raises(ValueError):
         short_vectors(g, 2, jobs=0)
+    # above the ceiling neither the subtree count nor a pool starts
+    with pytest.raises(ValueError, match=f"between 1 and {lattices.MAX_JOBS}"):
+        short_vectors(g, 2, jobs=lattices.MAX_JOBS + 1)
+    assert started == []
+    # the ceiling itself passes the check and reaches the walk
+    with pytest.raises(RuntimeError, match="walk started"):
+        short_vectors(g, 2, jobs=lattices.MAX_JOBS)
     with pytest.raises(ValueError, match="not positive definite"):
         short_vectors(GramMatrix.from_rows([[2, 3], [3, 2]]), 2)
 

@@ -14,6 +14,7 @@ from qleech.modforms import (
     tau,
 )
 from qleech.qseries import LaurentSeries, euler_product
+from test_qseries import oracle_mul
 
 
 def sigma3_by_enumeration(n):
@@ -21,21 +22,21 @@ def sigma3_by_enumeration(n):
 
 
 def oracle_pow(a, k):
-    """a ** k for k >= 1 by binary powering, using only the multiplication.
+    """a ** k for k >= 1 by binary powering with the schoolbook oracle_mul.
 
     Starting the product at the lowest set bit of k keeps the truncation
     orders identical to repeated multiplication.
     """
     square = a
     while not k & 1:
-        square = square * square
+        square = oracle_mul(square, square)
         k >>= 1
     result = square
     k >>= 1
     while k:
-        square = square * square
+        square = oracle_mul(square, square)
         if k & 1:
-            result = result * square
+            result = oracle_mul(result, square)
         k >>= 1
     return result
 
@@ -49,12 +50,13 @@ def j_by_long_division(order):
     """j modulo q^order, solving the defining product relation coefficient
     by coefficient.
 
-    Avoids the library's series powers entirely: with d the oracle Delta
-    coefficients and e the E4^3 coefficients, the q^n coefficient of
-    j * Delta = E4^3 forces c[n-1] once c[-1..n-2] are known.
+    Avoids the library's series products and powers entirely: with d the
+    oracle Delta coefficients and e the E4^3 coefficients (schoolbook
+    products), the q^n coefficient of j * Delta = E4^3 forces c[n-1] once
+    c[-1..n-2] are known.
     """
     e4 = eisenstein_e4(order + 1)
-    e = (e4 * e4 * e4).coeffs  # e[n] is the coefficient of q^n
+    e = oracle_mul(oracle_mul(e4, e4), e4).coeffs  # e[n] is the coefficient of q^n
     d = oracle_delta(order + 2).coeffs  # d[s] is the coefficient of q^(s+1)
     c = []  # c[i] is the coefficient of q^(i-1)
     for n in range(order + 1):
@@ -88,6 +90,11 @@ def test_sigma_domain():
 def test_e4_first_coefficients():
     e4 = eisenstein_e4(3)
     assert (e4.coeff(0), e4.coeff(1), e4.coeff(2)) == (1, 240, 2160)
+
+
+def test_e4_sieve_matches_trial_division():
+    e4 = eisenstein_e4(2000)
+    assert [e4.coeff(n) for n in range(1, 2000)] == [240 * sigma(3, n) for n in range(1, 2000)]
 
 
 def test_e4_matches_divisor_sums():

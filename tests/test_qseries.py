@@ -14,6 +14,50 @@ from qleech.qseries import (
 coeffs_st = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=6)
 
 
+def oracle_mul(a, b):
+    """a * b by the schoolbook double loop, with the library's truncation
+    rules; the reference for the Kronecker-substitution kernel."""
+    if a.is_zero or b.is_zero:
+        a_val = a.order if a.is_zero else a.valuation
+        b_val = b.order if b.is_zero else b.valuation
+        return LaurentSeries.zero(min(a.order + b_val, b.order + a_val))
+    order = min(a.order + b.valuation, b.order + a.valuation)
+    val = a.valuation + b.valuation
+    n = order - val
+    out = [0] * n
+    for i in range(min(n, len(a.coeffs))):
+        for j in range(min(n - i, len(b.coeffs))):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return LaurentSeries(val, order, tuple(out))
+
+
+# magnitudes up to 2^300 of both signs, with the slot-boundary values
+# +-(2^k - 1) and -2^k drawn often
+wide_int_st = st.one_of(
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.integers(min_value=0, max_value=300).flatmap(
+        lambda k: st.sampled_from((2**k - 1, -(2**k - 1), -(2**k)))
+    ),
+)
+# a window is a run of segments: random values, one value repeated (zero
+# runs among them), or all negative
+segment_st = st.one_of(
+    st.lists(wide_int_st, min_size=1, max_size=20),
+    st.tuples(st.one_of(st.just(0), wide_int_st), st.integers(min_value=1, max_value=63)).map(
+        lambda run: [run[0]] * run[1]
+    ),
+    st.lists(st.integers(min_value=-(2**300), max_value=-1), min_size=1, max_size=20),
+)
+
+
+@st.composite
+def wide_series_st(draw):
+    valuation = draw(st.integers(min_value=-6, max_value=6))
+    window = [c for segment in draw(st.lists(segment_st, max_size=8)) for c in segment]
+    # leading zeros are stripped, so lengths 1..80 and zero series both occur
+    return LaurentSeries.from_coeffs(valuation, window[:80])
+
+
 @st.composite
 def series_st(draw):
     valuation = draw(st.integers(min_value=-4, max_value=4))
@@ -102,6 +146,32 @@ def test_mul_order_and_valuation_rule():
     assert p.order == min(a.order + b.valuation, b.order + a.valuation)
     assert p.coeff(0) == 4
     assert p.coeff(1) == 13
+
+
+@pytest.mark.parametrize(
+    "k", [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 31, 32, 63, 64, 127, 128, 299, 300]
+)
+def test_mul_slot_boundaries(k):
+    # n (2^k - 1)^2 with n = 2^m - 1 terms sits just under the slot bound
+    edges = (2**k - 1, -(2**k - 1), -(2**k))
+    for x in edges:
+        for y in edges:
+            for length in (1, 2, 3, 63):
+                a = LaurentSeries.from_coeffs(0, [x] * length)
+                b = LaurentSeries.from_coeffs(-1, [y] * length)
+                assert a * b == oracle_mul(a, b)
+            # single-term series
+            p = LaurentSeries.from_coeffs(3, [x]) * LaurentSeries.from_coeffs(-2, [y])
+            assert (p.valuation, p.order, p.coeffs) == (1, 2, (x * y,))
+
+
+def test_mul_all_negative_windows():
+    a = LaurentSeries.from_coeffs(0, [-(2**64 - 1)] * 40)
+    b = LaurentSeries.from_coeffs(2, [-1, -(2**7), -(2**200)] * 10)
+    assert a * b == oracle_mul(a, b)
+    assert all(c > 0 for c in (a * b).coeffs)
+    assert a * -b == oracle_mul(a, -b)
+    assert all(c < 0 for c in (a * -b).coeffs)
 
 
 def test_mul_by_zero_series():
@@ -226,6 +296,12 @@ def test_euler_routes_agree(order):
 @given(series_st(), series_st())
 def test_add_commutes(a, b):
     assert a + b == b + a
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_series_st(), wide_series_st())
+def test_mul_matches_schoolbook_oracle(a, b):
+    assert a * b == oracle_mul(a, b)
 
 
 @given(series_st(), series_st())

@@ -1,23 +1,23 @@
-"""q-expansions of the weight-4 Eisenstein series, the discriminant cusp
-form, and the elliptic modular invariant j, all with exact integer
-coefficients.
+"""q-expansions of the weight-4 and weight-8 Eisenstein series, the
+discriminant cusp form, and the elliptic modular invariant j, all with
+exact integer coefficients.
 
-The three expansions used here:
+The expansions used here:
 
     E4(q)    = 1 + 240 sum_{n>=1} sigma_3(n) q^n
+    E8(q)    = 1 + 480 sum_{n>=1} sigma_7(n) q^n
     Delta(q) = q prod_{n>=1} (1 - q^n)^24          (coefficients tau(n))
     j(q)     = E4(q)^3 / Delta(q)                  (simple pole, lead 1/q)
              = q^-1 E4(q)^3 prod_{n>=1} (1 - q^n)^-24
 
-Both products are powers of the sparse pentagonal series, so Delta and the
-factor P^-24 of j (P the pentagonal series) come straight from the series
-power recurrence, which is cheap on a sparse base.  E4 is dense, so its
-cube is two products instead:
+Delta and the factor P^-24 of j (P the sparse pentagonal series) come
+straight from the series power recurrence.  The weight-8 forms for SL_2(Z)
+are one-dimensional (Serre, A Course in Arithmetic, VII 3), so E4^2 = E8,
+both having constant term 1, and the sieved E8 saves a product:
 
-    j = q^-1 * E4 * E4 * E4 * P^-24
+    j = q^-1 * E4 * E8 * P^-24
 
-three multiplications by the Kronecker-substitution kernel, with no Delta
-and no dense inverse.
+two Kronecker-substitution products, with no Delta and no dense inverse.
 """
 
 from __future__ import annotations
@@ -44,21 +44,28 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
-def eisenstein_e4(order: int) -> LaurentSeries:
-    """E4 modulo q^order; constant term 1, then 240 sigma_3(n).
-
-    The divisor sums come from one sieve: each d < order adds 240 d^3 to
-    every multiple of d, O(order log order) steps in all.
-    """
+def _eisenstein(order: int, factor: int, power: int) -> LaurentSeries:
+    """1 + factor sum_{n>=1} sigma_power(n) q^n modulo q^order, by one sieve:
+    each d < order adds factor d^power to its multiples, O(order log order)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     coeffs = [0] * order
     for d in range(1, order):
-        term = 240 * d**3
+        term = factor * d**power
         for n in range(d, order, d):
             coeffs[n] += term
     coeffs[0] = 1
     return LaurentSeries.from_coeffs(0, coeffs, order)
+
+
+def eisenstein_e4(order: int) -> LaurentSeries:
+    """E4 modulo q^order; constant term 1, then 240 sigma_3(n)."""
+    return _eisenstein(order, 240, 3)
+
+
+def eisenstein_e8(order: int) -> LaurentSeries:
+    """E8 = E4^2 modulo q^order; constant term 1, then 480 sigma_7(n)."""
+    return _eisenstein(order, 480, 7)
 
 
 def delta(order: int) -> LaurentSeries:
@@ -82,14 +89,14 @@ def tau(m: int) -> int:
 def j_invariant(order: int) -> LaurentSeries:
     """The modular invariant j modulo q^order; valuation -1, lead 1.
 
-    Computed as q^-1 * E4 * E4 * E4 * (euler product)^-24 with every factor
+    Computed as q^-1 * E4 * E8 * (euler product)^-24 with every factor
     taken to order + 1, so that the shifted window is exactly [-1, order).
     """
     if order < 0:
         raise ValueError("order must be at least 0 to see the pole")
     work = order + 1
-    e4 = eisenstein_e4(work)
-    return (e4 * e4 * e4 * euler_product_pentagonal(work) ** -24).shift(-1)
+    e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
+    return (e4e8 * euler_product_pentagonal(work) ** -24).shift(-1)
 
 
 def j_coeff(m: int) -> int:

@@ -18,16 +18,18 @@ a product of series each correct to N relative terms is again correct to
 N relative terms.
 
 There is one multiplication kernel: Kronecker substitution packs each
-coefficient window into one Python int, one signed fixed-width slot per
-coefficient, multiplies the two ints once and unpacks the product's slots.
-The slot width is derived from the operands (the bit lengths of their
-largest coefficients plus that of the window length, plus a sign bit), so
-the result is exact with no setting to choose.  Powers, inverses included,
-come from J.C.P. Miller's recurrence, which is cheapest on a sparse base.
+coefficient window into one exact Decimal, one signed slot of decimal digits
+per coefficient, and multiplies once (libmpdec uses a number-theoretic
+transform for large operands).  The slot width comes from the operands and
+the decimal context traps any rounding, so no setting can lose a digit.
+Powers, inverses included, come from J.C.P. Miller's recurrence.
 """
 
 from __future__ import annotations
 
+import decimal
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +40,19 @@ class TruncationError(LookupError):
 
 class NonUnitError(ValueError):
     """Inversion needs a leading coefficient of +1 or -1 over the integers."""
+
+
+class SlotWidthError(ArithmeticError):
+    """A product slot is wider than the interpreter's int-to-str digit limit."""
+
+
+# Exact integers in libmpdec: a rounding would trap.  The kernel passes this
+# context explicitly, never the thread's own (28 digits by default).
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+_str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
 
 
 @dataclass(frozen=True)
@@ -72,9 +87,13 @@ class LaurentSeries:
         """Build a series from the window starting at q^valuation.
 
         Leading zeros are stripped (tightening the valuation); an all-zero
-        window yields the zero series at the same order.
+        window yields the zero series at the same order.  Coefficients must
+        be integers (operator.index): nothing is converted.
         """
-        coeffs = tuple(int(c) for c in coeffs)
+        try:
+            coeffs = tuple(map(operator.index, coeffs))
+        except TypeError:
+            raise ValueError("coefficients must be integers") from None
         if order is None:
             order = valuation + len(coeffs)
         elif order != valuation + len(coeffs):
@@ -157,11 +176,10 @@ class LaurentSeries:
     def __mul__(self, other):
         """Product with an integer scalar or with another series.
 
-        A series product is one big-integer multiplication (Kronecker
-        substitution, see _product): the coefficients are packed into
-        fixed-width slots of width max|a|.bit_length() + max|b|.bit_length()
-        + n.bit_length() + 1 bits, rounded up to whole bytes, where n is the
-        product's relative precision.
+        A series product is one exact Decimal multiplication (Kronecker
+        substitution, see _product) with slots of len(str(2 max|a| max|b| n))
+        + 1 digits, n the product's relative precision; a slot wider than
+        sys.get_int_max_str_digits() raises SlotWidthError.
         """
         if isinstance(other, int):
             return self._scale(other)
@@ -231,70 +249,43 @@ class LaurentSeries:
         """Multiply by q^k (exact, shifts the whole window)."""
         return LaurentSeries(self.valuation + k, self.order + k, self.coeffs)
 
-    # -- display -----------------------------------------------------------
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return f"O(q^{self.order})"
-        parts = []
-        shown = 0
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            m = self.valuation + k
-            if m == 0:
-                term = f"{c}"
-            elif m == 1:
-                term = f"{c}*q"
-            else:
-                term = f"{c}*q^{m}"
-            parts.append(term)
-            shown += 1
-            if shown == 6:
-                parts.append("...")
-                break
-        parts.append(f"O(q^{self.order})")
-        return " + ".join(parts)
-
 
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """The first n = min(len(a), len(b)) coefficients of (sum a_i q^i)(sum b_i q^i).
 
     Kronecker substitution (Harvey, arXiv:0712.4046): evaluate both
-    polynomials at q = 2^w by packing each coefficient into a w-bit slot of
-    one Python int, multiply the two ints once (CPython's Karatsuba does the
-    work), and read the product's coefficients back from its slots.
+    polynomials at q = 10^w with one w-digit slot per coefficient, multiply
+    the two Decimals once in the trapping _EXACT context, and read the
+    product's coefficients back from its slots.  Each of the first n is a
+    sum of at most n terms a_i b_j, below 10^(w-1) in magnitude for
+    w = len(str(2 n max|a| max|b|)) + 1; w is counted on a Decimal and
+    checked against sys.get_int_max_str_digits() before any str() call.
 
-    Each of the first n product coefficients is a sum of at most n terms
-    a_i b_j, so its magnitude is below 2^(|a| + |b| + n.bit_length()), where
-    |a| is the bit length of max |a_i| over the first n entries.  One more
-    bit for the sign gives the slot width, rounded up to whole bytes.
-
-    Signed values go into the slots with a bias of 2^(w-1) added, which
-    makes each slot an unsigned w-bit digit for int.to_bytes; subtracting
-    the packed biases leaves the true value sum a_i 2^(w i).  The product's
-    coefficients are signed too, and a negative one borrows from the slot
-    above it: adding the biases back before unpacking makes every slot a
-    nonnegative digit again, so each reads back with one int.from_bytes and
-    no borrow pass.  Slots n and above cannot disturb the first n and are
-    masked off.
+    A bias of 10^w / 2 makes each slot a nonnegative w-digit string, and the
+    packed biases are subtracted before and added back after the multiply,
+    which turns the first n signed, borrowing slots into digits again.  When
+    the whole total is negative, str() shows its magnitude rather than its
+    residue mod 10^(w n), so 10^K for K past both is added first.
     """
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    width = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 1
-    size = (width + 7) // 8  # bytes per slot
-    bias = 1 << (8 * size - 1)
-    biases = int.from_bytes(bias.to_bytes(size, "little") * n, "little")
+    width = _EXACT.create_decimal(2 * max(map(abs, a)) * max(map(abs, b)) * n).adjusted() + 2
+    limit = _str_digit_limit()
+    if limit and width > limit:
+        raise SlotWidthError(f"product slots need {width} digits, past the str limit {limit}")
+    bias = 10**width // 2
+    biases = _EXACT.create_decimal(str(bias) * n)
 
-    def pack(c: tuple[int, ...]) -> int:
-        slots = b"".join([(x + bias).to_bytes(size, "little") for x in c])
-        return int.from_bytes(slots, "little") - biases
+    def pack(c: tuple[int, ...]) -> decimal.Decimal:
+        slots = "".join([str(x + bias).zfill(width) for x in reversed(c)])
+        return _EXACT.subtract(_EXACT.create_decimal(slots), biases)
 
-    low = (pack(a) * pack(b) + biases) & ((1 << (8 * size * n)) - 1)
-    raw = low.to_bytes(size * n, "little")
-    return tuple(
-        [int.from_bytes(raw[i : i + size], "little") - bias for i in range(0, size * n, size)]
-    )
+    total = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), biases)
+    size = width * n
+    if total.is_signed():
+        total = _EXACT.add(total, _EXACT.scaleb(1, max(size, total.adjusted() + 1)))
+    digits = str(total)[-size:].zfill(size)
+    return tuple([int(digits[i - width : i]) - bias for i in range(size, 0, -width)])
 
 
 def _power(f: tuple[int, ...], k: int) -> tuple[int, ...]:

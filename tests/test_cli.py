@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ import qleech.lattices as lattices
 from qleech.cli import main
 from qleech.modforms import delta
 from qleech.observations import CongruenceReport
+from qleech.qseries import LaurentSeries
 
 
 def run(capsys, argv):
@@ -164,6 +166,23 @@ def test_library_value_error_is_internal_failure(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "internal failure: broken builder" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit")
+def test_slot_width_error_is_internal_failure(monkeypatch, capsys):
+    # 640-digit coefficients need product slots past a 640-digit str limit
+    monkeypatch.setattr(
+        cli.modforms, "eisenstein_e4", lambda order: LaurentSeries.from_coeffs(0, [10**639] * order)
+    )
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, ["coeffs", "--series", "j", "--order", "5"])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1
+    assert out == ""
+    assert "internal failure: product slots need" in err
 
 
 def test_order_ceiling(capsys):

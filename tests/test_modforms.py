@@ -7,6 +7,7 @@ from qleech.modforms import (
     coefficient_table,
     delta,
     eisenstein_e4,
+    eisenstein_e8,
     j_coeff,
     j_invariant,
     series_names,
@@ -106,6 +107,20 @@ def test_e4_matches_divisor_sums():
 def test_e4_order_domain():
     with pytest.raises(ValueError):
         eisenstein_e4(0)
+    with pytest.raises(ValueError):
+        eisenstein_e8(0)
+
+
+def test_e8_matches_divisor_sums():
+    e8 = eisenstein_e8(300)
+    assert e8.coeff(0) == 1
+    assert [e8.coeff(n) for n in range(1, 300)] == [480 * sigma(7, n) for n in range(1, 300)]
+
+
+def test_e4_squared_is_e8():
+    # dim M_8 = 1, so E4^2 = E8 coefficient by coefficient
+    e4 = eisenstein_e4(2000)
+    assert e4 * e4 == eisenstein_e8(2000)
 
 
 def test_delta_first_coefficients():

@@ -1,11 +1,17 @@
 """Series arithmetic: explicit examples plus randomized ring axioms."""
 
+import decimal
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qleech import qseries
 from qleech.qseries import (
     LaurentSeries,
     NonUnitError,
+    SlotWidthError,
     TruncationError,
     euler_product,
     euler_product_pentagonal,
@@ -31,12 +37,15 @@ def oracle_mul(a, b):
     return LaurentSeries(val, order, tuple(out))
 
 
-# magnitudes up to 2^300 of both signs, with the slot-boundary values
-# +-(2^k - 1) and -2^k drawn often
+# magnitudes up to 2^300 of both signs, with the binary and decimal
+# boundary values +-(2^k - 1), -2^k, +-(10^k - 1) and -10^k drawn often
 wide_int_st = st.one_of(
     st.integers(min_value=-(2**300), max_value=2**300),
     st.integers(min_value=0, max_value=300).flatmap(
         lambda k: st.sampled_from((2**k - 1, -(2**k - 1), -(2**k)))
+    ),
+    st.integers(min_value=0, max_value=90).flatmap(
+        lambda k: st.sampled_from((10**k - 1, -(10**k - 1), -(10**k)))
     ),
 )
 # a window is a run of segments: random values, one value repeated (zero
@@ -85,6 +94,14 @@ def test_coeff_beyond_truncation_raises():
         s.coeff(2)
     with pytest.raises(TruncationError):
         LaurentSeries.zero(5).coeff(5)
+
+
+@pytest.mark.parametrize("bad", [1.9, 2.0, Fraction(3), "7", decimal.Decimal(7)])
+def test_from_coeffs_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        LaurentSeries.from_coeffs(0, [1, bad])
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        LaurentSeries.from_coeffs(0, [bad])
 
 
 def test_zero_series_shape():
@@ -163,6 +180,88 @@ def test_mul_slot_boundaries(k):
             # single-term series
             p = LaurentSeries.from_coeffs(3, [x]) * LaurentSeries.from_coeffs(-2, [y])
             assert (p.valuation, p.order, p.coeffs) == (1, 2, (x * y,))
+
+
+@pytest.mark.parametrize("k", range(1, 301))
+def test_mul_decimal_slot_boundaries(k):
+    # the slot width is a digit count, so 10^k - 1 and -10^k sit on its edges
+    edges = (10**k - 1, -(10**k - 1), -(10**k))
+    for x in edges:
+        for y in edges:
+            for length in (1, 2, 3):
+                a = LaurentSeries.from_coeffs(0, [x] * length)
+                b = LaurentSeries.from_coeffs(-1, [y] * length)
+                assert a * b == oracle_mul(a, b)
+    # 99 terms, each edge on both sides and both signs of product: the
+    # q^(m-1) coefficient of the product is (m + 1) x y
+    for x, y in zip(edges, edges[1:] + edges[:1]):
+        a = LaurentSeries.from_coeffs(0, [x] * 99)
+        b = LaurentSeries.from_coeffs(-1, [y] * 99)
+        assert a * b == LaurentSeries.from_coeffs(-1, [(m + 1) * x * y for m in range(99)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 99, 100, 299, 300])
+def test_mul_decimal_zero_runs_and_negative_windows(k):
+    edges = [10**k - 1, -(10**k - 1), -(10**k)]
+    for x in edges:
+        runs = LaurentSeries.from_coeffs(0, [x] + [0] * 40 + [-x] + [0] * 7 + [x])
+        negative = LaurentSeries.from_coeffs(1, [-(10**k), -(10**k - 1), -1] * 17)
+        for a, b in ((runs, runs), (runs, negative), (negative, negative)):
+            assert a * b == oracle_mul(a, b)
+
+
+def test_mul_negative_total():
+    # the full packed product 1 + 2 q + 3 q^2 times 1 - 5 q^2 has a negative
+    # top coefficient, so the packed total is negative and str() shows its
+    # magnitude; its low slots must still read back as residues
+    a = LaurentSeries.from_coeffs(0, [1, 2, 3])
+    b = LaurentSeries.from_coeffs(0, [1, 0, -5])
+    assert (a * b).coeffs == (1, 2, -2)
+    a = LaurentSeries.from_coeffs(0, [10**50, -(10**50), -(10**60)] * 9)
+    b = LaurentSeries.from_coeffs(0, [-1] + [0] * 25 + [-(10**70)])
+    assert a * b == oracle_mul(a, b)
+    assert (a * b) * b == a * (b * b)
+
+
+def test_mul_ignores_callers_decimal_context():
+    a = LaurentSeries.from_coeffs(0, [10**80 + 7, -(10**90), 3] * 10)
+    b = LaurentSeries.from_coeffs(-2, [-(10**70) - 1, 10**75] * 15)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 28
+        ctx.clear_traps()
+        assert a * b == oracle_mul(a, b)
+
+
+def test_kernel_context_is_exact_and_trapping():
+    ctx = qseries._EXACT
+    assert (ctx.prec, ctx.Emax, ctx.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
+    for signal in (decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow):
+        assert ctx.traps[signal]
+    # the same traps at a small precision turn a rounding into an error
+    small = ctx.copy()
+    small.prec = 5
+    with pytest.raises(decimal.Inexact):
+        small.multiply(123456, 7)
+    with pytest.raises(decimal.Rounded):
+        small.multiply(100000, 10)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit")
+def test_slot_wider_than_str_limit_raises():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        # the width is len(str(2 * 2 * x^2)) + 1 digits for x = max |a_i|:
+        # 640 for x = 5 * 10^318, just at the limit
+        a = LaurentSeries.from_coeffs(0, [5 * 10**318, -1])
+        assert a * a == oracle_mul(a, a)
+        # 641 for x = 2 * 10^319, and 802 for x = 10^400
+        for x in (2 * 10**319, 10**400):
+            b = LaurentSeries.from_coeffs(0, [x, -1])
+            with pytest.raises(SlotWidthError):
+                b * b
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_mul_all_negative_windows():

@@ -1,117 +1,9 @@
 """Exact q-series arithmetic, level-one modular form expansions, and an
 integer-only construction and certification of the Leech lattice as the
 quotient w_perp / w of an isotropic Weyl vector inside the even unimodular
-Lorentzian lattice of signature (25, 1)."""
+Lorentzian lattice of signature (25, 1).
 
-from .qseries import (
-    LaurentSeries,
-    NonUnitError,
-    TruncationError,
-    euler_product,
-    euler_product_pentagonal,
-)
-from .modforms import (
-    CoefficientTable,
-    coefficient_table,
-    delta,
-    eisenstein_e4,
-    j_coeff,
-    j_invariant,
-    series_names,
-    sigma,
-    tau,
-)
-from .observations import (
-    CannonballSolution,
-    CongruenceReport,
-    MoonshineReport,
-    WeylNormReport,
-    cannonball,
-    check_congruence,
-    moonshine_identity,
-    observation_report,
-    weyl_norm_identity,
-)
-from .lorentz import (
-    ConstructionError,
-    GramMatrix,
-    LorentzVector,
-    bareiss_determinant,
-    gram_of,
-    hermite_normal_form,
-    inertia,
-    inner_product,
-    is_member,
-    lattice_basis,
-    leech_gram,
-    orthogonal_complement_basis,
-    quotient_representatives,
-    raw_form,
-    weyl_vector,
-)
-from .lattices import (
-    ReducedBasis,
-    ShortVectorCount,
-    ThetaCheck,
-    ThetaRow,
-    e8_gram,
-    is_lll_reduced,
-    lll,
-    short_vectors,
-    theta_check_e8,
-    theta_check_leech,
-)
+Library callers import from the submodules: qseries, modforms,
+observations, lorentz, lattices and cli."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "LaurentSeries",
-    "NonUnitError",
-    "TruncationError",
-    "euler_product",
-    "euler_product_pentagonal",
-    "CoefficientTable",
-    "coefficient_table",
-    "delta",
-    "eisenstein_e4",
-    "j_coeff",
-    "j_invariant",
-    "series_names",
-    "sigma",
-    "tau",
-    "CannonballSolution",
-    "CongruenceReport",
-    "MoonshineReport",
-    "WeylNormReport",
-    "cannonball",
-    "check_congruence",
-    "moonshine_identity",
-    "observation_report",
-    "weyl_norm_identity",
-    "ConstructionError",
-    "GramMatrix",
-    "LorentzVector",
-    "bareiss_determinant",
-    "gram_of",
-    "hermite_normal_form",
-    "inertia",
-    "inner_product",
-    "is_member",
-    "lattice_basis",
-    "leech_gram",
-    "orthogonal_complement_basis",
-    "quotient_representatives",
-    "raw_form",
-    "weyl_vector",
-    "ReducedBasis",
-    "ShortVectorCount",
-    "ThetaCheck",
-    "ThetaRow",
-    "e8_gram",
-    "is_lll_reduced",
-    "lll",
-    "short_vectors",
-    "theta_check_e8",
-    "theta_check_leech",
-    "__version__",
-]

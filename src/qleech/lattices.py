@@ -6,9 +6,14 @@ floating point arithmetic anywhere.  LLL runs over Fractions and returns
 both the reduced Gram matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints, which keeps a 24-dimensional
-norm-4 sweep in the low millions of nodes.  Each level's centre is kept up
-to date incrementally from Schnorr-Euchner partial sums, and parallel runs
-deal the subtrees a few levels below the top out to the workers.
+norm-4 sweep in the low millions of nodes.  The search runs as Python
+source generated for the form: one nested loop per level with the table
+entries written in as literals, each level's centre kept up to date from
+Schnorr-Euchner partial sums held in plain locals.  CPython compiles at
+most 20 nested loops in one function, so the loops are cut into a chain of
+functions, and each link is compiled on its own to keep the compiler's
+peak memory at the size of one link.  Parallel runs deal the subtrees a
+few levels below the top out to the workers.
 
 The theta checks compare enumerated counts per norm with coefficients of
 weight-12 modular forms computed independently in the series modules; for
@@ -192,10 +197,107 @@ def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
     return rows, step, scale
 
 
+def _plus(expr: str | None, coeff: int, name: str) -> str | None:
+    # source for expr + coeff * name, where None stands for 0
+    if not coeff:
+        return expr
+    return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
+
+
+def _walker_links(rows, step, scale) -> list[str]:
+    """Python source of the walker for these tables: one chain link per
+    string, link 0 first.  The source is a pure function of the tables.
+
+    Every level is one `for x_i in range(lo, hi + 1)` loop with the table
+    entries written in as literals.  A node at level i computes only its
+    child's centre and range, and skips an empty range; a descent also
+    brings the lower rows' partial sums s{k}_{i} = sum_{j>=i} rows[k][j] x_j
+    up to date (Schnorr-Euchner), all of them plain locals.  CPython
+    compiles at most 20 nested loops in one function, so the levels are cut
+    into links: link 0 runs from the top down to the split level, and below
+    it the links hold at most 20 levels, the lowest one full, so a call from
+    one link to the next happens at a descent high up, where nodes are few.
+    """
+    n = len(rows)
+    top = n - 1
+    split = max(top - SPLIT_DEPTH, 0)
+    line = [row[i] for i, row in enumerate(rows)]
+    # the levels that start a link below link 0
+    heads = {i for i in range(split) if i == split - 1 or i % 20 == 19}
+    # isqrt=isqrt makes isqrt a local of every link
+    out = [
+        "def _link0(budget, workers, index, isqrt=isqrt):",
+        "    counts = {}",
+        "    subtrees = 0",
+        f"    hi = isqrt(budget // {step[top]}) // {line[top]}",
+        f"    for x{top} in range(hi + 1):",
+    ]
+    links = [out]
+    pad = " " * 8
+    remaining, centre = "budget", None
+    # sums[k]: the name of sum_{j>i} rows[k][j] x_j at level i, None for 0
+    sums: list[str | None] = [None] * n
+    for i in range(top, -1, -1):
+        if i in heads:
+            params = ", ".join(
+                ["budget", "counts", "lo", "hi", remaining]
+                + [name for name in [centre, *sums[:i]] if name]
+            )
+            out.append(f"{pad}_link{len(links)}({params})")
+            out = [f"def _link{len(links)}({params}, isqrt=isqrt):"]
+            links.append(out)
+            pad = "    "
+        if i < top:
+            out.append(f"{pad}for x{i} in range(lo, hi + 1):")
+            pad += "    "
+        if i == split:
+            out += [
+                f"{pad}subtrees += 1",
+                f"{pad}if (subtrees - 1) % workers != index:",
+                f"{pad}    continue",
+            ]
+        out.append(f"{pad}y = {_plus(centre, line[i], f'x{i}')}")
+        if i == 0:
+            out += [
+                f"{pad}used = budget - ({remaining} - {step[0]} * (y * y))",
+                f"{pad}if used > 0:",
+                f"{pad}    norm, r = divmod(used, {scale})",
+                f"{pad}    if r:",
+                f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
+                f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
+            ]
+            break
+        out.append(f"{pad}R{i - 1} = {remaining} - {step[i]} * (y * y)")
+        remaining = f"R{i - 1}"
+        centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
+        if centre is not None and not centre.isidentifier():
+            out.append(f"{pad}c{i - 1} = {centre}")
+            centre = f"c{i - 1}"
+        low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
+        out += [
+            f"{pad}m = isqrt({remaining} // {step[i - 1]})",
+            f"{pad}lo = -(({low}) // {line[i - 1]})",
+            f"{pad}hi = ({high}) // {line[i - 1]}",
+            f"{pad}if lo > hi:",
+            f"{pad}    continue",
+            # every step is positive, so the coordinates above are all zero
+            # exactly when none of the budget is used: the +-v rule
+            f"{pad}if {remaining} == budget and lo < 0:",
+            f"{pad}    lo = 0",
+        ]
+        for k in range(i - 1):
+            if rows[k][i]:
+                out.append(f"{pad}s{k}_{i} = {_plus(sums[k], rows[k][i], f'x{i}')}")
+                sums[k] = f"s{k}_{i}"
+    links[0].append("    return counts, subtrees")
+    return ["\n".join(link) + "\n" for link in links]
+
+
 def _walk(args) -> tuple[dict[int, int], int]:
     """Count the vectors with T Q(x) <= budget, walking the completion
     levels from last to first.  Each vector found stands for its +-v pair
-    (the one whose last nonzero coordinate is positive), so leaves add 2.
+    (the one whose last nonzero coordinate is positive, so a level whose
+    higher coordinates are all zero starts at 0), so leaves add 2.
 
     The nodes at level SPLIT_DEPTH below the top (level 0 at the least) root
     the subtrees, numbered in walk order.  The walk descends only into
@@ -203,75 +305,16 @@ def _walk(args) -> tuple[dict[int, int], int]:
     count out and an index outside that range walks only the levels above
     the split.  Returns the counts by norm and the number of subtrees.
 
-    Centres are kept incrementally: sig[i][j] = sum_{k>=j} rows[i][k] x_k,
-    and no x_j with j > stale[i] has changed since row i was last brought up
-    to date, so a descent refreshes only sig[i][stale[i]] down to
-    sig[i][i+1] (Schnorr-Euchner partial sums).
+    The walk runs as nested loops generated for these tables by
+    _walker_links, which saves the interpreter the list lookups of a
+    table-driven loop.  Each chain link is compiled on its own, so the
+    compiler never holds the syntax tree of the whole walker at once.
     """
     rows, step, scale, budget, workers, index = args
-    n = len(rows)
-    top = n - 1
-    split = max(top - SPLIT_DEPTH, 0)
-    line = [row[i] for i, row in enumerate(rows)]
-    sig = [[0] * (n + 1) for _ in range(n)]
-    stale = [top] * n
-    counts: dict[int, int] = {}
-    subtrees = 0
-    x = [0] * n
-    remaining = [0] * n
-    centre = [0] * n
-    hi = [0] * n
-    zero_prefix = [False] * n
-
-    remaining[top] = budget
-    zero_prefix[top] = True
-    hi[top] = isqrt(budget // step[top]) // line[top]
-    x[top] = -1
-    level = top
-    while True:
-        xi = x[level] + 1
-        if xi > hi[level]:
-            level += 1
-            if level == n:
-                break
-            stale[level - 1] = level
-            continue
-        x[level] = xi
-        y = line[level] * xi + centre[level]
-        rem = remaining[level] - step[level] * y * y
-        if level == split:
-            subtrees += 1
-            if (subtrees - 1) % workers != index:
-                continue
-        if level == 0:
-            used = budget - rem
-            if used > 0:
-                norm, r = divmod(used, scale)
-                if r:
-                    raise ConstructionError("scaled norm is not a multiple of the scale")
-                counts[norm] = counts.get(norm, 0) + 2
-            continue
-        nxt = level - 1
-        remaining[nxt] = rem
-        zero_prefix[nxt] = zero_prefix[level] and xi == 0
-        s = stale[nxt]
-        if stale[nxt - 1] < s:
-            # at nxt == 0 this writes stale[top], which no descent reads
-            stale[nxt - 1] = s
-        row = rows[nxt]
-        sig_row = sig[nxt]
-        for j in range(s, nxt, -1):
-            sig_row[j] = sig_row[j + 1] + row[j] * x[j]
-        c = centre[nxt] = sig_row[level]
-        ymax = isqrt(rem // step[nxt])
-        l = line[nxt]
-        low = -((ymax + c) // l)
-        if zero_prefix[nxt] and low < 0:
-            low = 0
-        hi[nxt] = (ymax - c) // l
-        x[nxt] = low - 1
-        level = nxt
-    return counts, subtrees
+    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
+    for k, source in enumerate(_walker_links(rows, step, scale)):
+        exec(compile(source, f"<walker link {k}>", "exec"), namespace)
+    return namespace["_link0"](budget, workers, index)
 
 
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:

@@ -3,8 +3,10 @@
 Enumeration counts in low dimension are verified against a dumb box search
 that bounds each coordinate through the inverse Gram diagonal, and in every
 dimension against a plain Fincke-Pohst walk kept here as an oracle (one
-lcm(L^3) scale for every level, every centre recomputed at every node).  The LLL check is
-compared with a Gram-Schmidt recomputed entry by entry.
+lcm(L^3) scale for every level, every centre recomputed at every node).
+The generated walker is compared share by share with `oracle_walk`, the
+table-driven loop it replaced.  The LLL check is compared with a
+Gram-Schmidt recomputed entry by entry.
 """
 
 import random
@@ -24,7 +26,7 @@ from qleech.lattices import (
     theta_check_e8,
     theta_check_leech,
 )
-from qleech.lorentz import GramMatrix, ldl, leech_gram
+from qleech.lorentz import ConstructionError, GramMatrix, ldl, leech_gram
 from qleech.modforms import sigma
 
 
@@ -153,6 +155,77 @@ def oracle_count(gram, max_norm):
         hi[nxt] = (ymax - acc) // l
         x[nxt] = low - 1
         level = nxt
+
+
+def oracle_walk(args):
+    """The table-driven walk over the tables of _fincke_pohst_tables, with
+    the same arguments and result as lattices._walk: one loop over
+    level-indexed lists, and Schnorr-Euchner partial sums refreshed lazily,
+    sig[i][j] = sum_{k>=j} rows[i][k] x_k being stale above stale[i]."""
+    rows, step, scale, budget, workers, index = args
+    n = len(rows)
+    top = n - 1
+    split = max(top - lattices.SPLIT_DEPTH, 0)
+    line = [row[i] for i, row in enumerate(rows)]
+    sig = [[0] * (n + 1) for _ in range(n)]
+    stale = [top] * n
+    counts = {}
+    subtrees = 0
+    x = [0] * n
+    remaining = [0] * n
+    centre = [0] * n
+    hi = [0] * n
+    zero_prefix = [False] * n
+
+    remaining[top] = budget
+    zero_prefix[top] = True
+    hi[top] = isqrt(budget // step[top]) // line[top]
+    x[top] = -1
+    level = top
+    while True:
+        xi = x[level] + 1
+        if xi > hi[level]:
+            level += 1
+            if level == n:
+                break
+            stale[level - 1] = level
+            continue
+        x[level] = xi
+        y = line[level] * xi + centre[level]
+        rem = remaining[level] - step[level] * y * y
+        if level == split:
+            subtrees += 1
+            if (subtrees - 1) % workers != index:
+                continue
+        if level == 0:
+            used = budget - rem
+            if used > 0:
+                norm, r = divmod(used, scale)
+                if r:
+                    raise ConstructionError("scaled norm is not a multiple of the scale")
+                counts[norm] = counts.get(norm, 0) + 2
+            continue
+        nxt = level - 1
+        remaining[nxt] = rem
+        zero_prefix[nxt] = zero_prefix[level] and xi == 0
+        s = stale[nxt]
+        if stale[nxt - 1] < s:
+            # at nxt == 0 this writes stale[top], which no descent reads
+            stale[nxt - 1] = s
+        row = rows[nxt]
+        sig_row = sig[nxt]
+        for j in range(s, nxt, -1):
+            sig_row[j] = sig_row[j + 1] + row[j] * x[j]
+        c = centre[nxt] = sig_row[level]
+        ymax = isqrt(rem // step[nxt])
+        l = line[nxt]
+        low = -((ymax + c) // l)
+        if zero_prefix[nxt] and low < 0:
+            low = 0
+        hi[nxt] = (ymax - c) // l
+        x[nxt] = low - 1
+        level = nxt
+    return counts, subtrees
 
 
 def oracle_is_lll_reduced(gram, delta=DEFAULT_DELTA):
@@ -440,6 +513,35 @@ def test_walk_subtree_shares_cover_the_count():
                 for norm, cnt in part.items():
                     merged[norm] = merged.get(norm, 0) + cnt
             assert merged == whole
+
+
+def identity_gram(n):
+    return GramMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def test_walk_matches_oracle_walk_share_by_share():
+    # every share of 1..4 workers and the counting walk (index -1), on the
+    # oracle cases and on forms deep enough to need two or three chain
+    # links: diagonal ones, Leech + [[4]] with a link exactly 20 levels
+    # deep, and Leech + E8, whose dense rows pass partial sums over two cuts
+    leech = leech_gram().entries
+    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45)]
+    cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
+    for g, max_norm in cases:
+        rows, step, scale = lattices._fincke_pohst_tables(lll(g).gram.entries)
+        budget = max_norm * scale
+        for workers in (1, 2, 3, 4):
+            for index in range(-1, workers):
+                args = (rows, step, scale, budget, workers, index)
+                assert lattices._walk(args) == oracle_walk(args), (g.dim, workers, index)
+
+
+def test_walk_checks_that_norms_are_multiples_of_the_scale():
+    # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2
+    args = ([[1]], [3], 2, 14, 1, 0)
+    for walk in (lattices._walk, oracle_walk):
+        with pytest.raises(ConstructionError, match="not a multiple of the scale"):
+            walk(args)
 
 
 def test_short_vectors_against_oracle_walk():

@@ -7,3 +7,6 @@ Library callers import from the submodules: qseries, modforms,
 observations, lorentz, lattices and cli."""
 
 __version__ = "0.1.0"
+
+# at most this many enumeration worker processes; here so cli need not load lattices
+MAX_JOBS = 64

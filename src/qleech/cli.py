@@ -24,10 +24,9 @@ import os
 import sys
 import time
 
-from . import modforms
-from .lattices import MAX_JOBS, short_vectors, theta_check_e8, theta_check_leech
-from .lorentz import leech_gram
-from .observations import cannonball, check_congruence
+# the handlers import the other library modules they run, so that each
+# subcommand loads only those
+from . import MAX_JOBS, modforms
 
 ORDER_CEILING = 5000
 # the search is linear in --max-n: about 3 s at the ceiling
@@ -80,10 +79,11 @@ def _cmd_coeffs(args) -> tuple[bool, dict]:
 
 
 def _cmd_verify(args) -> tuple[bool, dict]:
+    from . import observations
     names = list(_OBSERVATIONS) if args.observation == "both" else [args.observation]
     entries = []
     for name in names:
-        report = check_congruence(_OBSERVATIONS[name], 1, 24, 70)
+        report = observations.check_congruence(_OBSERVATIONS[name], 1, 24, 70)
         entries.append(
             {
                 "name": name,
@@ -101,11 +101,12 @@ def _cmd_verify(args) -> tuple[bool, dict]:
 
 
 def _cmd_cannonball(args) -> tuple[bool, dict]:
+    from . import observations
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     if args.max_n > MAX_N_CEILING:
         raise UsageError(f"--max-n {args.max_n} exceeds the ceiling {MAX_N_CEILING}")
-    solutions = cannonball(args.max_n)
+    solutions = observations.cannonball(args.max_n)
     payload = {
         "maxN": args.max_n,
         "solutions": [
@@ -116,8 +117,9 @@ def _cmd_cannonball(args) -> tuple[bool, dict]:
 
 
 def _cmd_leech(args) -> tuple[bool, dict]:
+    from . import lattices, lorentz
     if args.check == "gram":
-        gram = leech_gram()
+        gram = lorentz.leech_gram()
         det = gram.determinant()
         even = gram.is_even
         positive = gram.is_positive_definite
@@ -129,7 +131,7 @@ def _cmd_leech(args) -> tuple[bool, dict]:
         }
         return det == 1 and even and positive, payload
     if args.check == "min":
-        found = short_vectors(leech_gram(), 2, jobs=args.jobs)
+        found = lattices.short_vectors(lorentz.leech_gram(), 2, jobs=args.jobs)
         ok = found.counts[1] == 0 and found.counts[2] == 0
         payload = {
             "maxNorm": found.max_norm,
@@ -137,7 +139,7 @@ def _cmd_leech(args) -> tuple[bool, dict]:
             "normTwoCount": found.counts[2],
         }
         return ok, payload
-    check = theta_check_leech(args.max_norm, jobs=args.jobs)
+    check = lattices.theta_check_leech(args.max_norm, jobs=args.jobs)
     a, b = check.combination
     payload = {
         "maxNorm": check.max_norm,
@@ -157,9 +159,10 @@ def _cmd_leech(args) -> tuple[bool, dict]:
 
 
 def _cmd_e8(args) -> tuple[bool, dict]:
+    from . import lattices
     if args.max_norm % 2 or not 2 <= args.max_norm <= 8:
         raise UsageError("--max-norm must be even and between 2 and 8")
-    check = theta_check_e8(args.max_norm, jobs=args.jobs)
+    check = lattices.theta_check_e8(args.max_norm, jobs=args.jobs)
     payload = {
         "maxNorm": check.max_norm,
         "countsByNorm": {str(m): c for m, c in sorted(check.counts.counts.items())},
@@ -220,19 +223,13 @@ def _write_atomic(path: str, body: str) -> None:
         raise
 
 
-def _render(args, result: dict) -> tuple[str, str]:
-    """(stdout body, --out body) for the chosen format."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        return (
-            json.dumps(result, indent=2) + "\n",
-            json.dumps(result["payload"], indent=2) + "\n",
-        )
+def _render(fmt: str, result: dict) -> str:
+    """The stdout body for the chosen format."""
     if fmt == "csv":
-        body = _render_csv(result["payload"])
-    else:
-        body = _render_text(result["payload"])
-    return body, body
+        return _render_csv(result["payload"])
+    if fmt == "text":
+        return _render_text(result["payload"])
+    return json.dumps(result, indent=2) + "\n"
 
 
 # -- argument parsing and entry point -----------------------------------------
@@ -330,8 +327,11 @@ def main(argv: list[str] | None = None) -> int:
         "payload": _stringify(payload),
         "elapsedMillis": elapsed_ms,
     }
-    stdout_body, out_body = _render(args, result)
+    fmt = getattr(args, "format", "json")
+    stdout_body = _render(fmt, result)
     if args.out:
+        # a JSON file holds the payload alone, a csv or text file the stdout body
+        out_body = json.dumps(result["payload"], indent=2) + "\n" if fmt == "json" else stdout_body
         try:
             _write_atomic(args.out, out_body)
         except OSError as exc:

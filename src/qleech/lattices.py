@@ -23,13 +23,13 @@ on the spot from the first two coefficients rather than hardcoded.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 from typing import Sequence
 
+from . import MAX_JOBS
 from .modforms import delta, eisenstein_e4, sigma
 from .lorentz import (
     ConstructionError,
@@ -45,8 +45,6 @@ DEFAULT_DELTA = Fraction(3, 4)
 # enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
 SPLIT_DEPTH = 4
-# jobs N starts up to N worker processes (one per subtree at most)
-MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
@@ -317,6 +315,13 @@ def _walk(args) -> tuple[dict[int, int], int]:
     return namespace["_link0"](budget, workers, index)
 
 
+def _pool(workers: int):
+    """A pool of that many worker processes; its module is imported only
+    here, so that serial runs never load multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:
     """Count all lattice vectors of each norm 1..max_norm.
 
@@ -342,7 +347,7 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
     if workers == 1:
         parts = [_walk(arglist[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _pool(workers) as pool:
             parts = list(pool.map(_walk, arglist))
     merged: dict[int, int] = {}
     for part, _ in parts:

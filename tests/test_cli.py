@@ -3,14 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qleech
 import qleech.cli as cli
 import qleech.lattices as lattices
+import qleech.observations as observations
 from qleech.cli import main
 from qleech.modforms import delta
 from qleech.observations import CongruenceReport
@@ -109,7 +114,16 @@ def test_coeffs_out_file(tmp_path, capsys):
     )
     assert code == 0
     parsed = json.loads(out)
-    assert json.loads(target.read_text()) == parsed["payload"]
+    assert target.read_bytes() == (json.dumps(parsed["payload"], indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_coeffs_out_file_matches_stdout(tmp_path, capsys, fmt):
+    target = tmp_path / f"payload.{fmt}"
+    argv = ["coeffs", "--series", "delta", "--order", "4", "--format", fmt]
+    code, out, _ = run(capsys, argv + ["--out", str(target)])
+    assert code == 0
+    assert target.read_bytes() == out.encode()
 
 
 def test_coeffs_out_unwritable(tmp_path, capsys):
@@ -245,7 +259,7 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     def fake(sequence, lo, hi, modulus):
         return CongruenceReport(sequence, lo, hi, modulus, 41, 41)
 
-    monkeypatch.setattr(cli, "check_congruence", fake)
+    monkeypatch.setattr(observations, "check_congruence", fake)
     code, out, _ = run(capsys, ["verify", "--observation", "jm"])
     assert code == 1
     parsed = json.loads(out)
@@ -277,7 +291,7 @@ def test_cannonball_ceiling(monkeypatch, capsys):
     def never(max_n):
         raise AssertionError("the search must not start")
 
-    monkeypatch.setattr(cli, "cannonball", never)
+    monkeypatch.setattr(observations, "cannonball", never)
     code, out, err = run(capsys, ["cannonball", "--max-n", str(cli.MAX_N_CEILING + 1)])
     assert cli.MAX_N_CEILING == 10**7
     assert code == 2
@@ -332,7 +346,6 @@ def test_jobs_ceiling(monkeypatch, capsys):
     def no_enumeration(*args, **kwargs):
         raise RuntimeError("enumeration started")
 
-    monkeypatch.setattr(cli, "short_vectors", no_enumeration)
     monkeypatch.setattr(lattices, "short_vectors", no_enumeration)
     over = str(cli.MAX_JOBS + 1)
     for argv in (["leech", "min"], ["leech", "kissing"], ["e8", "--max-norm", "2"]):
@@ -419,6 +432,61 @@ def test_elapsed_is_native_int(capsys):
     parsed = json.loads(out)
     assert isinstance(parsed["elapsedMillis"], int)
     assert not isinstance(parsed["elapsedMillis"], bool)
+
+
+# -- start-up ------------------------------------------------------------------
+
+SRC = str(Path(qleech.__file__).resolve().parent.parent)
+
+# runs main on the arguments, then lists the loaded modules on stderr
+LIST_MODULES = (
+    "import sys\n"
+    "from qleech.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (
+            ["coeffs", "--series", "e4", "--order", "10"],
+            {"qleech.lattices", "qleech.lorentz", "qleech.observations"},
+        ),
+        (["verify", "--observation", "jm"], set()),
+        (["cannonball", "--max-n", "10"], set()),
+        (["leech", "gram"], set()),
+    ],
+    ids=["coeffs", "verify", "cannonball", "leech-gram"],
+)
+def test_subcommand_loads_only_what_it_runs(argv, absent):
+    # no worker pool is imported without --jobs > 1
+    done = run_python(["-c", LIST_MODULES, *argv])
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.split())
+    assert "qleech.cli" in loaded
+    assert loaded & ({"concurrent.futures", "multiprocessing"} | absent) == set()
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["coeffs", "--series", "j", "--order", "3"]
+    done = run_python(["-m", "qleech.cli", *argv])
+    code, out, _ = run(capsys, argv)
+
+    def zeroed(text):
+        return re.sub(r'"elapsedMillis": \d+', '"elapsedMillis": 0', text)
+
+    assert (done.returncode, zeroed(done.stdout)) == (code, zeroed(out))
+    assert done.stderr == ""
 
 
 # -- fuzzing -------------------------------------------------------------------

@@ -552,8 +552,8 @@ def test_short_vectors_against_oracle_walk():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records how many workers were
-    asked for and maps in this process."""
+    """Stands in for the pool from lattices._pool: records how many workers
+    were asked for and maps in this process."""
 
     def __init__(self, started, max_workers):
         started.append(max_workers)
@@ -570,9 +570,7 @@ class RecordingPool:
 
 def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
     started = []
-    monkeypatch.setattr(
-        lattices, "ProcessPoolExecutor", lambda max_workers: RecordingPool(started, max_workers)
-    )
+    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
     line = GramMatrix.from_rows([[2]])
     # norm <= 8 on the line: x = 0, 1, 2 are the three subtrees
     want = {1: 0, 2: 2, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2}
@@ -585,9 +583,7 @@ def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
 
 def test_short_vectors_domain(monkeypatch):
     started = []
-    monkeypatch.setattr(
-        lattices, "ProcessPoolExecutor", lambda max_workers: RecordingPool(started, max_workers)
-    )
+    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
 
     def no_walk(args):
         raise RuntimeError("walk started")

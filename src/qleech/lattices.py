@@ -12,7 +12,9 @@ entries written in as literals, each level's centre kept up to date from
 Schnorr-Euchner partial sums held in plain locals.  CPython compiles at
 most 20 nested loops in one function, so the loops are cut into a chain of
 functions, and each link is compiled on its own to keep the compiler's
-peak memory at the size of one link.  Parallel runs deal the subtrees a
+peak memory at the size of one link.  Below a cut level, where nearly all
+nodes are, the remaining budget is held exactly in units of the gcd of the
+steps there, so its ints fit one digit.  Parallel runs deal the subtrees a
 few levels below the top out to the workers.
 
 The theta checks compare enumerated counts per norm with coefficients of
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from . import MAX_JOBS
@@ -45,6 +47,9 @@ DEFAULT_DELTA = Fraction(3, 4)
 # enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
 SPLIT_DEPTH = 4
+# below the unit cut the remaining budget, at most max_norm * scale // unit,
+# fits one 30-bit int digit for max_norm up to 16
+_ONE_DIGIT = 2**26
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,21 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
 
 
+def _unit_cut(step, scale) -> tuple[int, int]:
+    """(cut, unit = gcd(step[0..cut])) for the highest level cut below the
+    split with scale // unit < _ONE_DIGIT; (-1, 1) if no level qualifies or
+    the scale itself is below _ONE_DIGIT."""
+    cut, unit = -1, 1
+    if scale >= _ONE_DIGIT:
+        g = 0
+        for k in range(max(len(step) - 1 - SPLIT_DEPTH, 0)):
+            g = gcd(g, step[k])
+            if scale // g >= _ONE_DIGIT:
+                break
+            cut, unit = k, g
+    return cut, unit
+
+
 def _walker_links(rows, step, scale) -> list[str]:
     """Python source of the walker for these tables: one chain link per
     string, link 0 first.  The source is a pure function of the tables.
@@ -215,11 +235,24 @@ def _walker_links(rows, step, scale) -> list[str]:
     into links: link 0 runs from the top down to the split level, and below
     it the links hold at most 20 levels, the lowest one full, so a call from
     one link to the next happens at a descent high up, where nodes are few.
+
+    At and below the level cut of _unit_cut, the remaining budget is held
+    in units of unit, which divides every step there: B_cut = R_cut // unit
+    and B_{i-1} = B_i - (step[i] // unit) y^2, so B_i = floor(R_i / unit),
+    and floor(floor(R / u) / (S / u)) = floor(R / S) gives every child range
+    of the full budget: the node set is the same.  Two values stay exact:
+    the +-v rule compares B_{i-1} with a sentinel set at the cut, B_cut if
+    R_cut == budget else -1 (budget // unit would also match a nonzero path
+    that used less than budget % unit above the cut), and a leaf rebuilds
+    the used budget as budget - R_cut + unit (B_cut - B_-1).
     """
     n = len(rows)
     top = n - 1
     split = max(top - SPLIT_DEPTH, 0)
     line = [row[i] for i, row in enumerate(rows)]
+    cut, unit = _unit_cut(step, scale)
+    # the steps that the budget at each level is counted in
+    unit_step = [s // unit if k <= cut else s for k, s in enumerate(step)]
     # the levels that start a link below link 0
     heads = {i for i in range(split) if i == split - 1 or i % 20 == 19}
     # isqrt=isqrt makes isqrt a local of every link
@@ -233,13 +266,18 @@ def _walker_links(rows, step, scale) -> list[str]:
     links = [out]
     pad = " " * 8
     remaining, centre = "budget", None
+    # what the remaining budget equals while every coordinate above is zero
+    unused = "budget"
     # sums[k]: the name of sum_{j>i} rows[k][j] x_j at level i, None for 0
     sums: list[str | None] = [None] * n
     for i in range(top, -1, -1):
         if i in heads:
+            cut_state = [f"R{cut}", f"B{cut}", "zero"] if i <= cut else []
             params = ", ".join(
-                ["budget", "counts", "lo", "hi", remaining]
-                + [name for name in [centre, *sums[:i]] if name]
+                dict.fromkeys(
+                    ["budget", "counts", "lo", "hi", remaining, *cut_state]
+                    + [name for name in [centre, *sums[:i]] if name]
+                )
             )
             out.append(f"{pad}_link{len(links)}({params})")
             out = [f"def _link{len(links)}({params}, isqrt=isqrt):"]
@@ -255,9 +293,13 @@ def _walker_links(rows, step, scale) -> list[str]:
                 f"{pad}    continue",
             ]
         out.append(f"{pad}y = {_plus(centre, line[i], f'x{i}')}")
+        rest = f"{remaining} - {unit_step[i]} * (y * y)"
         if i == 0:
+            used = f"budget - ({rest})"
+            if cut >= 0:
+                used = f"budget - R{cut} + {unit} * (B{cut} - ({rest}))"
             out += [
-                f"{pad}used = budget - ({remaining} - {step[0]} * (y * y))",
+                f"{pad}used = {used}",
                 f"{pad}if used > 0:",
                 f"{pad}    norm, r = divmod(used, {scale})",
                 f"{pad}    if r:",
@@ -265,22 +307,28 @@ def _walker_links(rows, step, scale) -> list[str]:
                 f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
             ]
             break
-        out.append(f"{pad}R{i - 1} = {remaining} - {step[i]} * (y * y)")
-        remaining = f"R{i - 1}"
+        remaining = f"B{i - 1}" if i <= cut else f"R{i - 1}"
+        out.append(f"{pad}{remaining} = {rest}")
+        if i == cut + 1:
+            out += [
+                f"{pad}B{cut} = R{cut} // {unit}",
+                f"{pad}zero = B{cut} if R{cut} == budget else -1",
+            ]
+            remaining, unused = f"B{cut}", "zero"
         centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
         if centre is not None and not centre.isidentifier():
             out.append(f"{pad}c{i - 1} = {centre}")
             centre = f"c{i - 1}"
         low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
         out += [
-            f"{pad}m = isqrt({remaining} // {step[i - 1]})",
+            f"{pad}m = isqrt({remaining} // {unit_step[i - 1]})",
             f"{pad}lo = -(({low}) // {line[i - 1]})",
             f"{pad}hi = ({high}) // {line[i - 1]}",
             f"{pad}if lo > hi:",
             f"{pad}    continue",
             # every step is positive, so the coordinates above are all zero
             # exactly when none of the budget is used: the +-v rule
-            f"{pad}if {remaining} == budget and lo < 0:",
+            f"{pad}if {remaining} == {unused} and lo < 0:",
             f"{pad}    lo = 0",
         ]
         for k in range(i - 1):
@@ -289,6 +337,19 @@ def _walker_links(rows, step, scale) -> list[str]:
                 sums[k] = f"s{k}_{i}"
     links[0].append("    return counts, subtrees")
     return ["\n".join(link) + "\n" for link in links]
+
+
+@lru_cache(maxsize=1)
+def _walker(rows, step, scale):
+    """The walker for these tables (as tuples, the cache key), compiled once
+    per process: the counting walk of short_vectors builds it before the
+    pool starts, so forked workers inherit it.  Each chain link is compiled
+    on its own, so the compiler never holds the syntax tree of the whole
+    walker at once."""
+    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
+    for k, source in enumerate(_walker_links(rows, step, scale)):
+        exec(compile(source, f"<walker link {k}>", "exec"), namespace)
+    return namespace["_link0"]
 
 
 def _walk(args) -> tuple[dict[int, int], int]:
@@ -305,14 +366,11 @@ def _walk(args) -> tuple[dict[int, int], int]:
 
     The walk runs as nested loops generated for these tables by
     _walker_links, which saves the interpreter the list lookups of a
-    table-driven loop.  Each chain link is compiled on its own, so the
-    compiler never holds the syntax tree of the whole walker at once.
+    table-driven loop.
     """
     rows, step, scale, budget, workers, index = args
-    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
-    for k, source in enumerate(_walker_links(rows, step, scale)):
-        exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return namespace["_link0"](budget, workers, index)
+    link0 = _walker(tuple(map(tuple, rows)), tuple(step), scale)
+    return link0(budget, workers, index)
 
 
 def _pool(workers: int):

@@ -427,15 +427,6 @@ def _complement(w: LorentzVector):
     return comp, v
 
 
-def orthogonal_complement_basis(w: LorentzVector) -> tuple[LorentzVector, ...]:
-    """A basis of the rank-25 sublattice of vectors orthogonal to w.
-
-    w must be nonzero and primitive (its pairings with the lattice coprime,
-    which in a unimodular lattice is the same as coprime basis coordinates).
-    """
-    return _complement(w)[0]
-
-
 @lru_cache(maxsize=1)
 def quotient_representatives() -> tuple[LorentzVector, ...]:
     """24 members of w_perp descending to a basis of w_perp / w.

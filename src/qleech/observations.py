@@ -1,14 +1,12 @@
 """Arithmetic observations on the expansion coefficients.
 
-Three independent checks live here:
+Two independent checks live here:
 
   * sums of squared coefficients of j and Delta over fixed ranges, reduced
     mod 70, which both land on residue 42;
   * the cannonball problem, the Diophantine equation
     1^2 + 2^2 + ... + n^2 = m^2, whose only solutions are (1, 1) and
-    (24, 70);
-  * the first-coefficient identity 196884 = 196883 + 1 relating j to the
-    smallest faithful dimension of the monster group.
+    (24, 70).
 
 Everything is computed with exact integers; the reports carry the full sums
 so a caller can re-reduce them independently.
@@ -22,8 +20,6 @@ from math import isqrt
 from .modforms import delta, j_invariant
 
 _SEQUENCE_VALUATIONS = {"j": -1, "delta": 1}
-
-MONSTER_DIMENSION = 196883
 
 
 @dataclass(frozen=True)
@@ -59,14 +55,6 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
     return CongruenceReport(sequence, lo, hi, modulus, total, total % modulus)
 
 
-def observation_report() -> tuple[CongruenceReport, CongruenceReport]:
-    """The two fixed mod-70 observations: j on [1, 24] and Delta on [1, 24]."""
-    return (
-        check_congruence("j", 1, 24, 70),
-        check_congruence("delta", 1, 24, 70),
-    )
-
-
 @dataclass(frozen=True)
 class CannonballSolution:
     """n for which the first n squares stack to a perfect square m^2."""
@@ -94,32 +82,3 @@ def cannonball(max_n: int) -> tuple[CannonballSolution, ...]:
         if r * r == total:
             found.append(CannonballSolution(n, r))
     return tuple(found)
-
-
-@dataclass(frozen=True)
-class MoonshineReport:
-    """First j coefficient against the smallest monster dimension plus one."""
-
-    j_linear_coeff: int
-    monster_dimension: int
-    holds: bool
-
-
-def moonshine_identity() -> MoonshineReport:
-    c1 = j_invariant(2).coeff(1)
-    return MoonshineReport(c1, MONSTER_DIMENSION, c1 == MONSTER_DIMENSION + 1)
-
-
-@dataclass(frozen=True)
-class WeylNormReport:
-    """Sum of the first 24 squares against 70^2."""
-
-    sum_of_squares: int
-    timelike_square: int
-    holds: bool
-
-
-def weyl_norm_identity() -> WeylNormReport:
-    s = sum(i * i for i in range(1, 25))
-    t = 70 * 70
-    return WeylNormReport(s, t, s == t)

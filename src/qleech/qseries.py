@@ -118,15 +118,6 @@ class LaurentSeries:
             return cls.zero(order)
         return cls(0, order, (1,) + (0,) * (order - 1))
 
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coefficient: int = 1) -> "LaurentSeries":
-        """coefficient * q^exponent, known modulo q^order."""
-        if coefficient == 0:
-            return cls.zero(order)
-        if order <= exponent:
-            return cls.zero(order)
-        return cls(exponent, order, (coefficient,) + (0,) * (order - exponent - 1))
-
     # -- queries -----------------------------------------------------------
 
     @property

@@ -10,6 +10,7 @@ Gram-Schmidt recomputed entry by entry.
 """
 
 import random
+import sys
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -544,6 +545,57 @@ def test_walk_checks_that_norms_are_multiples_of_the_scale():
             walk(args)
 
 
+def unit_cut_tables():
+    """Tables whose walker holds the budget in units below a cut, with a
+    nonzero path above the cut that uses less than budget % unit.
+
+    The form is 3 I_24 + [[p, 1], [1, 1]], p = 2^27 + 1, left unreduced so
+    that the block with scale p sits on the top two levels.  Every step
+    below it is 3p, so unit = 3p at the cut, level 20; link heads at 20 and
+    19 carry the cut state over.  At norm 5, budget % unit = 2p, and the
+    top vector (0, ..., 0, 1) of norm 1 uses p."""
+    p = 2**27 + 1
+    g = block_diagonal([[3 * int(i == j) for j in range(24)] for i in range(24)], [[p, 1], [1, 1]])
+    rows, step, scale = lattices._fincke_pohst_tables(g.entries)
+    return rows, step, scale, 5 * scale
+
+
+def test_walk_in_units_below_the_cut_matches_oracle_walk():
+    rows, step, scale, budget = unit_cut_tables()
+    cut, unit = lattices._unit_cut(step, scale)
+    assert (cut, unit) == (20, 3 * scale)
+    assert scale < budget % unit
+    for workers in (1, 2, 3, 4):
+        for index in range(-1, workers):
+            args = (rows, step, scale, budget, workers, index)
+            assert lattices._walk(args) == oracle_walk(args), (workers, index)
+    # norm 1: (0, +-1) on the block; 3: the 48 units of 3 I_24; 4: (0, +-2),
+    # and a unit with (0, +-1)
+    assert lattices._walk((rows, step, scale, budget, 1, 0))[0] == {1: 2, 3: 48, 4: 2 + 48 * 2}
+
+
+def test_walk_in_units_checks_that_norms_are_multiples_of_the_scale():
+    # the top step one too large: a leaf whose budget is all used above the
+    # cut is off the scale by 1
+    rows, step, scale, budget = unit_cut_tables()
+    step = step[:-1] + [step[-1] + 1]
+    assert lattices._unit_cut(step, scale)[0] == 20
+    for walk in (lattices._walk, oracle_walk):
+        with pytest.raises(ConstructionError, match="not a multiple of the scale"):
+            walk((rows, step, scale, budget, 1, 0))
+
+
+def test_leech_unit_cut_keeps_the_budget_to_one_digit():
+    rows, step, scale = lattices._fincke_pohst_tables(lll(leech_gram()).gram.entries)
+    cut, unit = lattices._unit_cut(step, scale)
+    assert cut == 12
+    assert all(s % unit == 0 for s in step[: cut + 1])
+    assert 6 * scale // unit < 2**sys.int_info.bits_per_digit
+    # E8's scale fits one digit already
+    e8 = lattices._fincke_pohst_tables(lll(e8_gram()).gram.entries)
+    assert lattices._unit_cut(e8[1], e8[2]) == (-1, 1)
+
+
 def test_short_vectors_against_oracle_walk():
     for g, max_norm in oracle_cases():
         want = oracle_count(g, max_norm)
@@ -579,6 +631,23 @@ def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
     # a single subtree needs no pool
     assert short_vectors(line, 1, jobs=4).counts == {1: 0}
     assert started == [3, 2]
+
+
+def test_short_vectors_builds_the_walker_once(monkeypatch):
+    # the counting walk builds it and every worker's walk reuses it, as a
+    # forked worker does
+    built = []
+
+    def links(*tables):
+        built.append(tables)
+        return walker_links(*tables)
+
+    walker_links = lattices._walker_links
+    monkeypatch.setattr(lattices, "_walker_links", links)
+    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool([], workers))
+    lattices._walker.cache_clear()
+    assert short_vectors(e8_gram(), 4, jobs=3).counts == {1: 0, 2: 240, 3: 0, 4: 2160}
+    assert len(built) == 1
 
 
 def test_short_vectors_domain(monkeypatch):

@@ -18,6 +18,7 @@ from qleech.lorentz import (
     ConstructionError,
     GramMatrix,
     LorentzVector,
+    _complement,
     _hermite,
     bareiss_determinant,
     coordinates_in_basis,
@@ -28,7 +29,6 @@ from qleech.lorentz import (
     is_member,
     lattice_basis,
     leech_gram,
-    orthogonal_complement_basis,
     quotient_representatives,
     raw_form,
     weyl_vector,
@@ -443,7 +443,7 @@ def test_lattice_basis_spans_sample_members():
 
 def test_complement_of_weyl_vector():
     w = weyl_vector()
-    comp = orthogonal_complement_basis(w)
+    comp = _complement(w)[0]
     assert len(comp) == SPACELIKE_DIM
     for v in comp:
         assert is_member(v.doubled)
@@ -454,7 +454,7 @@ def test_complement_of_weyl_vector():
 def test_weyl_vector_in_complement_span():
     # w and the 24 representatives have integer coordinates in the
     # complement basis, and together they form another basis of it
-    comp = orthogonal_complement_basis(weyl_vector())
+    comp = _complement(weyl_vector())[0]
     cols = [[Fraction(v.doubled[i]) for v in comp] for i in range(DIM)]
     coords = [
         solve_linear_exact(cols, [Fraction(c) for c in v.doubled])
@@ -466,9 +466,9 @@ def test_weyl_vector_in_complement_span():
 
 def test_complement_rejects_bad_input():
     with pytest.raises(ValueError):
-        orthogonal_complement_basis(LorentzVector((0,) * DIM))
+        _complement(LorentzVector((0,) * DIM))
     with pytest.raises(ValueError, match="non-primitive"):
-        orthogonal_complement_basis(2 * weyl_vector())
+        _complement(2 * weyl_vector())
 
 
 def test_quotient_representatives():

@@ -1,4 +1,4 @@
-"""Congruence windows, the cannonball search, and the two sanity identities."""
+"""Congruence windows and the cannonball search."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from qleech.observations import (
     CannonballSolution,
     cannonball,
     check_congruence,
-    moonshine_identity,
-    observation_report,
-    weyl_norm_identity,
 )
 from qleech.qseries import euler_product
 
@@ -53,13 +50,6 @@ def test_window_splits_additively():
 def test_window_can_start_at_pole():
     r = check_congruence("j", -1, 1, 7)
     assert r.sum_of_squares == 1 + 744**2 + 196884**2
-
-
-def test_report_presets():
-    jm, yhh = observation_report()
-    assert jm.sequence == "j" and yhh.sequence == "delta"
-    assert jm.residue == 42 and yhh.residue == 42
-    assert jm.modulus == 70 and yhh.modulus == 70
 
 
 def test_congruence_input_validation():
@@ -109,22 +99,3 @@ def test_cannonball_domain():
 def test_cannonball_solution_type():
     s = CannonballSolution(24, 70)
     assert not s.trivial
-
-
-# -- the two pinned identities -------------------------------------------------
-
-
-def test_moonshine_identity():
-    r = moonshine_identity()
-    assert r.holds
-    assert r.j_linear_coeff == 196884
-    assert r.monster_dimension == 196883
-    assert r.j_linear_coeff == r.monster_dimension + 1
-
-
-def test_weyl_norm_identity():
-    r = weyl_norm_identity()
-    assert r.holds
-    assert r.sum_of_squares == 4900
-    assert r.timelike_square == 4900
-    assert sum(i * i for i in range(25)) == 70 * 70 == r.timelike_square

@@ -127,8 +127,8 @@ def test_add_simple():
 
 
 def test_add_keeps_pole_and_positive_part():
-    a = LaurentSeries.monomial(-1, order=2)
-    b = LaurentSeries.monomial(1, order=2)
+    a = LaurentSeries.from_coeffs(-1, [1, 0, 0])
+    b = LaurentSeries.from_coeffs(1, [1])
     s = a + b
     assert s.valuation == -1
     assert (s.coeff(-1), s.coeff(0), s.coeff(1)) == (1, 0, 1)

@@ -43,12 +43,11 @@ class UsageError(ValueError):
 
 def _stringify(value):
     """Recursively render payload numerics as decimal strings."""
-    if isinstance(value, bool):
+    # bool before int: True is an int
+    if isinstance(value, (bool, str)):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): _stringify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -65,15 +64,15 @@ def _cmd_coeffs(args) -> tuple[bool, dict]:
             f"order {args.order} exceeds the ceiling {ORDER_CEILING};"
             " pass --unsafe-order to proceed"
         )
-    least = modforms.min_order(args.series)
+    builder, least = modforms.SERIES[args.series]
     if args.order < least:
         raise UsageError(f"series {args.series!r} needs --order >= {least}")
-    table = modforms.coefficient_table(args.series, args.order)
+    series = builder(args.order)
     payload = {
-        "series": table.name,
-        "valuation": table.valuation,
-        "order": table.order,
-        "coefficients": {str(m): c for m, c in sorted(table.entries.items())},
+        "series": args.series,
+        "valuation": series.valuation,
+        "order": series.order,
+        "coefficients": {str(m): c for m, c in series.coefficients().items()},
     }
     return True, payload
 
@@ -116,6 +115,19 @@ def _cmd_cannonball(args) -> tuple[bool, dict]:
     return True, payload
 
 
+def _comparisons(check) -> list[dict]:
+    """The rows of a theta check, one per even norm."""
+    return [
+        {
+            "norm": r.norm,
+            "enumerated": r.enumerated,
+            "seriesCoefficient": r.series_coefficient,
+            "matches": r.matches,
+        }
+        for r in check.rows
+    ]
+
+
 def _cmd_leech(args) -> tuple[bool, dict]:
     from . import lattices, lorentz
     if args.check == "gram":
@@ -142,18 +154,10 @@ def _cmd_leech(args) -> tuple[bool, dict]:
     check = lattices.theta_check_leech(args.max_norm, jobs=args.jobs)
     a, b = check.combination
     payload = {
-        "maxNorm": check.max_norm,
+        "maxNorm": check.counts.max_norm,
         "combination": {"e4CubedWeight": a, "deltaWeight": b},
         "counts": {str(m): c for m, c in sorted(check.counts.counts.items())},
-        "comparisons": [
-            {
-                "norm": r.norm,
-                "enumerated": r.enumerated,
-                "seriesCoefficient": r.series_coefficient,
-                "matches": r.matches,
-            }
-            for r in check.rows
-        ],
+        "comparisons": _comparisons(check),
     }
     return check.ok, payload
 
@@ -164,17 +168,9 @@ def _cmd_e8(args) -> tuple[bool, dict]:
         raise UsageError("--max-norm must be even and between 2 and 8")
     check = lattices.theta_check_e8(args.max_norm, jobs=args.jobs)
     payload = {
-        "maxNorm": check.max_norm,
+        "maxNorm": check.counts.max_norm,
         "countsByNorm": {str(m): c for m, c in sorted(check.counts.counts.items())},
-        "comparisons": [
-            {
-                "norm": r.norm,
-                "enumerated": r.enumerated,
-                "seriesCoefficient": r.series_coefficient,
-                "matches": r.matches,
-            }
-            for r in check.rows
-        ],
+        "comparisons": _comparisons(check),
     }
     return check.ok, payload
 
@@ -257,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("coeffs", help="expand a named q-series")
-    p.add_argument("--series", required=True, choices=modforms.series_names())
+    p.add_argument("--series", required=True, choices=tuple(modforms.SERIES))
     p.add_argument("--order", required=True, type=int, help="truncation order")
     p.add_argument("--format", default="json", choices=("json", "csv", "text"))
     p.add_argument(

@@ -2,8 +2,9 @@
 vector enumeration, and theta-series cross checks.
 
 Everything operates on Gram matrices only; no basis embedding and no
-floating point arithmetic anywhere.  LLL runs over Fractions and returns
-both the reduced Gram matrix and the unimodular transform that produced it.
+floating point arithmetic anywhere.  LLL (delta = 3/4) runs over Fractions
+on a Gram matrix kept current through each step, and returns both the
+reduced Gram matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints, which keeps a 24-dimensional
 norm-4 sweep in the low millions of nodes.  The search runs as Python
@@ -17,10 +18,11 @@ nodes are, the remaining budget is held exactly in units of the gcd of the
 steps there, so its ints fit one digit.  Parallel runs deal the subtrees a
 few levels below the top out to the workers.
 
-The theta checks compare enumerated counts per norm with coefficients of
-weight-12 modular forms computed independently in the series modules; for
-the quotient lattice the matching combination of E4^3 and Delta is derived
-on the spot from the first two coefficients rather than hardcoded.
+The two theta checks share one comparison: enumerated counts per even norm
+against independently computed series coefficients, and zero at every odd
+norm.  For E8 the coefficients are 240 sigma_3(n); for the quotient lattice
+the matching combination of E4^3 and Delta is derived on the spot from the
+first two coefficients rather than hardcoded.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ from .lorentz import (
     ConstructionError,
     GramMatrix,
     bareiss_determinant,
-    inertia,
     ldl,
     leech_gram,
 )
 
-DEFAULT_DELTA = Fraction(3, 4)
+LLL_DELTA = Fraction(3, 4)
 # the enumeration splits into subtrees this many levels below the top: deep
 # enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
@@ -61,40 +62,21 @@ class ReducedBasis:
     transform: tuple[tuple[int, ...], ...]
 
 
-def _round_half_up(m: Fraction) -> int:
-    # nearest integer, ties toward +infinity: floor(m + 1/2)
-    return (2 * m.numerator + m.denominator) // (2 * m.denominator)
-
-
-def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
+def lll(gram: GramMatrix) -> ReducedBasis:
     """LLL-reduce a positive definite Gram matrix with exact arithmetic.
 
-    Raises ValueError for a form that is not positive definite or a
-    reduction parameter outside (1/4, 1).
-    """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("reduction parameter must lie strictly between 1/4 and 1")
+    The Gram matrix of the current rows is kept up to date (Cohen, GTM 138,
+    Alg. 2.6.3): a size reduction subtracts q times row l and then q times
+    column l, a swap exchanges two rows and two columns.  Raises ValueError
+    for a form that is not positive definite."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
-    g0 = gram.entries
+    g = [list(row) for row in gram.entries]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def ip(i: int, j: int) -> int:
-        # <b_i, b_j> for the current rows, straight from the original form
-        row_j = u[j]
-        acc = 0
-        for a in range(n):
-            uia = u[i][a]
-            if uia:
-                g0a = g0[a]
-                acc += uia * sum(g0a[b] * row_j[b] for b in range(n) if row_j[b])
-        return acc
-
     mu = [[Fraction(0)] * n for _ in range(n)]
     big_b = [Fraction(0)] * n
-    big_b[0] = Fraction(ip(0, 0))
+    big_b[0] = Fraction(g[0][0])
     if big_b[0] <= 0:
         raise ValueError("not positive definite")
 
@@ -102,8 +84,12 @@ def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
         m = mu[k][l]
         if 2 * abs(m) <= 1:
             return
-        q = _round_half_up(m)
+        # nearest integer, ties toward +infinity: floor(m + 1/2)
+        q = (2 * m.numerator + m.denominator) // (2 * m.denominator)
         u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
         mu[k][l] -= q
         for i in range(l):
             mu[k][i] -= q * mu[l][i]
@@ -114,7 +100,7 @@ def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
         if k > kmax:
             kmax = k
             for j in range(k + 1):
-                s = Fraction(ip(k, j))
+                s = Fraction(g[k][j])
                 for i in range(j):
                     s -= mu[j][i] * mu[k][i] * big_b[i]
                 if j < k:
@@ -124,9 +110,12 @@ def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
                         raise ValueError("not positive definite")
                     big_b[k] = s
         red(k, k - 1)
-        if big_b[k] < (delta - mu[k][k - 1] ** 2) * big_b[k - 1]:
+        if big_b[k] < (LLL_DELTA - mu[k][k - 1] ** 2) * big_b[k - 1]:
             # swap rows k-1 and k, then patch the GSO data in place
             u[k], u[k - 1] = u[k - 1], u[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
             m = mu[k][k - 1]
             bp = big_b[k] + m * m * big_b[k - 1]
             mu[k][k - 1] = m * big_b[k - 1] / bp
@@ -144,24 +133,22 @@ def lll(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> ReducedBasis:
                 red(k, l)
             k += 1
 
-    reduced = [[ip(i, j) for j in range(n)] for i in range(n)]
     return ReducedBasis(
-        gram=GramMatrix.from_rows(reduced),
+        gram=GramMatrix.from_rows(g),
         transform=tuple(tuple(row) for row in u),
     )
 
 
-def is_lll_reduced(gram: GramMatrix, delta: Fraction = DEFAULT_DELTA) -> bool:
-    """Check size reduction and the Lovasz condition directly on a Gram
-    matrix, recomputing the orthogonalization from scratch: with
+def is_lll_reduced(gram: GramMatrix) -> bool:
+    """Check size reduction and the Lovasz condition for LLL_DELTA directly
+    on a Gram matrix, recomputing the orthogonalization from scratch: with
     d, q = ldl(G), the squared lengths are d[k] and mu_kj = q[j][k]."""
-    delta = Fraction(delta)
     d, q = ldl(gram.entries)
     n = gram.dim
     return (
         all(b > 0 for b in d)
         and all(2 * abs(q[j][k]) <= 1 for k in range(n) for j in range(k))
-        and all(d[k] >= (delta - q[k - 1][k] ** 2) * d[k - 1] for k in range(1, n))
+        and all(d[k] >= (LLL_DELTA - q[k - 1][k] ** 2) * d[k - 1] for k in range(1, n))
     )
 
 
@@ -435,7 +422,6 @@ _E8_SIMPLE_ROOTS = (
 def e8_gram() -> GramMatrix:
     """Gram matrix of the E8 root lattice from its simple roots; checked to
     be even with determinant 1."""
-    n = len(_E8_SIMPLE_ROOTS)
     entries = []
     for a in _E8_SIMPLE_ROOTS:
         row = []
@@ -450,7 +436,7 @@ def e8_gram() -> GramMatrix:
         raise ConstructionError("E8 Gram must be even")
     if bareiss_determinant(gram.entries) != 1:
         raise ConstructionError("E8 Gram determinant must be 1")
-    if inertia(gram.entries) != (n, 0, 0):
+    if not gram.is_positive_definite:
         raise ConstructionError("E8 Gram must be positive definite")
     return gram
 
@@ -471,20 +457,29 @@ class ThetaCheck:
 
     combination is (a, b) for the weight-12 form a E4^3 + b Delta when one
     is derived, None when the expected counts come from a closed formula.
-    counts carries the full enumeration result; ok also requires every odd
-    norm count to vanish.
+    counts carries the full enumeration result, max_norm included; ok also
+    requires every odd norm count to vanish.
     """
 
     lattice: str
-    max_norm: int
     combination: tuple[int, int] | None
     counts: ShortVectorCount
     rows: tuple[ThetaRow, ...]
     ok: bool
 
 
-def _odd_norms_vanish(found: ShortVectorCount) -> bool:
-    return all(found.counts[m] == 0 for m in range(1, found.max_norm + 1, 2))
+def _theta(lattice: str, found: ShortVectorCount, combination, expected) -> ThetaCheck:
+    """The check of found against expected(n), the series count of norm 2n,
+    for every even norm up to found.max_norm; ok also needs every odd norm
+    count to vanish."""
+    rows = []
+    for nn in range(1, found.max_norm // 2 + 1):
+        want = expected(nn)
+        enum = found.counts[2 * nn]
+        rows.append(ThetaRow(2 * nn, enum, want, enum == want))
+    odd = (found.counts[m] for m in range(1, found.max_norm + 1, 2))
+    ok = all(r.matches for r in rows) and not any(odd)
+    return ThetaCheck(lattice, combination, found, tuple(rows), ok)
 
 
 def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
@@ -497,28 +492,20 @@ def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
     if max_norm not in (2, 4, 6):
         raise ValueError("max_norm must be 2, 4 or 6")
     found = short_vectors(leech_gram(), max_norm, jobs=jobs)
-    half = max_norm // 2
-    order = max(half + 1, 2)
+    order = max(max_norm // 2 + 1, 2)
     e4_cubed = eisenstein_e4(order) ** 3
     disc = delta(order)
     system = [
         [e4_cubed.coeff(0), disc.coeff(0)],
         [e4_cubed.coeff(1), disc.coeff(1)],
     ]
-    # Cramer's rule for system . (a, b) = (1, 0)
+    # Cramer's rule for system . (a, b) = (1, 0): the numerators are cofactors
     det = bareiss_determinant(system)
-    num_a = bareiss_determinant([[1, system[0][1]], [0, system[1][1]]])
-    num_b = bareiss_determinant([[system[0][0], 1], [system[1][0], 0]])
+    num_a, num_b = system[1][1], -system[1][0]
     if det == 0 or num_a % det or num_b % det:
         raise ConstructionError("weight-12 combination is not integral")
     a, b = num_a // det, num_b // det
-    rows = []
-    for nn in range(1, half + 1):
-        coeff = a * e4_cubed.coeff(nn) + b * disc.coeff(nn)
-        enum = found.counts[2 * nn]
-        rows.append(ThetaRow(2 * nn, enum, coeff, enum == coeff))
-    ok = all(r.matches for r in rows) and _odd_norms_vanish(found)
-    return ThetaCheck("leech", max_norm, (a, b), found, tuple(rows), ok)
+    return _theta("leech", found, (a, b), lambda nn: a * e4_cubed.coeff(nn) + b * disc.coeff(nn))
 
 
 def theta_check_e8(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
@@ -527,10 +514,4 @@ def theta_check_e8(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
     if max_norm < 2 or max_norm % 2:
         raise ValueError("max_norm must be a positive even integer")
     found = short_vectors(e8_gram(), max_norm, jobs=jobs)
-    rows = []
-    for nn in range(1, max_norm // 2 + 1):
-        expected = 240 * sigma(3, nn)
-        enum = found.counts[2 * nn]
-        rows.append(ThetaRow(2 * nn, enum, expected, enum == expected))
-    ok = all(r.matches for r in rows) and _odd_norms_vanish(found)
-    return ThetaCheck("e8", max_norm, None, found, tuple(rows), ok)
+    return _theta("e8", found, None, lambda nn: 240 * sigma(3, nn))

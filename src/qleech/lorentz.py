@@ -48,19 +48,6 @@ class ConstructionError(RuntimeError):
 # -- bilinear form and membership -------------------------------------------
 
 
-def raw_form(a: Sequence[int], b: Sequence[int]) -> Fraction:
-    """The Lorentzian form on raw doubled coordinates.
-
-    Defined for any pair of doubled 26-tuples, member or not, so sign
-    conventions can be exhibited on unit vectors; the value may be a
-    quarter-integer off the lattice.
-    """
-    if len(a) != DIM or len(b) != DIM:
-        raise ValueError(f"doubled coordinate vectors must have length {DIM}")
-    s = sum(a[i] * b[i] for i in range(SPACELIKE_DIM)) - a[-1] * b[-1]
-    return Fraction(s, 4)
-
-
 def is_member(doubled: Sequence[int]) -> bool:
     """Lattice membership test on doubled coordinates."""
     if len(doubled) != DIM:
@@ -85,17 +72,6 @@ class LorentzVector:
         if not is_member(coords):
             raise ValueError("doubled coordinates are not a lattice member")
 
-    @classmethod
-    def from_true_coords(cls, spacelike: Sequence[int], timelike: int) -> "LorentzVector":
-        """Build from integer true coordinates (doubling is internal)."""
-        if len(spacelike) != SPACELIKE_DIM:
-            raise ValueError(f"expected {SPACELIKE_DIM} spacelike coordinates")
-        return cls(tuple(2 * int(c) for c in spacelike) + (2 * int(timelike),))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.doubled)
-
     def norm(self) -> int:
         return inner_product(self, self)
 
@@ -105,26 +81,19 @@ class LorentzVector:
     def __sub__(self, other: "LorentzVector") -> "LorentzVector":
         return LorentzVector(tuple(x - y for x, y in zip(self.doubled, other.doubled)))
 
-    def __neg__(self) -> "LorentzVector":
-        return LorentzVector(tuple(-x for x in self.doubled))
-
-    def __rmul__(self, k: int) -> "LorentzVector":
-        if not isinstance(k, int):
-            return NotImplemented
-        return LorentzVector(tuple(k * x for x in self.doubled))
-
 
 def inner_product(a: LorentzVector, b: LorentzVector) -> int:
     """The form on two lattice members; always an integer."""
-    value = raw_form(a.doubled, b.doubled)
-    if value.denominator != 1:
+    x, y = a.doubled, b.doubled
+    value, r = divmod(sum(x[i] * y[i] for i in range(SPACELIKE_DIM)) - x[-1] * y[-1], 4)
+    if r:
         raise ConstructionError("form is not integral on claimed members")
-    return value.numerator
+    return value
 
 
 def weyl_vector() -> LorentzVector:
     """The isotropic vector (0, 1, 2, ..., 24 | 70)."""
-    return LorentzVector.from_true_coords(tuple(range(SPACELIKE_DIM)), 70)
+    return LorentzVector(tuple(range(0, 2 * SPACELIKE_DIM, 2)) + (140,))
 
 
 # -- exact integer and rational linear algebra -------------------------------
@@ -414,8 +383,6 @@ def _complement(w: LorentzVector):
     """(complement basis, V) from the HNF U P = H of the column P of
     pairings <b_k, w>: the complement is U[1:] applied to the basis, and V
     is the transpose of U^-1."""
-    if w.is_zero:
-        raise ValueError("the zero vector has no orthogonal complement basis")
     basis, _ = lattice_basis()
     h, u, v = _hermite([[inner_product(b, w)] for b in basis])
     # the lattice is unimodular, so w is primitive iff its pairings are coprime

@@ -18,11 +18,11 @@ both having constant term 1, and the sieved E8 saves a product:
     j = q^-1 * E4 * E8 * P^-24
 
 two Kronecker-substitution products, with no Delta and no dense inverse.
+SERIES names the expansions that `qleech coeffs` prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .qseries import LaurentSeries, euler_product_pentagonal
@@ -79,13 +79,6 @@ def delta(order: int) -> LaurentSeries:
     return (euler_product_pentagonal(order - 1) ** 24).shift(1)
 
 
-def tau(m: int) -> int:
-    """Ramanujan tau(m), the coefficient of q^m in Delta, for m >= 1."""
-    if m < 1:
-        raise ValueError("tau is indexed from 1")
-    return delta(m + 1).coeff(m)
-
-
 def j_invariant(order: int) -> LaurentSeries:
     """The modular invariant j modulo q^order; valuation -1, lead 1.
 
@@ -106,42 +99,11 @@ def j_coeff(m: int) -> int:
     return j_invariant(m + 1).coeff(m)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """A named expansion flattened to an exponent -> coefficient map.
-
-    The entries cover exactly the exponents [valuation, order)."""
-
-    name: str
-    valuation: int
-    order: int
-    entries: dict[int, int]
-
-
-_SERIES_BUILDERS = {
+# the series that `qleech coeffs` expands: name -> (builder, the least
+# order at which the series shows its leading term)
+SERIES = {
     "j": (j_invariant, 0),
     "delta": (delta, 2),
     "e4": (eisenstein_e4, 1),
     "euler": (euler_product_pentagonal, 1),
 }
-
-
-def series_names() -> tuple[str, ...]:
-    return tuple(_SERIES_BUILDERS)
-
-
-def min_order(name: str) -> int:
-    """The least order at which the named series shows its leading term."""
-    return _SERIES_BUILDERS[name][1]
-
-
-def coefficient_table(name: str, order: int) -> CoefficientTable:
-    """Expand one of the named series and list every known coefficient."""
-    if name not in _SERIES_BUILDERS:
-        raise ValueError(f"unknown series {name!r}; choose from {sorted(_SERIES_BUILDERS)}")
-    least = min_order(name)
-    if order < least:
-        raise ValueError(f"series {name!r} needs order >= {least}")
-    series = _SERIES_BUILDERS[name][0](order)
-    return CoefficientTable(name, series.valuation, series.order, series.coefficients())
-

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .modforms import delta, j_invariant
+from .modforms import SERIES
 
 _SEQUENCE_VALUATIONS = {"j": -1, "delta": 1}
 
@@ -44,10 +44,8 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
         raise ValueError("modulus must be at least 1")
     if lo < _SEQUENCE_VALUATIONS[sequence]:
         raise ValueError(f"range starts below the valuation of {sequence}")
-    if sequence == "j":
-        series = j_invariant(hi + 1)
-    else:
-        series = delta(max(hi + 1, 2))
+    builder, least = SERIES[sequence]
+    series = builder(max(hi + 1, least))
     total = 0
     for m in range(lo, hi + 1):
         c = series.coeff(m)

@@ -140,9 +140,6 @@ class LaurentSeries:
 
     # -- ring operations ----------------------------------------------------
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation, self.order, tuple(-c for c in self.coeffs))
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
@@ -159,21 +156,14 @@ class LaurentSeries:
                 out[base + k] += c
         return LaurentSeries.from_coeffs(val, out, order)
 
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        """Product with an integer scalar or with another series.
+        """Product with another series.
 
         A series product is one exact Decimal multiplication (Kronecker
         substitution, see _product) with slots of len(str(2 max|a| max|b| n))
         + 1 digits, n the product's relative precision; a slot wider than
         sys.get_int_max_str_digits() raises SlotWidthError.
         """
-        if isinstance(other, int):
-            return self._scale(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         # a zero factor: its order acts as the valuation bound, so the
@@ -186,16 +176,6 @@ class LaurentSeries:
         val = self.valuation + other.valuation
         # leading term a0*b0 is nonzero over the integers, no re-tightening
         return LaurentSeries(val, order, _product(self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self._scale(other)
-        return NotImplemented
-
-    def _scale(self, c: int) -> "LaurentSeries":
-        if c == 0:
-            return LaurentSeries.zero(self.order)
-        return LaurentSeries(self.valuation, self.order, tuple(c * a for a in self.coeffs))
 
     def __pow__(self, k: int) -> "LaurentSeries":
         """self ** k for any integer k; k < 0 needs a leading coefficient +-1."""

@@ -1,6 +1,7 @@
 """Command layer: exit codes, the JSON envelope, and output formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -172,10 +173,10 @@ def test_coeffs_rejects_bad_order(capsys):
 
 def test_library_value_error_is_internal_failure(monkeypatch, capsys):
     # only the argument checks of the command layer mean bad usage
-    def broken(name, order):
+    def broken(order):
         raise ValueError("broken builder")
 
-    monkeypatch.setattr(cli.modforms, "coefficient_table", broken)
+    monkeypatch.setitem(cli.modforms.SERIES, "e4", (broken, 1))
     code, out, err = run(capsys, ["coeffs", "--series", "e4", "--order", "3"])
     assert code == 1
     assert out == ""
@@ -372,7 +373,9 @@ def test_leech_kissing_command(capsys):
 def test_leech_kissing_internal_failure_exits_one(monkeypatch, capsys):
     # a Delta stand-in whose weight-12 combination has no integral solution
     # is a failed self-check, not bad usage
-    monkeypatch.setattr(lattices, "delta", lambda order: 7 * delta(order))
+    monkeypatch.setattr(
+        lattices, "delta", lambda order: LaurentSeries.from_coeffs(1, [7 * c for c in delta(order).coeffs])
+    )
     code, out, err = run(capsys, ["leech", "kissing", "--max-norm", "2"])
     assert code == 1
     assert out == ""
@@ -432,6 +435,22 @@ def test_elapsed_is_native_int(capsys):
     parsed = json.loads(out)
     assert isinstance(parsed["elapsedMillis"], int)
     assert not isinstance(parsed["elapsedMillis"], bool)
+
+
+# -- benchmark digests ---------------------------------------------------------
+
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+ELAPSED = re.compile(r'"elapsedMillis": -?\d+(\n}\n)$')
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_stdout_matches_benchmark_digest(capsys, command):
+    # bench/run.py checks each command's stdout, elapsedMillis zeroed,
+    # against the sha256 recorded in bench/digests.json
+    code, out, err = run(capsys, command.split())
+    assert (code, err) == (0, "")
+    zeroed = ELAPSED.sub(r'"elapsedMillis": 0\1', out)
+    assert hashlib.sha256(zeroed.encode()).hexdigest() == DIGESTS[command]
 
 
 # -- start-up ------------------------------------------------------------------

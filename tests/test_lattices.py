@@ -9,6 +9,7 @@ table-driven loop it replaced.  The LLL check is compared with a
 Gram-Schmidt recomputed entry by entry.
 """
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -17,8 +18,9 @@ from math import isqrt, lcm
 import pytest
 
 import qleech.lattices as lattices
+from qleech.cli import main
 from qleech.lattices import (
-    DEFAULT_DELTA,
+    LLL_DELTA,
     ShortVectorCount,
     e8_gram,
     is_lll_reduced,
@@ -229,7 +231,7 @@ def oracle_walk(args):
     return counts, subtrees
 
 
-def oracle_is_lll_reduced(gram, delta=DEFAULT_DELTA):
+def oracle_is_lll_reduced(gram):
     """Size reduction and the Lovasz condition from a Gram-Schmidt
     orthogonalization built one inner product at a time."""
     n = gram.dim
@@ -251,7 +253,7 @@ def oracle_is_lll_reduced(gram, delta=DEFAULT_DELTA):
         for j in range(ki):
             if 2 * abs(mu[ki][j]) > 1:
                 return False
-        if big_b[ki] < (delta - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
+        if big_b[ki] < (LLL_DELTA - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
             return False
     return True
 
@@ -324,14 +326,6 @@ def test_lll_rejects_non_positive_definite():
             lll(GramMatrix.from_rows(rows))
 
 
-def test_lll_delta_domain():
-    g = GramMatrix.from_rows([[2, 1], [1, 2]])
-    for bad in (Fraction(1, 4), Fraction(1), Fraction(5, 4), Fraction(0)):
-        with pytest.raises(ValueError):
-            lll(g, delta=bad)
-    assert lll(g, delta=Fraction(99, 100)).gram.determinant() == 3
-
-
 def test_is_lll_reduced_flags_unordered_diagonal():
     assert not is_lll_reduced(GramMatrix.from_rows([[4, 0], [0, 1]]))
     assert is_lll_reduced(GramMatrix.from_rows([[1, 0], [0, 4]]))
@@ -346,12 +340,14 @@ def test_is_lll_reduced_flags_unordered_diagonal():
                 for j in range(i, n):
                     rows[i][j] = rows[j][i] = rng.randint(-3, 3)
             cases.append(rows)
-    tight = Fraction(99, 100)
     for rows in cases:
         g = GramMatrix.from_rows(rows)
         assert is_lll_reduced(g) == oracle_is_lll_reduced(g)
-        assert is_lll_reduced(g, tight) == oracle_is_lll_reduced(g, tight)
     assert not is_lll_reduced(GramMatrix.from_rows(cases[0]))
+    # size reduced (mu = 1/4) but short of Lovasz at 3/4: 7/4 < (3/4 - 1/16) 4
+    tight = GramMatrix.from_rows([[4, 1], [1, 2]])
+    assert not is_lll_reduced(tight)
+    assert is_lll_reduced(tight) == oracle_is_lll_reduced(tight)
 
 
 def test_lll_random_spd_certificates():
@@ -734,6 +730,28 @@ def test_leech_theta_norm_two_window():
         (2, 0, 0)
     ]
     assert check.ok
+
+
+@pytest.mark.parametrize(
+    "check, argv, even",
+    [
+        (theta_check_e8, ["e8", "--max-norm", "4"], {2: 240, 4: 2160}),
+        (theta_check_leech, ["leech", "kissing", "--max-norm", "4"], {2: 0, 4: 196560}),
+    ],
+)
+def test_theta_checks_fail_on_an_odd_norm(monkeypatch, capsys, check, argv, even):
+    # counts that match the series at every even norm, with and without one
+    # vector pair of norm 3: the odd count alone decides ok and the exit code
+    for odd in (0, 2):
+        counts = {1: 0, 2: even[2], 3: odd, 4: even[4]}
+        monkeypatch.setattr(
+            lattices, "short_vectors", lambda gram, max_norm, jobs=1: ShortVectorCount(4, counts)
+        )
+        result = check(4)
+        assert all(r.matches for r in result.rows)
+        assert result.ok == (not odd)
+        assert main(argv) == (1 if odd else 0)
+        assert json.loads(capsys.readouterr().out)["ok"] == (not odd)
 
 
 def test_leech_theta_domain():

@@ -2,17 +2,15 @@
 
 import pytest
 
+from qleech.cli import main
 from qleech.modforms import (
-    CoefficientTable,
-    coefficient_table,
+    SERIES,
     delta,
     eisenstein_e4,
     eisenstein_e8,
     j_coeff,
     j_invariant,
-    series_names,
     sigma,
-    tau,
 )
 from qleech.qseries import LaurentSeries, euler_product
 from test_qseries import oracle_mul
@@ -139,6 +137,11 @@ def test_delta_against_naive_euler_route():
     assert delta(1000) == oracle_pow(euler_product(999), 24).shift(1)
 
 
+def tau(m):
+    # Ramanujan tau(m), the coefficient of q^m in Delta
+    return delta(m + 1).coeff(m)
+
+
 def test_tau_values():
     assert tau(1) == 1
     assert tau(4) == -1472
@@ -150,11 +153,6 @@ def test_tau_against_naive_euler_route():
     naive = oracle_delta(26)
     for m in (6, 12, 24):
         assert tau(m) == naive.coeff(m)
-
-
-def test_tau_domain():
-    with pytest.raises(ValueError):
-        tau(0)
 
 
 def test_j_first_coefficients():
@@ -223,37 +221,51 @@ def test_truncation_stability_other_series():
 # -- coefficient tables --------------------------------------------------------
 
 
+def table(name, order):
+    """The named series as the coeffs command builds it."""
+    builder, least = SERIES[name]
+    assert order >= least
+    return builder(order)
+
+
 def test_series_names():
-    assert set(series_names()) == {"j", "delta", "e4", "euler"}
+    assert set(SERIES) == {"j", "delta", "e4", "euler"}
 
 
 def test_table_for_j():
-    t = coefficient_table("j", 3)
-    assert isinstance(t, CoefficientTable)
-    assert t.name == "j" and t.valuation == -1 and t.order == 3
-    assert t.entries == {-1: 1, 0: 744, 1: 196884, 2: 21493760}
-    assert t.entries[2] == 21493760
+    t = table("j", 3)
+    assert t.valuation == -1 and t.order == 3
+    assert t.coefficients() == {-1: 1, 0: 744, 1: 196884, 2: 21493760}
+    assert t.coefficients()[2] == 21493760
 
 
 def test_table_covers_full_window():
-    t = coefficient_table("delta", 9)
-    assert sorted(t.entries) == list(range(1, 9))
-    assert t.entries[5] == 4830
+    t = table("delta", 9)
+    assert sorted(t.coefficients()) == list(range(1, 9))
+    assert t.coefficients()[5] == 4830
 
 
 def test_table_euler_valuation_zero():
-    t = coefficient_table("euler", 2)
-    assert t.entries == {0: 1, 1: -1}
+    t = table("euler", 2)
+    assert t.coefficients() == {0: 1, 1: -1}
 
 
-def test_table_rejects_bad_input():
-    with pytest.raises(ValueError):
-        coefficient_table("nope", 5)
-    with pytest.raises(ValueError):
-        coefficient_table("delta", 1)
+def test_table_least_orders_show_the_leading_term():
+    for builder, least in SERIES.values():
+        s = builder(least)
+        assert not s.is_zero and s.coeff(s.valuation) == 1
+        with pytest.raises(ValueError):
+            builder(least - 1)
+
+
+def test_table_rejects_bad_input(capsys):
+    # the coeffs command checks the name, and the least order from SERIES
+    assert main(["coeffs", "--series", "nope", "--order", "5"]) == 2
+    assert main(["coeffs", "--series", "delta", "--order", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_table_lookup_outside_window():
-    t = coefficient_table("e4", 4)
+    t = table("e4", 4)
     with pytest.raises(KeyError):
-        t.entries[4]
+        t.coefficients()[4]

@@ -2,6 +2,7 @@
 generates at run time, which the scans of the package files cannot see."""
 
 import ast
+import re
 from pathlib import Path
 
 import qleech
@@ -72,3 +73,56 @@ def test_walker_source_depends_only_on_its_tables():
         }
         assert scale in literals
         assert not literals & {max_norm * scale for max_norm in (2, 4, 6)}
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def public_definitions(tree):
+    """(name, node) for each public module-level name of a module and each
+    public non-dunder method or property of its classes."""
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        for name in names:
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield member.name, member
+
+
+def name_uses(tree):
+    """(name, line) for each name, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_public_names_have_callers():
+    # the public surface holds only what the package, the acceptance gate,
+    # the benchmark and the entry point use: a public name that only unit
+    # tests reach is dead code
+    package = sorted(PACKAGE.glob("*.py"))
+    callers = [*package, REPO / "tests" / "test_acceptance.py", *sorted((REPO / "bench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    uses = [(path, name, line) for path, tree in trees.items() for name, line in name_uses(tree)]
+    entry_points = set(re.findall(r"\w+", (REPO / "pyproject.toml").read_text(encoding="utf-8")))
+    unused = []
+    for path in package:
+        for name, node in public_definitions(trees[path]):
+            if name.startswith("_") or name in entry_points:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(n == name and (p != path or line not in inside) for p, n, line in uses):
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -9,6 +9,7 @@ table-driven loop it replaced.  The LLL check is compared with a
 Gram-Schmidt recomputed entry by entry.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -29,7 +30,7 @@ from qleech.lattices import (
     theta_check_e8,
     theta_check_leech,
 )
-from qleech.lorentz import ConstructionError, GramMatrix, ldl, leech_gram
+from qleech.lorentz import ConstructionError, GramMatrix, bareiss_determinant, ldl, leech_gram
 from qleech.modforms import sigma
 
 
@@ -324,6 +325,27 @@ def test_lll_rejects_non_positive_definite():
     for rows in ([[0]], [[-2, 0], [0, 3]], [[2, 3], [3, 2]]):
         with pytest.raises(ValueError, match="not positive definite"):
             lll(GramMatrix.from_rows(rows))
+
+
+def pinned_forms():
+    """Leech, E8 and 300 seeded nonsingular forms b b^T of dimension 1 to 9."""
+    forms = [leech_gram(), e8_gram()]
+    rng = random.Random(2026)
+    while len(forms) < 302:
+        n = rng.randint(1, 9)
+        b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if bareiss_determinant(b):
+            forms.append(GramMatrix.from_rows([[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]))
+    return forms
+
+
+def test_lll_output_is_pinned():
+    # the reduced Gram matrices and transforms, ties included: a size
+    # reduction only at 2|mu| > 1, rounding half up, and a swap only when
+    # Lovasz fails strictly at 3/4
+    text = "".join(repr(lll(g)) for g in pinned_forms())
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "545b8f50169ee30af55c5b525bad88214dd902d1e3124b4a1c4772c24221d804"
 
 
 def test_is_lll_reduced_flags_unordered_diagonal():

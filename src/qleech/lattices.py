@@ -2,9 +2,10 @@
 vector enumeration, and theta-series cross checks.
 
 Everything operates on Gram matrices only; no basis embedding and no
-floating point arithmetic anywhere.  LLL (delta = 3/4) runs over Fractions
-on a Gram matrix kept current through each step, and returns both the
-reduced Gram matrix and the unimodular transform that produced it.
+floating point arithmetic anywhere.  LLL (delta = 3/4) runs in integers on
+the leading minors and multipliers of the fraction-free LDL^T, keeps the
+Gram matrix current through each step, and returns both the reduced Gram
+matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints, which keeps a 24-dimensional
 norm-4 sweep in the low millions of nodes.  The search runs as Python
@@ -28,7 +29,6 @@ first two coefficients rather than hardcoded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Sequence
@@ -43,7 +43,6 @@ from .lorentz import (
     leech_gram,
 )
 
-LLL_DELTA = Fraction(3, 4)
 # the enumeration splits into subtrees this many levels below the top: deep
 # enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
@@ -65,68 +64,53 @@ class ReducedBasis:
 def lll(gram: GramMatrix) -> ReducedBasis:
     """LLL-reduce a positive definite Gram matrix with exact arithmetic.
 
-    The Gram matrix of the current rows is kept up to date (Cohen, GTM 138,
-    Alg. 2.6.3): a size reduction subtracts q times row l and then q times
-    column l, a swap exchanges two rows and two columns.  Raises ValueError
-    for a form that is not positive definite."""
+    Cohen's integral LLL (GTM 138, Alg. 2.6.7) at delta = 3/4 keeps the
+    leading minors d and the multipliers lam[k][j] = d[j+1] mu_kj of one
+    ldl call, all integers, and the Gram matrix of the current rows up to
+    date: a size reduction subtracts q times row l and then q times column
+    l, a swap exchanges two rows and two columns.  Raises ValueError for a
+    form that is not positive definite."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
     g = [list(row) for row in gram.entries]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    big_b = [Fraction(0)] * n
-    big_b[0] = Fraction(g[0][0])
-    if big_b[0] <= 0:
+    d, lam = ldl(g)
+    if len(d) <= n or min(d) <= 0:
         raise ValueError("not positive definite")
 
     def red(k: int, l: int) -> None:
-        m = mu[k][l]
-        if 2 * abs(m) <= 1:
+        m, dl = lam[k][l], d[l + 1]
+        if 2 * abs(m) <= dl:
             return
-        # nearest integer, ties toward +infinity: floor(m + 1/2)
-        q = (2 * m.numerator + m.denominator) // (2 * m.denominator)
+        # nearest integer to mu = m / dl, ties toward +infinity
+        q = (2 * m + dl) // (2 * dl)
         u[k] = [x - q * y for x, y in zip(u[k], u[l])]
         g[k] = [x - q * y for x, y in zip(g[k], g[l])]
         for row in g:
             row[k] -= q * row[l]
-        mu[k][l] -= q
+        lam[k][l] -= q * dl
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lam[k][i] -= q * lam[l][i]
 
     k = 1
-    kmax = 0
     while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                s = Fraction(g[k][j])
-                for i in range(j):
-                    s -= mu[j][i] * mu[k][i] * big_b[i]
-                if j < k:
-                    mu[k][j] = s / big_b[j]
-                else:
-                    if s <= 0:
-                        raise ValueError("not positive definite")
-                    big_b[k] = s
         red(k, k - 1)
-        if big_b[k] < (LLL_DELTA - mu[k][k - 1] ** 2) * big_b[k - 1]:
-            # swap rows k-1 and k, then patch the GSO data in place
+        m = lam[k][k - 1]
+        # Lovasz at 3/4, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
+            # swap rows k-1 and k, then patch the minors and multipliers
             u[k], u[k - 1] = u[k - 1], u[k]
             g[k], g[k - 1] = g[k - 1], g[k]
             for row in g:
                 row[k], row[k - 1] = row[k - 1], row[k]
-            m = mu[k][k - 1]
-            bp = big_b[k] + m * m * big_b[k - 1]
-            mu[k][k - 1] = m * big_b[k - 1] / bp
-            big_b[k] = big_b[k - 1] * big_b[k] / bp
-            big_b[k - 1] = bp
-            for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            for i in range(k + 1, kmax + 1):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]  # the new d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+            d[k] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -140,15 +124,18 @@ def lll(gram: GramMatrix) -> ReducedBasis:
 
 
 def is_lll_reduced(gram: GramMatrix) -> bool:
-    """Check size reduction and the Lovasz condition for LLL_DELTA directly
-    on a Gram matrix, recomputing the orthogonalization from scratch: with
-    d, q = ldl(G), the squared lengths are d[k] and mu_kj = q[j][k]."""
-    d, q = ldl(gram.entries)
+    """Check size reduction and the Lovasz condition at 3/4 directly on a
+    Gram matrix, recomputing the orthogonalization from scratch: the
+    integer tests of lll on d, lam = ldl(G)."""
+    d, lam = ldl(gram.entries)
     n = gram.dim
     return (
-        all(b > 0 for b in d)
-        and all(2 * abs(q[j][k]) <= 1 for k in range(n) for j in range(k))
-        and all(d[k] >= (LLL_DELTA - q[k - 1][k] ** 2) * d[k - 1] for k in range(1, n))
+        len(d) > n
+        and min(d) > 0
+        and all(2 * abs(lam[k][j]) <= d[j + 1] for k in range(n) for j in range(k))
+        and all(
+            4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2 for k in range(1, n)
+        )
     )
 
 
@@ -165,26 +152,29 @@ class ShortVectorCount:
 
 
 def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
-    """Quadratic-completion tables for Q(x) = sum_i d_i (x_i + sum_{j>i} q_ij x_j)^2,
-    the d, q = ldl(entries) form, scaled to pure integers.
+    """Quadratic-completion tables for Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2,
+    B_i = d[i+1] / d[i] and mu_ji = lam[j][i] / d[i+1] from d, lam =
+    ldl(entries), scaled to pure integers.
 
-    Returns (rows, step, scale).  L_i = rows[i][i] is the lcm of the
-    denominators of q_ij (j > i), so rows[i][j] = L_i q_ij are integers; the
-    scale T is the lcm of the denominators of d_i / L_i^2 (a divisor of
-    lcm_i(den(d_i) L_i^2)), so every step[i] = T d_i / L_i^2 is an integer,
-    and T Q(x) = sum_i step[i] (sum_{j>=i} rows[i][j] x_j)^2.
+    Returns (rows, step, scale).  L_i = rows[i][i] is the lcm of the reduced
+    denominators d[i+1] / gcd(lam[j][i], d[i+1]) of mu_ji (j > i), so
+    rows[i][j] = L_i mu_ji are integers; the scale T is the lcm of the
+    reduced denominators of B_i / L_i^2, so every step[i] = T B_i / L_i^2 is
+    an integer, and T Q(x) = sum_i step[i] (sum_{j>=i} rows[i][j] x_j)^2.
     """
-    d, q = ldl(entries)
-    if any(p <= 0 for p in d):
+    d, lam = ldl(entries)
+    n = len(entries)
+    if len(d) <= n or min(d) <= 0:
         raise ValueError("not positive definite")
-    rows = []
-    for i in range(len(d)):
-        l = lcm(1, *(x.denominator for x in q[i][i + 1 :]))
-        rows.append([l if j == i else int(x * l) for j, x in enumerate(q[i])])
-    weights = [p / rows[i][i] ** 2 for i, p in enumerate(d)]
-    scale = lcm(*(w.denominator for w in weights))
-    step = [int(scale * w) for w in weights]
-    return rows, step, scale
+    rows, dens = [], []
+    for i in range(n):
+        p = d[i + 1]
+        l = lcm(1, *(p // gcd(lam[j][i], p) for j in range(i + 1, n)))
+        rows.append([0] * i + [l] + [lam[j][i] * l // p for j in range(i + 1, n)])
+        dens.append(d[i] * l * l)
+    # B_i / L_i^2 = d[i+1] / dens[i]
+    scale = lcm(*(q // gcd(p, q) for p, q in zip(d[1:], dens)))
+    return rows, [scale * p // q for p, q in zip(d[1:], dens)], scale
 
 
 def _plus(expr: str | None, coeff: int, name: str) -> str | None:

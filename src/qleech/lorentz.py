@@ -23,17 +23,16 @@ The exact linear algebra lives here too, as two elimination routines and a
 determinant.  A row-style Hermite normal form returns its unimodular
 transform U together with the transpose of U^-1, built step by step; it
 yields the lattice basis, the complement of w, the coordinates of w in that
-complement and the unimodular completion.  One symmetric LDL^T over the
-rationals gives the inertia, and the lattice module reuses it for the LLL
-check and the Fincke-Pohst tables.  Fraction-free Bareiss elimination gives
-determinants by an independent integer route.  Everything is plain int or
-Fraction; nothing here ever rounds.
+complement and the unimodular completion.  One fraction-free symmetric
+LDL^T gives the inertia, and the lattice module reuses its integers for
+LLL, the LLL check and the Fincke-Pohst tables.  Bareiss elimination gives
+determinants by an independent route.  Everything is plain int; nothing
+here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -96,7 +95,7 @@ def weyl_vector() -> LorentzVector:
     return LorentzVector(tuple(range(0, 2 * SPACELIKE_DIM, 2)) + (140,))
 
 
-# -- exact integer and rational linear algebra -------------------------------
+# -- exact integer linear algebra -------------------------------------------
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -205,36 +204,38 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Symmetric LDL^T of a symmetric integer matrix A over the rationals.
+def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free symmetric LDL^T of a symmetric integer matrix A in the
+    style of Bareiss (Math. Comp. 22, 1968): each step divides exactly by
+    the previous pivot.
 
-    Returns pivots d and multipliers q (q[k][j] for j > k, zero elsewhere)
-    with x^T A x = sum_k d[k] (x_k + sum_{j>k} q[k][j] x_j)^2.  A zero
-    pivot is first replaced by a symmetric swap with a later nonzero
-    diagonal entry or, when the whole trailing diagonal vanishes, by folding
-    a later row and column into row k; a pivot that stays zero is recorded
-    as 0.  Both steps are congruences, so the signs of d always give the
-    inertia.  A positive definite input never takes either step, so there d
-    and q are its Gram-Schmidt data: d[k] = |b_k*|^2 and q[k][j] = mu_jk.
+    Returns the leading minors d, d[0] = 1, and a matrix lam holding
+    lam[i][k] = d[k+1] q_ik below the diagonal, where x^T A x = sum_k
+    (d[k+1] / d[k]) (x_k + sum_{i>k} q_ik x_i)^2.  A zero pivot is first
+    replaced by a symmetric swap with a later nonzero diagonal entry or, when
+    the whole trailing diagonal vanishes, by folding a later row and column
+    into row k; a row and column that stay zero are dropped, with no minor.
+    Both steps are congruences, so the signs of d[k] d[k+1] always give the
+    inertia, each dropped row being a zero eigenvalue.  A positive definite
+    input never takes either step, so there d[k+1] / d[k] = |b_k*|^2 and
+    q_ik = mu_ik.
     """
     n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
+    a = [list(map(int, r)) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     for i in range(n):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
-    d = [Fraction(0)] * n
-    q = [[Fraction(0)] * n for _ in range(n)]
+    d = [1]
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if swap is not None:
-                for j in range(k, n):
-                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
-                for i in range(k, n):
-                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
             else:
                 off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if off is None:
@@ -245,23 +246,23 @@ def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[Fraction], list[list[Fracti
                     a[k][j] += a[off][j]
                 for i in range(k, n):
                     a[i][k] += a[i][off]
-        pivot = d[k] = a[k][k]
+        pivot, prev = a[k][k], d[-1]
+        d.append(pivot)
         for i in range(k + 1, n):
-            f = q[k][i] = a[k][i] / pivot
-            if f:
-                # update the upper half and mirror it: the block stays symmetric
-                for j in range(i, n):
-                    a[i][j] = a[j][i] = a[i][j] - f * a[k][j]
-    return d, q
+            f = a[i][k]
+            # update the lower half and mirror it: the block stays symmetric
+            for j in range(k + 1, i + 1):
+                a[i][j] = a[j][i] = (pivot * a[i][j] - f * a[j][k]) // prev
+    return d, a
 
 
 def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix: the signs of its LDL^T pivots."""
+    matrix: the signs of its LDL^T pivots d[k+1] / d[k]."""
     d, _ = ldl(rows)
-    pos = sum(1 for p in d if p > 0)
-    neg = sum(1 for p in d if p < 0)
-    return pos, neg, len(d) - pos - neg
+    pos = sum(1 for p, q in zip(d, d[1:]) if p * q > 0)
+    neg = len(d) - 1 - pos
+    return pos, neg, len(rows) - pos - neg
 
 
 # -- Gram matrices -----------------------------------------------------------

@@ -113,9 +113,6 @@ class LaurentSeries:
     @classmethod
     def one(cls, order: int) -> "LaurentSeries":
         """The constant 1, known modulo q^order."""
-        if order <= 0:
-            # below q^0 the constant term is already out of the window
-            return cls.zero(order)
         return cls(0, order, (1,) + (0,) * (order - 1))
 
     # -- queries -----------------------------------------------------------

@@ -11,8 +11,10 @@ Gram-Schmidt recomputed entry by entry.
 
 import hashlib
 import json
+import multiprocessing
 import random
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -21,7 +23,6 @@ import pytest
 import qleech.lattices as lattices
 from qleech.cli import main
 from qleech.lattices import (
-    LLL_DELTA,
     ShortVectorCount,
     e8_gram,
     is_lll_reduced,
@@ -30,8 +31,17 @@ from qleech.lattices import (
     theta_check_e8,
     theta_check_leech,
 )
-from qleech.lorentz import ConstructionError, GramMatrix, bareiss_determinant, ldl, leech_gram
+from qleech.lorentz import (
+    ConstructionError,
+    GramMatrix,
+    bareiss_determinant,
+    lattice_basis,
+    ldl,
+    leech_gram,
+)
 from qleech.modforms import sigma
+
+DELTA = Fraction(3, 4)
 
 
 def fraction_det(rows):
@@ -94,10 +104,126 @@ def brute_counts(gram, max_norm):
     return counts
 
 
+def oracle_ldl(rows):
+    """Symmetric LDL^T over the rationals: pivots d and multipliers q (q[k][j]
+    for j > k, zero elsewhere) with x^T A x = sum_k d[k] (x_k + sum_{j>k}
+    q[k][j] x_j)^2, with the same swap and fold for zero pivots as ldl and a
+    pivot that stays zero recorded as 0."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] for r in rows]
+    d = [Fraction(0)] * n
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                for j in range(k, n):
+                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
+                for i in range(k, n):
+                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+            else:
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if off is None:
+                    continue
+                for j in range(k, n):
+                    a[k][j] += a[off][j]
+                for i in range(k, n):
+                    a[i][k] += a[i][off]
+        pivot = d[k] = a[k][k]
+        for i in range(k + 1, n):
+            f = q[k][i] = a[k][i] / pivot
+            if f:
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = a[i][j] - f * a[k][j]
+    return d, q
+
+
+def oracle_lll(gram):
+    """LLL over the rationals (Cohen, GTM 138, Alg. 2.6.3) on a Gram matrix
+    kept current, Gram-Schmidt data computed incrementally up to the
+    highest row reached so far; the same ties as lll."""
+    n = gram.dim
+    if n == 0:
+        raise ValueError("empty Gram matrix")
+    g = [list(row) for row in gram.entries]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    big_b = [Fraction(0)] * n
+    big_b[0] = Fraction(g[0][0])
+    if big_b[0] <= 0:
+        raise ValueError("not positive definite")
+
+    def red(k, l):
+        m = mu[k][l]
+        if 2 * abs(m) <= 1:
+            return
+        q = (2 * m.numerator + m.denominator) // (2 * m.denominator)
+        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+        for row in g:
+            row[k] -= q * row[l]
+        mu[k][l] -= q
+        for i in range(l):
+            mu[k][i] -= q * mu[l][i]
+
+    k = 1
+    kmax = 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                s = Fraction(g[k][j])
+                for i in range(j):
+                    s -= mu[j][i] * mu[k][i] * big_b[i]
+                if j < k:
+                    mu[k][j] = s / big_b[j]
+                else:
+                    if s <= 0:
+                        raise ValueError("not positive definite")
+                    big_b[k] = s
+        red(k, k - 1)
+        if big_b[k] < (DELTA - mu[k][k - 1] ** 2) * big_b[k - 1]:
+            u[k], u[k - 1] = u[k - 1], u[k]
+            g[k], g[k - 1] = g[k - 1], g[k]
+            for row in g:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            m = mu[k][k - 1]
+            bp = big_b[k] + m * m * big_b[k - 1]
+            mu[k][k - 1] = m * big_b[k - 1] / bp
+            big_b[k] = big_b[k - 1] * big_b[k] / bp
+            big_b[k - 1] = bp
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            for i in range(k + 1, kmax + 1):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return lattices.ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
+
+
+def oracle_fincke_pohst_tables(entries):
+    """The tables from the rational LDL^T: L_i is the lcm of the
+    denominators of q_ij (j > i), rows[i][j] = L_i q_ij, and the scale is
+    the lcm of the denominators of d_i / L_i^2."""
+    d, q = oracle_ldl(entries)
+    rows = []
+    for i in range(len(d)):
+        l = lcm(1, *(x.denominator for x in q[i][i + 1 :]))
+        rows.append([l if j == i else int(x * l) for j, x in enumerate(q[i])])
+    weights = [p / rows[i][i] ** 2 for i, p in enumerate(d)]
+    scale = lcm(*(w.denominator for w in weights))
+    return rows, [int(scale * w) for w in weights], scale
+
+
 def oracle_tables(entries):
     """The plain scaling: L_i clears the denominators of d_i and of row i,
     and one total scale lcm(L_i^3) serves every level."""
-    d, q = ldl(entries)
+    d, q = oracle_ldl(entries)
     line_scale, diag, rows = [], [], []
     for i, p in enumerate(d):
         l = lcm(p.denominator, *(x.denominator for x in q[i][i + 1 :]))
@@ -254,7 +380,7 @@ def oracle_is_lll_reduced(gram):
         for j in range(ki):
             if 2 * abs(mu[ki][j]) > 1:
                 return False
-        if big_b[ki] < (LLL_DELTA - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
+        if big_b[ki] < (DELTA - mu[ki][ki - 1] ** 2) * big_b[ki - 1]:
             return False
     return True
 
@@ -322,9 +448,19 @@ def test_lll_sorts_weighted_diagonal():
 
 
 def test_lll_rejects_non_positive_definite():
-    for rows in ([[0]], [[-2, 0], [0, 3]], [[2, 3], [3, 2]]):
+    # indefinite, a zero or negative diagonal, and singular positive
+    # semidefinite forms, whose zero minor the integral route must not
+    # divide by; the last one is size reduced
+    singular = ([[1, 1], [1, 1]], [[4, 2], [2, 1]])
+    for rows in ([[0]], [[-2, 0], [0, 3]], [[2, 3], [3, 2]], *singular):
+        g = GramMatrix.from_rows(rows)
+        for reduce in (lll, oracle_lll):
+            with pytest.raises(ValueError, match="not positive definite"):
+                reduce(g)
+    for rows in singular:
+        assert is_lll_reduced(GramMatrix.from_rows(rows)) is False
         with pytest.raises(ValueError, match="not positive definite"):
-            lll(GramMatrix.from_rows(rows))
+            lattices._fincke_pohst_tables(rows)
 
 
 def pinned_forms():
@@ -346,6 +482,36 @@ def test_lll_output_is_pinned():
     text = "".join(repr(lll(g)) for g in pinned_forms())
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "545b8f50169ee30af55c5b525bad88214dd902d1e3124b4a1c4772c24221d804"
+
+
+def test_lll_matches_oracle_lll():
+    for g in pinned_forms():
+        assert lll(g) == oracle_lll(g)
+
+
+def test_ldl_matches_oracle_ldl():
+    # the minors give the rational pivots d[k+1] / d[k], less the pivots
+    # that stay zero, through every swap and fold; on a positive definite
+    # form lam[i][k] = d[k+1] q_ki
+    rng = random.Random(61)
+    cases = [[], [[0, 0], [0, 0]], [[1, 1], [1, 1]], [[0, 1, 0], [1, 0, 2], [0, 2, 0]]]
+    for n in range(1, 7):
+        for _ in range(20):
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = rng.choice((0, 0, rng.randint(-4, 4)))
+            cases.append(rows)
+    cases += [g.entries for g in (lattice_basis()[1], leech_gram(), e8_gram())]
+    cases += [random_spd_gram(rng, n).entries for n in range(1, 9)]
+    for rows in cases:
+        n = len(rows)
+        d, lam = ldl(rows)
+        want, q = oracle_ldl(rows)
+        assert d[0] == 1
+        assert [Fraction(b, a) for a, b in zip(d, d[1:])] == [p for p in want if p]
+        if len(d) > n and min(d) > 0:
+            assert all(lam[i][k] == d[k + 1] * q[k][i] for k in range(n) for i in range(k + 1, n))
 
 
 def test_is_lll_reduced_flags_unordered_diagonal():
@@ -485,28 +651,39 @@ def oracle_cases():
 
 
 def test_tables_scale_identity():
-    # every level step is an integer and T Q(x) is the sum of the level
-    # terms exactly; T divides the lcm(den(d_i) L_i^2) of the plain formula
+    # the tables are those of the rational LDL^T: L_i is the lcm of the
+    # denominators of q_ij (j > i), rows[i][j] = L_i q_ij, and T is the lcm
+    # of the denominators of d_i / L_i^2, so every level step is an integer
+    # and T Q(x) is the sum of the level terms exactly; T divides the
+    # lcm(den(d_i) L_i^2) of the plain formula
+    def check(g, rng):
+        n = g.dim
+        rows, step, scale = lattices._fincke_pohst_tables(g.entries)
+        d, q = oracle_ldl(g.entries)
+        for i in range(n):
+            l = rows[i][i]
+            assert l == lcm(1, *(v.denominator for v in q[i][i + 1 :]))
+            assert rows[i][:i] == [0] * i
+            assert all(rows[i][j] == l * q[i][j] for j in range(i + 1, n))
+            assert isinstance(step[i], int) and step[i] == scale * d[i] / l**2
+        assert scale == lcm(*((d[i] / rows[i][i] ** 2).denominator for i in range(n)))
+        assert lcm(*(d[i].denominator * rows[i][i] ** 2 for i in range(n))) % scale == 0
+        for _ in range(10):
+            x = [rng.randint(-6, 6) for _ in range(n)]
+            norm = sum(x[a] * g.entries[a][b] * x[b] for a in range(n) for b in range(n))
+            terms = sum(
+                step[i] * sum(rows[i][j] * x[j] for j in range(i, n)) ** 2
+                for i in range(n)
+            )
+            assert terms == scale * norm
+
     rng = random.Random(53)
     for n in (1, 2, 3, 5, 8):
         for _ in range(5):
-            g = random_spd_gram(rng, n)
-            rows, step, scale = lattices._fincke_pohst_tables(g.entries)
-            d, q = ldl(g.entries)
-            for i in range(n):
-                l = rows[i][i]
-                assert l == lcm(1, *(v.denominator for v in q[i][i + 1 :]))
-                assert all(rows[i][j] == l * q[i][j] for j in range(i + 1, n))
-                assert isinstance(step[i], int) and step[i] == scale * d[i] / l**2
-            assert lcm(*(d[i].denominator * rows[i][i] ** 2 for i in range(n))) % scale == 0
-            for _ in range(10):
-                x = [rng.randint(-6, 6) for _ in range(n)]
-                norm = sum(x[a] * g.entries[a][b] * x[b] for a in range(n) for b in range(n))
-                terms = sum(
-                    step[i] * sum(rows[i][j] * x[j] for j in range(i, n)) ** 2
-                    for i in range(n)
-                )
-                assert terms == scale * norm
+            check(random_spd_gram(rng, n), rng)
+    for g in pinned_forms():
+        check(g, rng)
+        check(lll(g).gram, rng)
 
 
 def test_tables_scale_smaller_than_oracle():
@@ -540,11 +717,12 @@ def identity_gram(n):
 
 def test_walk_matches_oracle_walk_share_by_share():
     # every share of 1..4 workers and the counting walk (index -1), on the
-    # oracle cases and on forms deep enough to need two or three chain
-    # links: diagonal ones, Leech + [[4]] with a link exactly 20 levels
+    # oracle cases and on forms deep enough to need two to four chain
+    # links: diagonal ones (at 60 levels, links of 21 levels would not
+    # compile), Leech + [[4]] with a link exactly 20 levels
     # deep, and Leech + E8, whose dense rows pass partial sums over two cuts
     leech = leech_gram().entries
-    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45)]
+    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60)]
     cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
     for g, max_norm in cases:
         rows, step, scale = lattices._fincke_pohst_tables(lll(g).gram.entries)
@@ -666,6 +844,18 @@ def test_short_vectors_builds_the_walker_once(monkeypatch):
     lattices._walker.cache_clear()
     assert short_vectors(e8_gram(), 4, jobs=3).counts == {1: 0, 2: 240, 3: 0, 4: 2160}
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_short_vectors_jobs_under_every_start_method(monkeypatch, method):
+    # a spawned or forkserver worker imports the package afresh and builds
+    # its own walker; the counts must not depend on how workers start
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(
+        lattices, "_pool", lambda workers: ProcessPoolExecutor(workers, mp_context=context)
+    )
+    counts = short_vectors(e8_gram(), 6, jobs=2).counts
+    assert counts == {1: 0, 2: 240, 3: 0, 4: 2160, 5: 0, 6: 6720}
 
 
 def test_short_vectors_domain(monkeypatch):

@@ -47,6 +47,16 @@ def float_uses(sources):
     ]
 
 
+def fraction_imports(sources):
+    return [
+        f"{name}:{node.lineno}"
+        for name, source in sources
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+    ]
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips asserts; invariants must raise named errors instead
     assert assert_statements(package_sources()) == []
@@ -57,6 +67,12 @@ def test_no_floats_in_package():
     # exact arithmetic only: no float or complex literal, no float() call
     assert float_uses(package_sources()) == []
     assert float_uses(walker_sources()) == []
+
+
+def test_no_fractions_in_package():
+    # one integer elimination core: rational arithmetic lives only in the
+    # test oracles
+    assert fraction_imports(package_sources()) == []
 
 
 def test_walker_source_depends_only_on_its_tables():

@@ -6,7 +6,10 @@ dimension against a plain Fincke-Pohst walk kept here as an oracle (one
 lcm(L^3) scale for every level, every centre recomputed at every node).
 The generated walker is compared share by share with `oracle_walk`, the
 table-driven loop it replaced.  The LLL check is compared with a
-Gram-Schmidt recomputed entry by entry.
+Gram-Schmidt recomputed entry by entry.  The integral `lll` and the
+fraction-free `ldl` are compared with `oracle_lll` and `oracle_ldl`, the
+rational routines they replaced, and the output of `lll` is pinned by a
+digest.
 """
 
 import hashlib

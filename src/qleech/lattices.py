@@ -2,10 +2,11 @@
 vector enumeration, and theta-series cross checks.
 
 Everything operates on Gram matrices only; no basis embedding and no
-floating point arithmetic anywhere.  LLL (delta = 3/4) runs in integers on
-the leading minors and multipliers of the fraction-free LDL^T, keeps the
-Gram matrix current through each step, and returns both the reduced Gram
-matrix and the unimodular transform that produced it.
+floating point arithmetic anywhere.  LLL with deep insertions (delta =
+99/100) runs in integers on the leading minors and multipliers of the
+fraction-free LDL^T, keeps the Gram matrix current through each step, and
+returns both the reduced Gram matrix and the unimodular transform that
+produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints, which keeps a 24-dimensional
 norm-4 sweep in the low millions of nodes.  The search runs as Python
@@ -14,9 +15,7 @@ entries written in as literals, each level's centre kept up to date from
 Schnorr-Euchner partial sums held in plain locals.  CPython compiles at
 most 20 nested loops in one function, so the loops are cut into a chain of
 functions, and each link is compiled on its own to keep the compiler's
-peak memory at the size of one link.  Below a cut level, where nearly all
-nodes are, the remaining budget is held exactly in units of the gcd of the
-steps there, so its ints fit one digit.  Parallel runs deal the subtrees a
+peak memory at the size of one link.  Parallel runs deal the subtrees a
 few levels below the top out to the workers.
 
 The two theta checks share one comparison: enumerated counts per even norm
@@ -44,12 +43,9 @@ from .lorentz import (
 )
 
 # the enumeration splits into subtrees this many levels below the top: deep
-# enough that Leech at norm 4 deals 1,483 subtrees out to the workers, shallow
+# enough that Leech at norm 4 deals 1,043 subtrees out to the workers, shallow
 # enough that each worker walks the levels above the split in milliseconds
 SPLIT_DEPTH = 4
-# below the unit cut the remaining budget, at most max_norm * scale // unit,
-# fits one 30-bit int digit for max_norm up to 16
-_ONE_DIGIT = 2**26
 
 
 @dataclass(frozen=True)
@@ -64,12 +60,21 @@ class ReducedBasis:
 def lll(gram: GramMatrix) -> ReducedBasis:
     """LLL-reduce a positive definite Gram matrix with exact arithmetic.
 
-    Cohen's integral LLL (GTM 138, Alg. 2.6.7) at delta = 3/4 keeps the
-    leading minors d and the multipliers lam[k][j] = d[j+1] mu_kj of one
-    ldl call, all integers, and the Gram matrix of the current rows up to
-    date: a size reduction subtracts q times row l and then q times column
-    l, a swap exchanges two rows and two columns.  Raises ValueError for a
-    form that is not positive definite."""
+    Cohen's integral LLL (GTM 138, Alg. 2.6.7) with the deep insertions of
+    Schnorr and Euchner (Math. Programming 66, 1994) at delta = 99/100 keeps
+    the leading minors d and the multipliers lam[k][j] = d[j+1] mu_kj of
+    one ldl call, all integers, and the Gram matrix of the current rows up
+    to date: a size reduction subtracts q times row l and then q times
+    column l, a swap exchanges two rows and two columns.  Row k, size
+    reduced against rows k-1 down to 0, moves to the first level i with
+    |pi_i(b_k)|^2 < 99/100 B_i, as k - i swaps of neighbours.
+
+    The loop ends: an insertion at level i leaves d[1..i] as they were and
+    lowers d[i+1] by a factor below 99/100, so it lowers the tuple of
+    positive ints (d[1], ..., d[n]) in lexicographic order, which is a
+    well-order; between insertions k only grows.  The output is also
+    LLL-reduced at 3/4 (is_lll_reduced).  Raises ValueError for a form that
+    is not positive definite."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
@@ -93,28 +98,36 @@ def lll(gram: GramMatrix) -> ReducedBasis:
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
 
+    def swap(k: int) -> None:
+        # exchange rows k-1 and k, then patch the minors and multipliers
+        m = lam[k][k - 1]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        g[k], g[k - 1] = g[k - 1], g[k]
+        for row in g:
+            row[k], row[k - 1] = row[k - 1], row[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+        b = (d[k - 1] * d[k + 1] + m * m) // d[k]  # the new d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
+        d[k] = b
+
     k = 1
     while k < n:
-        red(k, k - 1)
-        m = lam[k][k - 1]
-        # Lovasz at 3/4, times 4 d[k] d[k-1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
-            # swap rows k-1 and k, then patch the minors and multipliers
-            u[k], u[k - 1] = u[k - 1], u[k]
-            g[k], g[k - 1] = g[k - 1], g[k]
-            for row in g:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
-            b = (d[k - 1] * d[k + 1] + m * m) // d[k]  # the new d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-                lam[i][k - 1] = (b * t + m * lam[i][k]) // d[k + 1]
-            d[k] = b
-            k = max(k - 1, 1)
+        for l in range(k - 1, -1, -1):
+            red(k, l)
+        # D = d[i] |pi_i(b_k)|^2 from i = 0 up, one exact Bareiss step a level
+        D, i = g[k][k], 0
+        while i < k and 100 * D >= 99 * d[i + 1]:
+            D = (D * d[i + 1] - lam[k][i] ** 2) // d[i]
+            i += 1
+        if i < k:
+            # deep insertion: row k moves to row i, rows i..k-1 move up one
+            for j in range(k, i, -1):
+                swap(j)
+            k = max(i, 1)
         else:
-            for l in range(k - 2, -1, -1):
-                red(k, l)
             k += 1
 
     return ReducedBasis(
@@ -125,8 +138,10 @@ def lll(gram: GramMatrix) -> ReducedBasis:
 
 def is_lll_reduced(gram: GramMatrix) -> bool:
     """Check size reduction and the Lovasz condition at 3/4 directly on a
-    Gram matrix, recomputing the orthogonalization from scratch: the
-    integer tests of lll on d, lam = ldl(G)."""
+    Gram matrix, recomputing the orthogonalization from scratch with d, lam
+    = ldl(G).  These are the classical LLL conditions; the output of lll
+    meets them, since its deep-insertion test at 99/100 on the level just
+    below k is a Lovasz test stronger than 3/4."""
     d, lam = ldl(gram.entries)
     n = gram.dim
     return (
@@ -184,21 +199,6 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
 
 
-def _unit_cut(step, scale) -> tuple[int, int]:
-    """(cut, unit = gcd(step[0..cut])) for the highest level cut below the
-    split with scale // unit < _ONE_DIGIT; (-1, 1) if no level qualifies or
-    the scale itself is below _ONE_DIGIT."""
-    cut, unit = -1, 1
-    if scale >= _ONE_DIGIT:
-        g = 0
-        for k in range(max(len(step) - 1 - SPLIT_DEPTH, 0)):
-            g = gcd(g, step[k])
-            if scale // g >= _ONE_DIGIT:
-                break
-            cut, unit = k, g
-    return cut, unit
-
-
 def _walker_links(rows, step, scale) -> list[str]:
     """Python source of the walker for these tables: one chain link per
     string, link 0 first.  The source is a pure function of the tables.
@@ -212,24 +212,11 @@ def _walker_links(rows, step, scale) -> list[str]:
     into links: link 0 runs from the top down to the split level, and below
     it the links hold at most 20 levels, the lowest one full, so a call from
     one link to the next happens at a descent high up, where nodes are few.
-
-    At and below the level cut of _unit_cut, the remaining budget is held
-    in units of unit, which divides every step there: B_cut = R_cut // unit
-    and B_{i-1} = B_i - (step[i] // unit) y^2, so B_i = floor(R_i / unit),
-    and floor(floor(R / u) / (S / u)) = floor(R / S) gives every child range
-    of the full budget: the node set is the same.  Two values stay exact:
-    the +-v rule compares B_{i-1} with a sentinel set at the cut, B_cut if
-    R_cut == budget else -1 (budget // unit would also match a nonzero path
-    that used less than budget % unit above the cut), and a leaf rebuilds
-    the used budget as budget - R_cut + unit (B_cut - B_-1).
     """
     n = len(rows)
     top = n - 1
     split = max(top - SPLIT_DEPTH, 0)
     line = [row[i] for i, row in enumerate(rows)]
-    cut, unit = _unit_cut(step, scale)
-    # the steps that the budget at each level is counted in
-    unit_step = [s // unit if k <= cut else s for k, s in enumerate(step)]
     # the levels that start a link below link 0
     heads = {i for i in range(split) if i == split - 1 or i % 20 == 19}
     # isqrt=isqrt makes isqrt a local of every link
@@ -243,16 +230,13 @@ def _walker_links(rows, step, scale) -> list[str]:
     links = [out]
     pad = " " * 8
     remaining, centre = "budget", None
-    # what the remaining budget equals while every coordinate above is zero
-    unused = "budget"
     # sums[k]: the name of sum_{j>i} rows[k][j] x_j at level i, None for 0
     sums: list[str | None] = [None] * n
     for i in range(top, -1, -1):
         if i in heads:
-            cut_state = [f"R{cut}", f"B{cut}", "zero"] if i <= cut else []
             params = ", ".join(
                 dict.fromkeys(
-                    ["budget", "counts", "lo", "hi", remaining, *cut_state]
+                    ["budget", "counts", "lo", "hi", remaining]
                     + [name for name in [centre, *sums[:i]] if name]
                 )
             )
@@ -270,13 +254,10 @@ def _walker_links(rows, step, scale) -> list[str]:
                 f"{pad}    continue",
             ]
         out.append(f"{pad}y = {_plus(centre, line[i], f'x{i}')}")
-        rest = f"{remaining} - {unit_step[i]} * (y * y)"
+        rest = f"{remaining} - {step[i]} * (y * y)"
         if i == 0:
-            used = f"budget - ({rest})"
-            if cut >= 0:
-                used = f"budget - R{cut} + {unit} * (B{cut} - ({rest}))"
             out += [
-                f"{pad}used = {used}",
+                f"{pad}used = budget - ({rest})",
                 f"{pad}if used > 0:",
                 f"{pad}    norm, r = divmod(used, {scale})",
                 f"{pad}    if r:",
@@ -284,28 +265,22 @@ def _walker_links(rows, step, scale) -> list[str]:
                 f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
             ]
             break
-        remaining = f"B{i - 1}" if i <= cut else f"R{i - 1}"
+        remaining = f"R{i - 1}"
         out.append(f"{pad}{remaining} = {rest}")
-        if i == cut + 1:
-            out += [
-                f"{pad}B{cut} = R{cut} // {unit}",
-                f"{pad}zero = B{cut} if R{cut} == budget else -1",
-            ]
-            remaining, unused = f"B{cut}", "zero"
         centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
         if centre is not None and not centre.isidentifier():
             out.append(f"{pad}c{i - 1} = {centre}")
             centre = f"c{i - 1}"
         low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
         out += [
-            f"{pad}m = isqrt({remaining} // {unit_step[i - 1]})",
+            f"{pad}m = isqrt({remaining} // {step[i - 1]})",
             f"{pad}lo = -(({low}) // {line[i - 1]})",
             f"{pad}hi = ({high}) // {line[i - 1]}",
             f"{pad}if lo > hi:",
             f"{pad}    continue",
             # every step is positive, so the coordinates above are all zero
             # exactly when none of the budget is used: the +-v rule
-            f"{pad}if {remaining} == {unused} and lo < 0:",
+            f"{pad}if {remaining} == budget and lo < 0:",
             f"{pad}    lo = 0",
         ]
         for k in range(i - 1):

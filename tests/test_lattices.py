@@ -6,9 +6,10 @@ dimension against a plain Fincke-Pohst walk kept here as an oracle (one
 lcm(L^3) scale for every level, every centre recomputed at every node).
 The generated walker is compared share by share with `oracle_walk`, the
 table-driven loop it replaced.  The LLL check is compared with a
-Gram-Schmidt recomputed entry by entry.  The integral `lll` and the
-fraction-free `ldl` are compared with `oracle_lll` and `oracle_ldl`, the
-rational routines they replaced, and the output of `lll` is pinned by a
+Gram-Schmidt recomputed entry by entry.  The integral `lll` is compared
+with `oracle_lll`, the same deep-insertion loop over the rationals on a
+Gram-Schmidt of its own, and the fraction-free `ldl` with `oracle_ldl`,
+the rational routine it replaced; the output of `lll` is pinned by a
 digest.
 """
 
@@ -45,6 +46,7 @@ from qleech.lorentz import (
 from qleech.modforms import sigma
 
 DELTA = Fraction(3, 4)
+DEEP_DELTA = Fraction(99, 100)
 
 
 def fraction_det(rows):
@@ -142,9 +144,12 @@ def oracle_ldl(rows):
 
 
 def oracle_lll(gram):
-    """LLL over the rationals (Cohen, GTM 138, Alg. 2.6.3) on a Gram matrix
-    kept current, Gram-Schmidt data computed incrementally up to the
-    highest row reached so far; the same ties as lll."""
+    """Deep-insertion LLL over the rationals (Schnorr and Euchner, 1994) on
+    a Gram matrix kept current, the Gram-Schmidt data of a row computed
+    afresh from the Gram matrix whenever the loop reaches it, so nothing is
+    patched through a swap; the same ties as lll: a size reduction only at
+    2|mu| > 1, rounding half up, and row k inserted at the first i with
+    |pi_i(b_k)|^2 < 99/100 B_i."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
@@ -152,9 +157,19 @@ def oracle_lll(gram):
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     mu = [[Fraction(0)] * n for _ in range(n)]
     big_b = [Fraction(0)] * n
-    big_b[0] = Fraction(g[0][0])
-    if big_b[0] <= 0:
-        raise ValueError("not positive definite")
+
+    def orthogonalize(k):
+        # mu[k][j] and B_k from the Gram matrix and the rows below k
+        for j in range(k + 1):
+            s = Fraction(g[k][j])
+            for i in range(j):
+                s -= mu[j][i] * mu[k][i] * big_b[i]
+            if j < k:
+                mu[k][j] = s / big_b[j]
+            elif s <= 0:
+                raise ValueError("not positive definite")
+            else:
+                big_b[k] = s
 
     def red(k, l):
         m = mu[k][l]
@@ -169,42 +184,25 @@ def oracle_lll(gram):
         for i in range(l):
             mu[k][i] -= q * mu[l][i]
 
+    orthogonalize(0)
     k = 1
-    kmax = 0
     while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                s = Fraction(g[k][j])
-                for i in range(j):
-                    s -= mu[j][i] * mu[k][i] * big_b[i]
-                if j < k:
-                    mu[k][j] = s / big_b[j]
-                else:
-                    if s <= 0:
-                        raise ValueError("not positive definite")
-                    big_b[k] = s
-        red(k, k - 1)
-        if big_b[k] < (DELTA - mu[k][k - 1] ** 2) * big_b[k - 1]:
-            u[k], u[k - 1] = u[k - 1], u[k]
-            g[k], g[k - 1] = g[k - 1], g[k]
+        orthogonalize(k)
+        for l in range(k - 1, -1, -1):
+            red(k, l)
+        proj, i = Fraction(g[k][k]), 0
+        while i < k and proj >= DEEP_DELTA * big_b[i]:
+            proj -= mu[k][i] ** 2 * big_b[i]
+            i += 1
+        if i < k:
+            u.insert(i, u.pop(k))
+            g.insert(i, g.pop(k))
             for row in g:
-                row[k], row[k - 1] = row[k - 1], row[k]
-            m = mu[k][k - 1]
-            bp = big_b[k] + m * m * big_b[k - 1]
-            mu[k][k - 1] = m * big_b[k - 1] / bp
-            big_b[k] = big_b[k - 1] * big_b[k] / bp
-            big_b[k - 1] = bp
-            for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            for i in range(k + 1, kmax + 1):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
-            k = max(k - 1, 1)
+                row.insert(i, row.pop(k))
+            k = max(i, 1)
+            for j in range(i, k):
+                orthogonalize(j)
         else:
-            for l in range(k - 2, -1, -1):
-                red(k, l)
             k += 1
     return lattices.ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
 
@@ -448,6 +446,9 @@ def test_lll_one_dimensional():
 def test_lll_sorts_weighted_diagonal():
     red = lll(GramMatrix.from_rows([[4, 0], [0, 1]]))
     assert red.gram.entries == ((1, 0), (0, 4))
+    # |b_1|^2 = 99/100 |b_0|^2 is a tie, and an insertion needs strictly less
+    tie = GramMatrix.from_rows([[100, 0], [0, 99]])
+    assert lll(tie).gram == tie == oracle_lll(tie).gram
 
 
 def test_lll_rejects_non_positive_definite():
@@ -480,16 +481,26 @@ def pinned_forms():
 
 def test_lll_output_is_pinned():
     # the reduced Gram matrices and transforms, ties included: a size
-    # reduction only at 2|mu| > 1, rounding half up, and a swap only when
-    # Lovasz fails strictly at 3/4
+    # reduction only at 2|mu| > 1, rounding half up, and an insertion only
+    # at a level i where |pi_i(b_k)|^2 < 99/100 B_i strictly; oracle_lll's
+    # output has the same digest
     text = "".join(repr(lll(g)) for g in pinned_forms())
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "545b8f50169ee30af55c5b525bad88214dd902d1e3124b4a1c4772c24221d804"
+    assert digest == "fea9c21ac08974b5c25c51bf5a2d3bdd7cc1e8df48870b03608fc2c1cd4d5ed7"
 
 
 def test_lll_matches_oracle_lll():
     for g in pinned_forms():
         assert lll(g) == oracle_lll(g)
+
+
+def test_lll_reaches_minimal_vectors_on_leech_and_e8():
+    # deep insertion leaves a basis of minimal vectors, which is what keeps
+    # the Fincke-Pohst scale small
+    leech = lll(leech_gram()).gram.entries
+    assert [leech[i][i] for i in range(24)] == [4] * 24
+    e8 = lll(e8_gram()).gram.entries
+    assert [e8[i][i] for i in range(8)] == [2] * 8
 
 
 def test_ldl_matches_oracle_ldl():
@@ -542,19 +553,21 @@ def test_is_lll_reduced_flags_unordered_diagonal():
 
 
 def test_lll_random_spd_certificates():
+    # the seeded random forms and the pinned ones, Leech and E8 among them:
+    # the output of lll is LLL-reduced at 3/4
     rng = random.Random(42)
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(6):
-            g = random_spd_gram(rng, n)
-            red = lll(g)
-            assert conjugate(g, red.transform) == red.gram
-            assert abs(fraction_det(red.transform)) == 1
-            assert fraction_det(red.gram.entries) == fraction_det(g.entries)
-            assert is_lll_reduced(red.gram)
-            assert red.gram.is_positive_definite
-            for h in (g, red.gram):
-                assert is_lll_reduced(h) == oracle_is_lll_reduced(h)
-                assert h.inertia() == (n, 0, 0)
+    forms = [random_spd_gram(rng, n) for n in (2, 3, 4, 5, 6) for _ in range(6)]
+    for g in forms + pinned_forms():
+        n = g.dim
+        red = lll(g)
+        assert conjugate(g, red.transform) == red.gram
+        assert abs(fraction_det(red.transform)) == 1
+        assert fraction_det(red.gram.entries) == fraction_det(g.entries)
+        assert is_lll_reduced(red.gram)
+        assert red.gram.is_positive_definite
+        for h in (g, red.gram):
+            assert is_lll_reduced(h) == oracle_is_lll_reduced(h)
+            assert h.inertia() == (n, 0, 0)
 
 
 def test_lll_recovers_identity_from_sheared_basis():
@@ -744,26 +757,24 @@ def test_walk_checks_that_norms_are_multiples_of_the_scale():
             walk(args)
 
 
-def unit_cut_tables():
-    """Tables whose walker holds the budget in units below a cut, with a
-    nonzero path above the cut that uses less than budget % unit.
+def large_scale_tables():
+    """Tables with a 28-bit scale, far above the scale lll gives Leech or
+    E8, and a nonzero path near the top that uses less of the budget than
+    any step below it.
 
     The form is 3 I_24 + [[p, 1], [1, 1]], p = 2^27 + 1, left unreduced so
     that the block with scale p sits on the top two levels.  Every step
-    below it is 3p, so unit = 3p at the cut, level 20; link heads at 20 and
-    19 carry the cut state over.  At norm 5, budget % unit = 2p, and the
-    top vector (0, ..., 0, 1) of norm 1 uses p."""
+    below it is 3p; at norm 5 the budget is 5p, and the top vector
+    (0, ..., 0, 1) of norm 1 uses p."""
     p = 2**27 + 1
     g = block_diagonal([[3 * int(i == j) for j in range(24)] for i in range(24)], [[p, 1], [1, 1]])
     rows, step, scale = lattices._fincke_pohst_tables(g.entries)
     return rows, step, scale, 5 * scale
 
 
-def test_walk_in_units_below_the_cut_matches_oracle_walk():
-    rows, step, scale, budget = unit_cut_tables()
-    cut, unit = lattices._unit_cut(step, scale)
-    assert (cut, unit) == (20, 3 * scale)
-    assert scale < budget % unit
+def test_walk_on_a_large_scale_matches_oracle_walk():
+    rows, step, scale, budget = large_scale_tables()
+    assert scale == 2**27 + 1 < min(step[:-2])
     for workers in (1, 2, 3, 4):
         for index in range(-1, workers):
             args = (rows, step, scale, budget, workers, index)
@@ -773,26 +784,22 @@ def test_walk_in_units_below_the_cut_matches_oracle_walk():
     assert lattices._walk((rows, step, scale, budget, 1, 0))[0] == {1: 2, 3: 48, 4: 2 + 48 * 2}
 
 
-def test_walk_in_units_checks_that_norms_are_multiples_of_the_scale():
-    # the top step one too large: a leaf whose budget is all used above the
-    # cut is off the scale by 1
-    rows, step, scale, budget = unit_cut_tables()
+def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
+    # the top step one too large: a leaf whose budget is all used on the
+    # top level is off the scale by 1
+    rows, step, scale, budget = large_scale_tables()
     step = step[:-1] + [step[-1] + 1]
-    assert lattices._unit_cut(step, scale)[0] == 20
     for walk in (lattices._walk, oracle_walk):
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
             walk((rows, step, scale, budget, 1, 0))
 
 
-def test_leech_unit_cut_keeps_the_budget_to_one_digit():
-    rows, step, scale = lattices._fincke_pohst_tables(lll(leech_gram()).gram.entries)
-    cut, unit = lattices._unit_cut(step, scale)
-    assert cut == 12
-    assert all(s % unit == 0 for s in step[: cut + 1])
-    assert 6 * scale // unit < 2**sys.int_info.bits_per_digit
-    # E8's scale fits one digit already
-    e8 = lattices._fincke_pohst_tables(lll(e8_gram()).gram.entries)
-    assert lattices._unit_cut(e8[1], e8[2]) == (-1, 1)
+def test_reduced_tables_keep_the_budget_to_one_digit():
+    # with lll's basis of minimal vectors the whole budget, at most
+    # max_norm * scale, fits one int digit: Leech up to norm 6, E8 up to 8
+    for g, max_norm in ((leech_gram(), 6), (e8_gram(), 8)):
+        scale = lattices._fincke_pohst_tables(lll(g).gram.entries)[2]
+        assert max_norm * scale < 2**sys.int_info.bits_per_digit
 
 
 def test_short_vectors_against_oracle_walk():

@@ -8,15 +8,15 @@ fraction-free LDL^T, keeps the Gram matrix current through each step, and
 returns both the reduced Gram matrix and the unimodular transform that
 produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
-hot loop touches nothing but Python ints, which keeps a 24-dimensional
-norm-4 sweep in the low millions of nodes.  The search runs as Python
-source generated for the form: one nested loop per level with the table
-entries written in as literals, each level's centre kept up to date from
-Schnorr-Euchner partial sums held in plain locals.  CPython compiles at
-most 20 nested loops in one function, so the loops are cut into a chain of
-functions, and each link is compiled on its own to keep the compiler's
-peak memory at the size of one link.  Parallel runs deal the subtrees a
-few levels below the top out to the workers.
+hot loop touches nothing but Python ints.  It runs in two phases: the
+upper levels tally the states (remaining budget, coset of the partial sums)
+in which they reach a cut level, and each distinct state below it is walked
+once, its counts weighted by its tally, which takes a 24-dimensional norm-4
+sweep to about half a million nodes.  Both phases run as Python source
+generated for the form: one nested loop per level with the table entries
+written in as literals and Schnorr-Euchner partial sums in plain locals,
+cut into a chain of functions at CPython's 20 nested loops, each link
+compiled on its own.  Parallel runs deal the bottom states to the workers.
 
 The two theta checks share one comparison: enumerated counts per even norm
 against independently computed series coefficients, and zero at every odd
@@ -27,6 +27,7 @@ first two coefficients rather than hardcoded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -41,11 +42,6 @@ from .lorentz import (
     ldl,
     leech_gram,
 )
-
-# the enumeration splits into subtrees this many levels below the top: deep
-# enough that Leech at norm 4 deals 1,043 subtrees out to the workers, shallow
-# enough that each worker walks the levels above the split in milliseconds
-SPLIT_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,13 @@ def lll(gram: GramMatrix) -> ReducedBasis:
     well-order; between insertions k only grows.  The output is also
     LLL-reduced at 3/4 (is_lll_reduced).  Raises ValueError for a form that
     is not positive definite."""
+    g, u, _, _ = _lll(gram)
+    return ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
+
+
+def _lll(gram: GramMatrix):
+    """lll's loop: the reduced Gram rows, the transform, and the minors and
+    multipliers it ends with, those of ldl on the reduced rows."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
@@ -129,11 +132,7 @@ def lll(gram: GramMatrix) -> ReducedBasis:
             k = max(i, 1)
         else:
             k += 1
-
-    return ReducedBasis(
-        gram=GramMatrix.from_rows(g),
-        transform=tuple(tuple(row) for row in u),
-    )
+    return g, u, d, lam
 
 
 def is_lll_reduced(gram: GramMatrix) -> bool:
@@ -166,10 +165,10 @@ class ShortVectorCount:
     counts: dict[int, int]
 
 
-def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
+def _fincke_pohst_tables(d: Sequence[int], lam: Sequence[Sequence[int]]):
     """Quadratic-completion tables for Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2,
-    B_i = d[i+1] / d[i] and mu_ji = lam[j][i] / d[i+1] from d, lam =
-    ldl(entries), scaled to pure integers.
+    B_i = d[i+1] / d[i] and mu_ji = lam[j][i] / d[i+1], scaled to pure
+    integers, from the minors d and multipliers lam that ldl or _lll gives.
 
     Returns (rows, step, scale).  L_i = rows[i][i] is the lcm of the reduced
     denominators d[i+1] / gcd(lam[j][i], d[i+1]) of mu_ji (j > i), so
@@ -177,8 +176,7 @@ def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
     reduced denominators of B_i / L_i^2, so every step[i] = T B_i / L_i^2 is
     an integer, and T Q(x) = sum_i step[i] (sum_{j>=i} rows[i][j] x_j)^2.
     """
-    d, lam = ldl(entries)
-    n = len(entries)
+    n = len(lam)
     if len(d) <= n or min(d) <= 0:
         raise ValueError("not positive definite")
     rows, dens = [], []
@@ -192,6 +190,14 @@ def _fincke_pohst_tables(entries: Sequence[Sequence[int]]):
     return rows, [scale * p // q for p, q in zip(d[1:], dens)], scale
 
 
+def _cut_level(n: int) -> int:
+    """K, the level at which the walk of an n-dimensional form changes phase:
+    3n // 5 lies in 0..n-1 (a line or a plane has no upper phase) and is 14
+    for Leech, which walks about as fast there as at 13 or 15 and faster
+    than at 12 or 16."""
+    return 3 * n // 5
+
+
 def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     # source for expr + coeff * name, where None stands for 0
     if not coeff:
@@ -199,171 +205,204 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
 
 
-def _walker_links(rows, step, scale) -> list[str]:
-    """Python source of the walker for these tables: one chain link per
-    string, link 0 first.  The source is a pure function of the tables.
+def _reduction(rows, cut: int, sums) -> list[str]:
+    """Source that sets t0..t{cut} to the canonical representative of the
+    partial sums sums[0..cut] (expressions, None for 0) modulo the lattice
+    of the block rows[0..cut][0..cut]: for j = cut down to 0, z_j, t_j =
+    divmod(t_j, L_j), then t_k -= rows[k][j] z_j for k < j."""
+    lines = []
+    for j in range(cut, -1, -1):
+        expr = sums[j] or "0"
+        for i in range(j + 1, cut + 1):
+            expr = _plus(expr, -rows[j][i], f"z{i}")
+        lines.append(f"z{j}, t{j} = divmod({expr}, {rows[j][j]})")
+    return lines
 
-    Every level is one `for x_i in range(lo, hi + 1)` loop with the table
-    entries written in as literals.  A node at level i computes only its
-    child's centre and range, and skips an empty range; a descent also
-    brings the lower rows' partial sums s{k}_{i} = sum_{j>=i} rows[k][j] x_j
-    up to date (Schnorr-Euchner), all of them plain locals.  CPython
-    compiles at most 20 nested loops in one function, so the levels are cut
-    into links: link 0 runs from the top down to the split level, and below
-    it the links hold at most 20 levels, the lowest one full, so a call from
-    one link to the next happens at a descent high up, where nodes are few.
+
+def _walker_links(rows, step, scale) -> list[str]:
+    """Python source of the walker for these tables, one chain link per
+    string; the source is a pure function of the tables.
+
+    The walk is split at level K = _cut_level(n).  Below it the count of a
+    subtree depends only on the remaining budget R and on the coset of the
+    partial sums t_k = sum_{j>K} rows[k][j] x_j (k <= K) modulo the lattice
+    of the block rows[0..K][0..K], as moving x_0..x_K by a vector of Z^{K+1}
+    is a bijection of subtrees.  _upper0(budget) walks levels n-1..K+1 and
+    at each descent into level K adds one to tally[(R, t_K, ..., t_0)], t
+    reduced by _reduction, which _canon(t_K, ..., t_0) also runs;
+    _lower0(budget, R, t_K, ..., t_0) walks levels K..0 below one state and
+    returns its counts by norm.
+
+    One per-level emitter writes both: a `for x_i in range(lo, hi + 1)`
+    loop per level with the table entries written in as literals.  A node
+    computes only its child's centre and range and skips an empty range; a
+    descent also brings the lower rows' partial sums s{k}_{i} = sum_{j>=i}
+    rows[k][j] x_j up to date (Schnorr-Euchner), all plain locals.  CPython
+    compiles at most 20 nested loops in one function, so each phase is cut
+    into links of at most 20 levels, the lowest one full, so calls between
+    links happen high up, where nodes are few.
     """
     n = len(rows)
-    top = n - 1
-    split = max(top - SPLIT_DEPTH, 0)
-    line = [row[i] for i, row in enumerate(rows)]
-    # the levels that start a link below link 0
-    heads = {i for i in range(split) if i == split - 1 or i % 20 == 19}
-    # isqrt=isqrt makes isqrt a local of every link
-    out = [
-        "def _link0(budget, workers, index, isqrt=isqrt):",
-        "    counts = {}",
-        "    subtrees = 0",
-        f"    hi = isqrt(budget // {step[top]}) // {line[top]}",
-        f"    for x{top} in range(hi + 1):",
-    ]
-    links = [out]
-    pad = " " * 8
-    remaining, centre = "budget", None
-    # sums[k]: the name of sum_{j>i} rows[k][j] x_j at level i, None for 0
-    sums: list[str | None] = [None] * n
-    for i in range(top, -1, -1):
-        if i in heads:
-            params = ", ".join(
-                dict.fromkeys(
-                    ["budget", "counts", "lo", "hi", remaining]
-                    + [name for name in [centre, *sums[:i]] if name]
-                )
-            )
-            out.append(f"{pad}_link{len(links)}({params})")
-            out = [f"def _link{len(links)}({params}, isqrt=isqrt):"]
-            links.append(out)
-            pad = "    "
-        if i < top:
-            out.append(f"{pad}for x{i} in range(lo, hi + 1):")
-            pad += "    "
-        if i == split:
-            out += [
-                f"{pad}subtrees += 1",
-                f"{pad}if (subtrees - 1) % workers != index:",
-                f"{pad}    continue",
-            ]
-        out.append(f"{pad}y = {_plus(centre, line[i], f'x{i}')}")
-        rest = f"{remaining} - {step[i]} * (y * y)"
-        if i == 0:
-            out += [
-                f"{pad}used = budget - ({rest})",
-                f"{pad}if used > 0:",
-                f"{pad}    norm, r = divmod(used, {scale})",
-                f"{pad}    if r:",
-                f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
-                f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
-            ]
-            break
-        remaining = f"R{i - 1}"
-        out.append(f"{pad}{remaining} = {rest}")
-        centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
-        if centre is not None and not centre.isidentifier():
-            out.append(f"{pad}c{i - 1} = {centre}")
-            centre = f"c{i - 1}"
+    cut = _cut_level(n)
+    ts = [f"t{k}" for k in range(cut, -1, -1)]
+    links: list[list[str]] = []
+
+    def child(pad, i, remaining, centre, skip):
+        # the range of x_i, skipping an empty one when in a loop; every step
+        # is positive, so the coordinates above are all zero exactly when
+        # none of the budget is used: the +-v rule
         low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
-        out += [
-            f"{pad}m = isqrt({remaining} // {step[i - 1]})",
-            f"{pad}lo = -(({low}) // {line[i - 1]})",
-            f"{pad}hi = ({high}) // {line[i - 1]}",
-            f"{pad}if lo > hi:",
-            f"{pad}    continue",
-            # every step is positive, so the coordinates above are all zero
-            # exactly when none of the budget is used: the +-v rule
+        return [
+            f"{pad}m = isqrt({remaining} // {step[i]})",
+            f"{pad}lo = -(({low}) // {rows[i][i]})",
+            f"{pad}hi = ({high}) // {rows[i][i]}",
+            *([f"{pad}if lo > hi:", f"{pad}    continue"] if skip else []),
             f"{pad}if {remaining} == budget and lo < 0:",
             f"{pad}    lo = 0",
         ]
-        for k in range(i - 1):
-            if rows[k][i]:
-                out.append(f"{pad}s{k}_{i} = {_plus(sums[k], rows[k][i], f'x{i}')}")
-                sums[k] = f"s{k}_{i}"
-    links[0].append("    return counts, subtrees")
+
+    def tally(pad, remaining, sums):
+        return [pad + text for text in _reduction(rows, cut, sums)] + [
+            f"{pad}key = ({remaining}, {', '.join(ts)})",
+            f"{pad}tally[key] = tally.get(key, 0) + 1",
+        ]
+
+    def chain(name, first, last, params, remaining, sums, result):
+        # levels first down to last; sums[k] names sum_{j>i} rows[k][j] x_j
+        # at level i, None for 0, so sums[i] is the centre of level i
+        start = len(links)
+        out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):", f"    {result} = {{}}"]
+        links.append(out)
+        pad = "    "
+        if first < last:
+            out += tally(pad, remaining, sums)
+        else:
+            out += child(pad, first, remaining, sums[first], False)
+        for i in range(first, last - 1, -1):
+            if i < first and (i - last) % 20 == 19:
+                names = ["budget", result, "lo", "hi", remaining, *filter(None, sums[: i + 1])]
+                args = ", ".join(dict.fromkeys(names))
+                out.append(f"{pad}{name}{len(links) - start}({args})")
+                out = [f"def {name}{len(links) - start}({args}, isqrt=isqrt):"]
+                links.append(out)
+                pad = "    "
+            out.append(f"{pad}for x{i} in range(lo, hi + 1):")
+            pad += "    "
+            out.append(f"{pad}y = {_plus(sums[i], rows[i][i], f'x{i}')}")
+            rest = f"{remaining} - {step[i]} * (y * y)"
+            if i == 0:
+                out += [
+                    f"{pad}used = budget - ({rest})",
+                    f"{pad}if used > 0:",
+                    f"{pad}    norm, r = divmod(used, {scale})",
+                    f"{pad}    if r:",
+                    f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
+                    f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
+                ]
+                break
+            remaining = f"R{i - 1}"
+            out.append(f"{pad}{remaining} = {rest}")
+            if i == last:
+                sums = [_plus(s, rows[k][i], f"x{i}") for k, s in enumerate(sums[:i])]
+                out += tally(pad, remaining, sums)
+                break
+            centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
+            if centre is not None and not centre.isidentifier():
+                out.append(f"{pad}c{i - 1} = {centre}")
+                centre = f"c{i - 1}"
+            sums[i - 1] = centre
+            out += child(pad, i - 1, remaining, centre, True)
+            for k in range(i - 1):
+                if rows[k][i]:
+                    out.append(f"{pad}s{k}_{i} = {_plus(sums[k], rows[k][i], f'x{i}')}")
+                    sums[k] = f"s{k}_{i}"
+        links[start].append(f"    return {result}")
+
+    chain("_upper", n - 1, cut + 1, ["budget"], "budget", [None] * n, "tally")
+    chain("_lower", cut, 0, ["budget", f"R{cut}", *ts], f"R{cut}", ts[::-1] + [None] * n, "counts")
+    canon = ["    " + text for text in _reduction(rows, cut, ts[::-1])]
+    links.append([f"def _canon({', '.join(ts)}):", *canon, f"    return {', '.join(ts)},"])
     return ["\n".join(link) + "\n" for link in links]
 
 
 @lru_cache(maxsize=1)
 def _walker(rows, step, scale):
-    """The walker for these tables (as tuples, the cache key), compiled once
-    per process: the counting walk of short_vectors builds it before the
-    pool starts, so forked workers inherit it.  Each chain link is compiled
-    on its own, so the compiler never holds the syntax tree of the whole
-    walker at once."""
+    """_upper0, _lower0 and _canon for these tables (as tuples, the cache
+    key), compiled once per process: the upper phase builds them before the
+    pool starts, so forked workers inherit them.  Each chain link compiles
+    on its own, so the compiler never holds the whole walker at once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
     for k, source in enumerate(_walker_links(rows, step, scale)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return namespace["_link0"]
+    return namespace["_upper0"], namespace["_lower0"], namespace["_canon"]
 
 
-def _walk(args) -> tuple[dict[int, int], int]:
-    """Count the vectors with T Q(x) <= budget, walking the completion
-    levels from last to first.  Each vector found stands for its +-v pair
-    (the one whose last nonzero coordinate is positive, so a level whose
-    higher coordinates are all zero starts at 0), so leaves add 2.
+def _bottom_states(rows, step, scale, budget) -> list[tuple[tuple[int, ...], int]]:
+    """The upper phase: each distinct bottom state (R, t_K, ..., t_0), in
+    walk order, with the number of times the upper levels reach it.  A state
+    is folded with its negation, keeping the smaller key: x -> -x maps the
+    subtree of (R, t) onto that of (R, -t), so the two count alike while
+    R < budget; the zero-prefix state R == budget has t = 0 and keeps the
+    +-v clamp, under which each vector found stands for its +-v pair."""
+    upper, _, canon = _walker(tuple(map(tuple, rows)), tuple(step), scale)
+    states: Counter[tuple[int, ...]] = Counter()
+    for (r, *t), times in upper(budget).items():
+        states[min((r, *t), (r, *canon(*(-v for v in t))))] += times
+    return list(states.items())
 
-    The nodes at level SPLIT_DEPTH below the top (level 0 at the least) root
-    the subtrees, numbered in walk order.  The walk descends only into
-    subtree k with k % workers == index, so indices 0..workers-1 share the
-    count out and an index outside that range walks only the levels above
-    the split.  Returns the counts by norm and the number of subtrees.
 
-    The walk runs as nested loops generated for these tables by
-    _walker_links, which saves the interpreter the list lookups of a
-    table-driven loop.
-    """
-    rows, step, scale, budget, workers, index = args
-    link0 = _walker(tuple(map(tuple, rows)), tuple(step), scale)
-    return link0(budget, workers, index)
+def _walk_states(args) -> dict[int, int]:
+    """The bottom phase for a share of the states: each state walked once,
+    its counts by norm multiplied by its tally."""
+    rows, step, scale, budget, states = args
+    lower = _walker(tuple(map(tuple, rows)), tuple(step), scale)[1]
+    counts: Counter[int] = Counter()
+    for key, times in states:
+        counts.update({norm: times * cnt for norm, cnt in lower(budget, *key).items()})
+    return counts
 
 
 def _pool(workers: int):
-    """A pool of that many worker processes; its module is imported only
-    here, so that serial runs never load multiprocessing."""
+    """A pool of that many worker processes, imported only here so that
+    serial runs never load multiprocessing.  Forked workers start at once
+    with the compiled walker, where spawn and forkserver (the Linux default
+    from Python 3.14) compile it afresh; but a fork would also copy a lock
+    held by another thread, so a process with more threads spawns."""
+    import multiprocessing
+    import threading
     from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+
+    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    context = multiprocessing.get_context("fork" if fork else "spawn")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:
     """Count all lattice vectors of each norm 1..max_norm.
 
     The Gram matrix is LLL-reduced first; the enumeration then works on the
-    reduced form, which leaves counts unchanged.  jobs > 1 deals the
-    subtrees SPLIT_DEPTH levels below the top out to min(jobs, subtrees)
-    worker processes; the counts are merged in worker order, so they do not
-    depend on jobs.  jobs must lie in 1..MAX_JOBS.
+    reduced form, which leaves counts unchanged.  The upper phase of the
+    walk runs here; jobs > 1 deals its distinct bottom states out to
+    min(jobs, states) worker processes, round-robin in walk order, and the
+    counts are merged in worker order, so they do not depend on jobs.  jobs
+    must lie in 1..MAX_JOBS.
     """
     if not isinstance(max_norm, int) or max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
     if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
-    reduced = lll(gram)
-    rows, step, scale = _fincke_pohst_tables(reduced.gram.entries)
+    rows, step, scale = _fincke_pohst_tables(*_lll(gram)[2:])
     budget = max_norm * scale
-    workers = 1
-    if jobs > 1:
-        # index -1 owns no subtree: this walk only counts them
-        _, subtrees = _walk((rows, step, scale, budget, 1, -1))
-        workers = min(jobs, subtrees)
-    arglist = [(rows, step, scale, budget, workers, i) for i in range(workers)]
+    states = _bottom_states(rows, step, scale, budget)
+    workers = min(jobs, len(states))
+    arglist = [(rows, step, scale, budget, states[i::workers]) for i in range(workers)]
     if workers == 1:
-        parts = [_walk(arglist[0])]
+        parts = [_walk_states(arglist[0])]
     else:
         with _pool(workers) as pool:
-            parts = list(pool.map(_walk, arglist))
-    merged: dict[int, int] = {}
-    for part, _ in parts:
-        for norm, cnt in part.items():
-            merged[norm] = merged.get(norm, 0) + cnt
-    counts = {m: merged.get(m, 0) for m in range(1, max_norm + 1)}
+            parts = list(pool.map(_walk_states, arglist))
+    merged = sum(parts, Counter())
+    counts = {m: merged[m] for m in range(1, max_norm + 1)}
     return ShortVectorCount(max_norm=max_norm, counts=counts)
 
 

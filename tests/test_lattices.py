@@ -18,11 +18,15 @@ import json
 import multiprocessing
 import random
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qleech.lattices as lattices
 from qleech.cli import main
@@ -207,6 +211,11 @@ def oracle_lll(gram):
     return lattices.ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
 
 
+def tables(entries):
+    """The Fincke-Pohst tables of a form, from its own LDL^T."""
+    return lattices._fincke_pohst_tables(*ldl(entries))
+
+
 def oracle_fincke_pohst_tables(entries):
     """The tables from the rational LDL^T: L_i is the lcm of the
     denominators of q_ij (j > i), rows[i][j] = L_i q_ij, and the scale is
@@ -288,46 +297,49 @@ def oracle_count(gram, max_norm):
         level = nxt
 
 
-def oracle_walk(args):
-    """The table-driven walk over the tables of _fincke_pohst_tables, with
-    the same arguments and result as lattices._walk: one loop over
-    level-indexed lists, and Schnorr-Euchner partial sums refreshed lazily,
-    sig[i][j] = sum_{k>=j} rows[i][k] x_k being stale above stale[i]."""
-    rows, step, scale, budget, workers, index = args
+def oracle_walk(rows, step, scale, budget, start=None):
+    """The table-driven single-phase walk over the tables of
+    _fincke_pohst_tables: one loop over level-indexed lists, and
+    Schnorr-Euchner partial sums refreshed lazily, sig[i][j] = sum_{k>=j}
+    rows[i][k] x_k being stale above stale[i].  It counts the whole tree by
+    norm, or with start = (R, t_K, ..., t_0) only levels K..0 below a node
+    with R of the budget left and partial sums t_k = sig[k][K+1]."""
     n = len(rows)
-    top = n - 1
-    split = max(top - lattices.SPLIT_DEPTH, 0)
+    rest, *t = start or (budget,) + (0,) * n
+    top = len(t) - 1
     line = [row[i] for i, row in enumerate(rows)]
     sig = [[0] * (n + 1) for _ in range(n)]
+    for k, v in enumerate(reversed(t)):
+        sig[k][top + 1] = v
     stale = [top] * n
     counts = {}
-    subtrees = 0
     x = [0] * n
     remaining = [0] * n
     centre = [0] * n
     hi = [0] * n
     zero_prefix = [False] * n
 
-    remaining[top] = budget
-    zero_prefix[top] = True
-    hi[top] = isqrt(budget // step[top]) // line[top]
-    x[top] = -1
+    remaining[top] = rest
+    zero_prefix[top] = rest == budget
+    c = centre[top] = sig[top][top + 1]
+    ymax = isqrt(rest // step[top])
+    low = -((ymax + c) // line[top])
+    if zero_prefix[top] and low < 0:
+        low = 0
+    hi[top] = (ymax - c) // line[top]
+    x[top] = low - 1
     level = top
     while True:
         xi = x[level] + 1
         if xi > hi[level]:
             level += 1
-            if level == n:
+            if level > top:
                 break
             stale[level - 1] = level
             continue
         x[level] = xi
         y = line[level] * xi + centre[level]
         rem = remaining[level] - step[level] * y * y
-        if level == split:
-            subtrees += 1
-            if (subtrees - 1) % workers != index:
-                continue
         if level == 0:
             used = budget - rem
             if used > 0:
@@ -341,7 +353,7 @@ def oracle_walk(args):
         zero_prefix[nxt] = zero_prefix[level] and xi == 0
         s = stale[nxt]
         if stale[nxt - 1] < s:
-            # at nxt == 0 this writes stale[top], which no descent reads
+            # at nxt == 0 this writes stale[n - 1], which no descent reads
             stale[nxt - 1] = s
         row = rows[nxt]
         sig_row = sig[nxt]
@@ -356,7 +368,7 @@ def oracle_walk(args):
         hi[nxt] = (ymax - c) // l
         x[nxt] = low - 1
         level = nxt
-    return counts, subtrees
+    return counts
 
 
 def oracle_is_lll_reduced(gram):
@@ -464,7 +476,7 @@ def test_lll_rejects_non_positive_definite():
     for rows in singular:
         assert is_lll_reduced(GramMatrix.from_rows(rows)) is False
         with pytest.raises(ValueError, match="not positive definite"):
-            lattices._fincke_pohst_tables(rows)
+            lattices._fincke_pohst_tables(*ldl(rows))
 
 
 def pinned_forms():
@@ -674,7 +686,7 @@ def test_tables_scale_identity():
     # lcm(den(d_i) L_i^2) of the plain formula
     def check(g, rng):
         n = g.dim
-        rows, step, scale = lattices._fincke_pohst_tables(g.entries)
+        rows, step, scale = tables(g.entries)
         d, q = oracle_ldl(g.entries)
         for i in range(n):
             l = rows[i][i]
@@ -704,57 +716,150 @@ def test_tables_scale_identity():
 
 def test_tables_scale_smaller_than_oracle():
     entries = lll(leech_gram()).gram.entries
-    scale = lattices._fincke_pohst_tables(entries)[2]
+    scale = tables(entries)[2]
     assert scale.bit_length() < oracle_tables(entries)[4].bit_length()
 
 
-def test_walk_subtree_shares_cover_the_count():
-    # the shares of 1..4 workers add up to the serial count, every share
-    # sees the same subtrees, and an index outside 0..workers-1 walks only
-    # the levels above the split
-    for g, max_norm in oracle_cases():
-        rows, step, scale = lattices._fincke_pohst_tables(lll(g).gram.entries)
+def test_tables_from_lll_match_ldl_of_the_reduced_form():
+    # short_vectors takes d and lam from the LLL run instead of a second
+    # elimination: they are the minors and multipliers of the reduced rows
+    for g in pinned_forms():
+        rows, u, d, lam = lattices._lll(g)
+        want_d, want_lam = ldl(rows)
+        n = g.dim
+        assert d == want_d
+        assert all(lam[i][k] == want_lam[i][k] for i in range(n) for k in range(i))
+        assert lattices._fincke_pohst_tables(d, lam) == tables(rows)
+        assert lll(g) == lattices.ReducedBasis(GramMatrix.from_rows(rows), tuple(map(tuple, u)))
+
+
+def two_phase_shares(rows, step, scale, budget, workers):
+    """The counts of each share of the bottom states, dealt as short_vectors
+    deals them to that many workers."""
+    states = lattices._bottom_states(rows, step, scale, budget)
+    return [
+        lattices._walk_states((rows, step, scale, budget, states[i::workers]))
+        for i in range(workers)
+    ]
+
+
+def merge(parts):
+    merged = {}
+    for part in parts:
+        for norm, cnt in part.items():
+            merged[norm] = merged.get(norm, 0) + cnt
+    return merged
+
+
+def test_two_phase_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
+    # raw and reduced tables of the 302 forms at three norms each: the
+    # shares of 1..4 workers add up to the single-phase count; short_vectors
+    # deals them the same way for jobs 1..4.  Leech runs reduced at norm 2
+    # only: its raw Gram has diagonal entries up to 1.3 M, a tree far too
+    # big for the oracle
+    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool([], workers))
+    for g in pinned_forms():
+        reduced = lll(g).gram
+        first = reduced.entries[0][0]
+        leech = g == leech_gram()
+        norms = (2,) if leech else (first, first + 1, first + 3)
+        for entries in (reduced.entries,) if leech else (g.entries, reduced.entries):
+            rows, step, scale = tables(entries)
+            for max_norm in norms:
+                budget = max_norm * scale
+                want = oracle_walk(rows, step, scale, budget)
+                for workers in (1, 2, 3, 4):
+                    assert merge(two_phase_shares(rows, step, scale, budget, workers)) == want
+        # want is the count of the reduced form at the largest norm
+        want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
+        for jobs in (1, 2, 3, 4):
+            assert short_vectors(g, max_norm, jobs=jobs).counts == want
+
+
+def test_each_bottom_state_matches_oracle_walk():
+    # every state, walked alone, counts what the single-phase oracle counts
+    # below that node, and the states weighted by their tallies add up to the
+    # whole count; on the oracle cases and on forms deep enough to need two
+    # or three chain links in a phase: diagonal ones (at 70 levels the
+    # bottom phase has 43, and links of 21 levels would not compile),
+    # Leech + [[4]], and Leech + E8, whose bottom phase is one link of
+    # exactly 20 levels and whose dense rows pass partial sums over the cuts
+    leech = leech_gram().entries
+    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60, 70)]
+    cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
+    for g, max_norm in cases:
+        rows, step, scale = tables(lll(g).gram.entries)
         budget = max_norm * scale
-        whole, subtrees = lattices._walk((rows, step, scale, budget, 1, 0))
-        assert lattices._walk((rows, step, scale, budget, 1, -1)) == ({}, subtrees)
+        states = lattices._bottom_states(rows, step, scale, budget)
+        assert len({key for key, _ in states}) == len(states)
+        whole = {}
+        for key, times in states:
+            alone = lattices._walk_states((rows, step, scale, budget, [(key, times)]))
+            below = oracle_walk(rows, step, scale, budget, start=key)
+            assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, key)
+            whole = merge([whole, alone])
+        assert whole == oracle_walk(rows, step, scale, budget), g.dim
         for workers in (2, 3, 4):
-            merged = {}
-            for index in range(workers):
-                part, seen = lattices._walk((rows, step, scale, budget, workers, index))
-                assert seen == subtrees
-                for norm, cnt in part.items():
-                    merged[norm] = merged.get(norm, 0) + cnt
-            assert merged == whole
+            assert merge(two_phase_shares(rows, step, scale, budget, workers)) == whole
+
+
+def test_bottom_state_counts_are_pinned():
+    # a key that is exact but not canonical, or not folded with its
+    # negation, gives more states; the cut level is 14 for Leech, 4 for E8
+    for g, max_norm, want in ((leech_gram(), 4, 666), (e8_gram(), 8, 12)):
+        rows, step, scale = tables(lll(g).gram.entries)
+        assert len(lattices._bottom_states(rows, step, scale, max_norm * scale)) == want
+    assert [lattices._cut_level(n) for n in (1, 2, 8, 24, 60)] == [0, 1, 4, 14, 36]
+
+
+@lru_cache(maxsize=None)
+def invariance_states(name):
+    """Tables, budget, and the keys the upper phase tallies with R < budget."""
+    if name == "raw":
+        g, max_norm = random_spd_gram(random.Random(71), 7, spread=3), 12
+    else:
+        g, max_norm = (e8_gram(), 8) if name == "e8" else (leech_gram(), 4)
+        g = lll(g).gram
+    rows, step, scale = tables(g.entries)
+    budget = max_norm * scale
+    upper = lattices._walker(tuple(map(tuple, rows)), tuple(step), scale)[0]
+    return rows, step, scale, budget, sorted(key for key in upper(budget) if key[0] < budget)
+
+
+@pytest.mark.parametrize("name", ["e8", "leech", "raw"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, data):
+    # translating the partial sums t of a tallied state by a vector of the
+    # block lattice rows[0..K][0..K], or negating them, leaves its counts
+    # unchanged (R < budget, so no +-v clamp), and _canon maps the coset to
+    # one representative with 0 <= t_j < L_j
+    rows, step, scale, budget, keys = invariance_states(name)
+    _, lower, canon = lattices._walker(tuple(map(tuple, rows)), tuple(step), scale)
+    cut = lattices._cut_level(len(rows))
+    rest, *t = data.draw(st.sampled_from(keys))
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=cut + 1, max_size=cut + 1))
+    # t holds t_k for k = cut down to 0; moved is t + M z
+    moved = [t[cut - k] + sum(rows[k][j] * z[j] for j in range(k, cut + 1)) for k in range(cut, -1, -1)]
+    want = lower(budget, rest, *t)
+    assert want == oracle_walk(rows, step, scale, budget, start=(rest, *t))
+    assert lower(budget, rest, *moved) == want
+    assert lower(budget, rest, *(-v for v in moved)) == want
+    assert canon(*moved) == canon(*t) == tuple(t)
+    assert all(0 <= v < rows[k][k] for k, v in zip(range(cut, -1, -1), canon(*(-v for v in moved))))
 
 
 def identity_gram(n):
     return GramMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def test_walk_matches_oracle_walk_share_by_share():
-    # every share of 1..4 workers and the counting walk (index -1), on the
-    # oracle cases and on forms deep enough to need two to four chain
-    # links: diagonal ones (at 60 levels, links of 21 levels would not
-    # compile), Leech + [[4]] with a link exactly 20 levels
-    # deep, and Leech + E8, whose dense rows pass partial sums over two cuts
-    leech = leech_gram().entries
-    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60)]
-    cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
-    for g, max_norm in cases:
-        rows, step, scale = lattices._fincke_pohst_tables(lll(g).gram.entries)
-        budget = max_norm * scale
-        for workers in (1, 2, 3, 4):
-            for index in range(-1, workers):
-                args = (rows, step, scale, budget, workers, index)
-                assert lattices._walk(args) == oracle_walk(args), (g.dim, workers, index)
-
-
 def test_walk_checks_that_norms_are_multiples_of_the_scale():
     # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2
-    args = ([[1]], [3], 2, 14, 1, 0)
-    for walk in (lattices._walk, oracle_walk):
-        with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-            walk(args)
+    rows, step, scale, budget = [[1]], [3], 2, 14
+    with pytest.raises(ConstructionError, match="not a multiple of the scale"):
+        two_phase_shares(rows, step, scale, budget, 1)
+    with pytest.raises(ConstructionError, match="not a multiple of the scale"):
+        oracle_walk(rows, step, scale, budget)
 
 
 def large_scale_tables():
@@ -768,37 +873,40 @@ def large_scale_tables():
     (0, ..., 0, 1) of norm 1 uses p."""
     p = 2**27 + 1
     g = block_diagonal([[3 * int(i == j) for j in range(24)] for i in range(24)], [[p, 1], [1, 1]])
-    rows, step, scale = lattices._fincke_pohst_tables(g.entries)
+    rows, step, scale = tables(g.entries)
     return rows, step, scale, 5 * scale
 
 
 def test_walk_on_a_large_scale_matches_oracle_walk():
     rows, step, scale, budget = large_scale_tables()
     assert scale == 2**27 + 1 < min(step[:-2])
-    for workers in (1, 2, 3, 4):
-        for index in range(-1, workers):
-            args = (rows, step, scale, budget, workers, index)
-            assert lattices._walk(args) == oracle_walk(args), (workers, index)
+    want = oracle_walk(rows, step, scale, budget)
     # norm 1: (0, +-1) on the block; 3: the 48 units of 3 I_24; 4: (0, +-2),
     # and a unit with (0, +-1)
-    assert lattices._walk((rows, step, scale, budget, 1, 0))[0] == {1: 2, 3: 48, 4: 2 + 48 * 2}
+    assert want == {1: 2, 3: 48, 4: 2 + 48 * 2}
+    for workers in (1, 2, 3, 4):
+        assert merge(two_phase_shares(rows, step, scale, budget, workers)) == want
 
 
 def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
-    # the top step one too large: a leaf whose budget is all used on the
-    # top level is off the scale by 1
+    # a step one too large on the top level, in the upper phase, or on
+    # level 0, in the bottom phase: a leaf that uses it is off the scale
     rows, step, scale, budget = large_scale_tables()
-    step = step[:-1] + [step[-1] + 1]
-    for walk in (lattices._walk, oracle_walk):
+    assert lattices._cut_level(len(rows)) < len(rows) - 1
+    for level in (len(step) - 1, 0):
+        wrong = list(step)
+        wrong[level] += 1
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-            walk((rows, step, scale, budget, 1, 0))
+            two_phase_shares(rows, wrong, scale, budget, 1)
+        with pytest.raises(ConstructionError, match="not a multiple of the scale"):
+            oracle_walk(rows, wrong, scale, budget)
 
 
 def test_reduced_tables_keep_the_budget_to_one_digit():
     # with lll's basis of minimal vectors the whole budget, at most
     # max_norm * scale, fits one int digit: Leech up to norm 6, E8 up to 8
     for g, max_norm in ((leech_gram(), 6), (e8_gram(), 8)):
-        scale = lattices._fincke_pohst_tables(lll(g).gram.entries)[2]
+        scale = tables(lll(g).gram.entries)[2]
         assert max_norm * scale < 2**sys.int_info.bits_per_digit
 
 
@@ -826,21 +934,21 @@ class RecordingPool:
         return map(fn, items)
 
 
-def test_short_vectors_starts_at_most_one_worker_per_subtree(monkeypatch):
+def test_short_vectors_starts_at_most_one_worker_per_state(monkeypatch):
     started = []
     monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
-    line = GramMatrix.from_rows([[2]])
-    # norm <= 8 on the line: x = 0, 1, 2 are the three subtrees
-    want = {1: 0, 2: 2, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 2}
-    assert short_vectors(line, 8, jobs=5).counts == want
-    assert short_vectors(line, 8, jobs=2).counts == short_vectors(line, 8).counts
-    # a single subtree needs no pool
-    assert short_vectors(line, 1, jobs=4).counts == {1: 0}
+    cube = identity_gram(3)
+    # norm <= 8 on Z^3: the top level takes x = 0, 1, 2, three states
+    want = oracle_count(cube, 8)
+    assert short_vectors(cube, 8, jobs=5).counts == want
+    assert short_vectors(cube, 8, jobs=2).counts == want
+    # a line has no upper phase, so a single state and no pool
+    assert short_vectors(GramMatrix.from_rows([[2]]), 8, jobs=4).counts[8] == 2
     assert started == [3, 2]
 
 
 def test_short_vectors_builds_the_walker_once(monkeypatch):
-    # the counting walk builds it and every worker's walk reuses it, as a
+    # the upper phase builds it and every worker's walk reuses it, as a
     # forked worker does
     built = []
 
@@ -868,20 +976,38 @@ def test_short_vectors_jobs_under_every_start_method(monkeypatch, method):
     assert counts == {1: 0, 2: 240, 3: 0, 4: 2160, 5: 0, 6: 6720}
 
 
+@pytest.mark.parametrize("threads, method", [(1, "fork"), (2, "spawn")])
+def test_pool_forks_only_a_single_threaded_process(monkeypatch, threads, method):
+    # fork hands the workers the compiled walker, but a lock held by another
+    # thread would stay held in a forked child
+    chosen = []
+    get_context = multiprocessing.get_context
+
+    def record(name):
+        chosen.append(name)
+        return get_context(name)
+
+    monkeypatch.setattr(multiprocessing, "get_context", record)
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    lattices._pool(2).shutdown()
+    forks = "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
+    assert chosen == [method if forks else "spawn"]
+
+
 def test_short_vectors_domain(monkeypatch):
     started = []
     monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
 
-    def no_walk(args):
+    def no_walk(*args):
         raise RuntimeError("walk started")
 
-    monkeypatch.setattr(lattices, "_walk", no_walk)
+    monkeypatch.setattr(lattices, "_bottom_states", no_walk)
     g = GramMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
         short_vectors(g, 0)
     with pytest.raises(ValueError):
         short_vectors(g, 2, jobs=0)
-    # above the ceiling neither the subtree count nor a pool starts
+    # above the ceiling neither the upper phase nor a pool starts
     with pytest.raises(ValueError, match=f"between 1 and {lattices.MAX_JOBS}"):
         short_vectors(g, 2, jobs=lattices.MAX_JOBS + 1)
     assert started == []

@@ -22,7 +22,7 @@ def walker_sources():
     # the links generated for the E8 and Leech tables
     found = []
     for name, gram in (("e8", lattices.e8_gram()), ("leech", leech_gram())):
-        tables = lattices._fincke_pohst_tables(lattices.lll(gram).gram.entries)
+        tables = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
         for k, source in enumerate(lattices._walker_links(*tables)):
             found.append((f"{name} link {k}", source))
     return found
@@ -77,7 +77,7 @@ def test_no_fractions_in_package():
 
 def test_walker_source_depends_only_on_its_tables():
     for gram in (lattices.e8_gram(), leech_gram()):
-        rows, step, scale = lattices._fincke_pohst_tables(lattices.lll(gram).gram.entries)
+        rows, step, scale = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
         links = lattices._walker_links(rows, step, scale)
         copies = ([list(row) for row in rows], list(step), scale)
         assert lattices._walker_links(*copies) == links

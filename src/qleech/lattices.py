@@ -8,15 +8,17 @@ fraction-free LDL^T, keeps the Gram matrix current through each step, and
 returns both the reduced Gram matrix and the unimodular transform that
 produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
-hot loop touches nothing but Python ints.  It runs in two phases: the
-upper levels tally the states (remaining budget, coset of the partial sums)
-in which they reach a cut level, and each distinct state below it is walked
-once, its counts weighted by its tally, which takes a 24-dimensional norm-4
-sweep to about half a million nodes.  Both phases run as Python source
+hot loop touches nothing but Python ints.  It runs as a cascade of phases
+split at cut levels, every three levels from norm 4 up: each phase walks
+the distinct states (remaining budget, coset of the partial sums) that the
+phase above tallied, each once and weighted by its tally, and tallies the
+states in which it reaches the next cut, which takes a 24-dimensional
+norm-4 sweep to about 49,000 nodes.  Every phase runs as Python source
 generated for the form: one nested loop per level with the table entries
 written in as literals and Schnorr-Euchner partial sums in plain locals,
 cut into a chain of functions at CPython's 20 nested loops, each link
-compiled on its own.  Parallel runs deal the bottom states to the workers.
+compiled on its own.  Parallel runs deal the top phase's states to the
+workers.
 
 The two theta checks share one comparison: enumerated counts per even norm
 against independently computed series coefficients, and zero at every odd
@@ -190,12 +192,17 @@ def _fincke_pohst_tables(d: Sequence[int], lam: Sequence[Sequence[int]]):
     return rows, [scale * p // q for p, q in zip(d[1:], dens)], scale
 
 
-def _cut_level(n: int) -> int:
-    """K, the level at which the walk of an n-dimensional form changes phase:
-    3n // 5 lies in 0..n-1 (a line or a plane has no upper phase) and is 14
-    for Leech, which walks about as fast there as at 13 or 15 and faster
-    than at 12 or 16."""
-    return 3 * n // 5
+def _cut_levels(n: int, max_norm: int) -> tuple[int, ...]:
+    """The levels, from the top down, at which the walk of an n-dimensional
+    form up to max_norm changes phase, in 0..n-1 (the top phase is empty
+    when the first is n-1).  From norm 4 up a cut every three levels from
+    3n // 4 down to n // 4: 18, 15, 12, 9 and 6 on Leech, which visit a
+    tenth of the nodes of one cut at 14.  Below norm 4 the states repeat
+    too little for a cut to pay for its tallies, and one cut at 3n // 5
+    (14 on Leech) walks fastest."""
+    if max_norm < 4:
+        return (3 * n // 5,)
+    return tuple(range(3 * n // 4, n // 4 - 1, -3))
 
 
 def _plus(expr: str | None, coeff: int, name: str) -> str | None:
@@ -206,45 +213,47 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
 
 
 def _reduction(rows, cut: int, sums) -> list[str]:
-    """Source that sets t0..t{cut} to the canonical representative of the
+    """Source that sets r0..r{cut} to the canonical representative of the
     partial sums sums[0..cut] (expressions, None for 0) modulo the lattice
-    of the block rows[0..cut][0..cut]: for j = cut down to 0, z_j, t_j =
-    divmod(t_j, L_j), then t_k -= rows[k][j] z_j for k < j."""
+    of the block rows[0..cut][0..cut]: for j = cut down to 0, z_j, r_j =
+    divmod(t_j, L_j), then t_k -= rows[k][j] z_j for k < j.  The names are
+    fresh: a phase's loops still read its input sums t_k after a tally."""
     lines = []
     for j in range(cut, -1, -1):
         expr = sums[j] or "0"
         for i in range(j + 1, cut + 1):
             expr = _plus(expr, -rows[j][i], f"z{i}")
-        lines.append(f"z{j}, t{j} = divmod({expr}, {rows[j][j]})")
+        lines.append(f"z{j}, r{j} = divmod({expr}, {rows[j][j]})")
     return lines
 
 
-def _walker_links(rows, step, scale) -> list[str]:
-    """Python source of the walker for these tables, one chain link per
-    string; the source is a pure function of the tables.
+def _walker_links(rows, step, scale, cuts) -> list[str]:
+    """Python source of the walker for these tables and cut levels, one
+    chain link per string; the source is a pure function of its inputs.
 
-    The walk is split at level K = _cut_level(n).  Below it the count of a
-    subtree depends only on the remaining budget R and on the coset of the
-    partial sums t_k = sum_{j>K} rows[k][j] x_j (k <= K) modulo the lattice
-    of the block rows[0..K][0..K], as moving x_0..x_K by a vector of Z^{K+1}
-    is a bijection of subtrees.  _upper0(budget) walks levels n-1..K+1 and
-    at each descent into level K adds one to tally[(R, t_K, ..., t_0)], t
-    reduced by _reduction, which _canon(t_K, ..., t_0) also runs;
-    _lower0(budget, R, t_K, ..., t_0) walks levels K..0 below one state and
-    returns its counts by norm.
+    The walk runs in phases split at the cut levels.  Below a cut K the
+    count of a subtree depends only on the remaining budget R and on the
+    coset of the partial sums t_k = sum_{j>K} rows[k][j] x_j (k <= K)
+    modulo the lattice of the block rows[0..K][0..K], as moving x_0..x_K by
+    a vector of Z^{K+1} is a bijection of subtrees.  So each phase walks
+    the distinct states its input holds, one at a time:
+    _p{p}_0(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
+    below the state (R, t) at level a, its first level (the top phase has
+    a = n-1 and no t), and at each descent into its cut K adds times to
+    tally[(R, r_K, ..., r_0)], r the sums reduced by _reduction, which
+    _canon{p}(t_K, ..., t_0) also runs.  The last phase walks levels
+    K..0 below the last cut and adds 2 times to tally[norm] at each leaf.
 
-    One per-level emitter writes both: a `for x_i in range(lo, hi + 1)`
-    loop per level with the table entries written in as literals.  A node
-    computes only its child's centre and range and skips an empty range; a
-    descent also brings the lower rows' partial sums s{k}_{i} = sum_{j>=i}
-    rows[k][j] x_j up to date (Schnorr-Euchner), all plain locals.  CPython
-    compiles at most 20 nested loops in one function, so each phase is cut
-    into links of at most 20 levels, the lowest one full, so calls between
-    links happen high up, where nodes are few.
+    One per-level emitter writes every phase: a `for x_i in range(lo, hi +
+    1)` loop per level with the table entries written in as literals.  A
+    node computes only its child's centre and range and skips an empty
+    range; a descent also brings the lower rows' partial sums s{k}_{i} =
+    sum_{j>=i} rows[k][j] x_j up to date (Schnorr-Euchner), all plain
+    locals.  CPython compiles at most 20 nested loops in one function, so
+    each phase is cut into links of at most 20 levels, the lowest one
+    full, so calls between links happen high up, where nodes are few.
     """
     n = len(rows)
-    cut = _cut_level(n)
-    ts = [f"t{k}" for k in range(cut, -1, -1)]
     links: list[list[str]] = []
 
     def child(pad, i, remaining, centre, skip):
@@ -261,26 +270,32 @@ def _walker_links(rows, step, scale) -> list[str]:
             f"{pad}    lo = 0",
         ]
 
-    def tally(pad, remaining, sums):
+    def names(prefix, cut):
+        return ", ".join(f"{prefix}{k}" for k in range(cut, -1, -1))
+
+    def tally(pad, remaining, sums, cut):
         return [pad + text for text in _reduction(rows, cut, sums)] + [
-            f"{pad}key = ({remaining}, {', '.join(ts)})",
-            f"{pad}tally[key] = tally.get(key, 0) + 1",
+            f"{pad}key = ({remaining}, {names('r', cut)})",
+            f"{pad}tally[key] = tally.get(key, 0) + times",
         ]
 
-    def chain(name, first, last, params, remaining, sums, result):
-        # levels first down to last; sums[k] names sum_{j>i} rows[k][j] x_j
-        # at level i, None for 0, so sums[i] is the centre of level i
+    def chain(name, first, last, sums):
+        # levels first down to last, then a tally at the cut last - 1 or the
+        # leaves of level 0; sums[k] names sum_{j>i} rows[k][j] x_j at level
+        # i, None for 0, so sums[i] is the centre of level i
         start = len(links)
-        out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):", f"    {result} = {{}}"]
+        remaining = f"R{first}"
+        params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
+        out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):"]
         links.append(out)
         pad = "    "
         if first < last:
-            out += tally(pad, remaining, sums)
+            out += tally(pad, remaining, sums, last - 1)
         else:
             out += child(pad, first, remaining, sums[first], False)
         for i in range(first, last - 1, -1):
             if i < first and (i - last) % 20 == 19:
-                names = ["budget", result, "lo", "hi", remaining, *filter(None, sums[: i + 1])]
+                names = ["budget", "tally", "times", "lo", "hi", remaining, *filter(None, sums[: i + 1])]
                 args = ", ".join(dict.fromkeys(names))
                 out.append(f"{pad}{name}{len(links) - start}({args})")
                 out = [f"def {name}{len(links) - start}({args}, isqrt=isqrt):"]
@@ -297,14 +312,14 @@ def _walker_links(rows, step, scale) -> list[str]:
                     f"{pad}    norm, r = divmod(used, {scale})",
                     f"{pad}    if r:",
                     f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
-                    f"{pad}    counts[norm] = counts.get(norm, 0) + 2",
+                    f"{pad}    tally[norm] = tally.get(norm, 0) + 2 * times",
                 ]
                 break
             remaining = f"R{i - 1}"
             out.append(f"{pad}{remaining} = {rest}")
             if i == last:
                 sums = [_plus(s, rows[k][i], f"x{i}") for k, s in enumerate(sums[:i])]
-                out += tally(pad, remaining, sums)
+                out += tally(pad, remaining, sums, last - 1)
                 break
             centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
             if centre is not None and not centre.isidentifier():
@@ -316,50 +331,50 @@ def _walker_links(rows, step, scale) -> list[str]:
                 if rows[k][i]:
                     out.append(f"{pad}s{k}_{i} = {_plus(sums[k], rows[k][i], f'x{i}')}")
                     sums[k] = f"s{k}_{i}"
-        links[start].append(f"    return {result}")
 
-    chain("_upper", n - 1, cut + 1, ["budget"], "budget", [None] * n, "tally")
-    chain("_lower", cut, 0, ["budget", f"R{cut}", *ts], f"R{cut}", ts[::-1] + [None] * n, "counts")
-    canon = ["    " + text for text in _reduction(rows, cut, ts[::-1])]
-    links.append([f"def _canon({', '.join(ts)}):", *canon, f"    return {', '.join(ts)},"])
+    for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
+        chain(f"_p{p}_", first, cut + 1, [f"t{k}" if p else None for k in range(first + 1)])
+        if cut >= 0:
+            canon = ["    " + text for text in _reduction(rows, cut, [f"t{k}" for k in range(cut + 1)])]
+            links.append([f"def _canon{p}({names('t', cut)}):", *canon, f"    return {names('r', cut)},"])
     return ["\n".join(link) + "\n" for link in links]
 
 
 @lru_cache(maxsize=1)
-def _walker(rows, step, scale):
-    """_upper0, _lower0 and _canon for these tables (as tuples, the cache
-    key), compiled once per process: the upper phase builds them before the
+def _walker(rows, step, scale, cuts):
+    """The phases of the walker for these tables (as tuples, the cache key)
+    and cut levels: (_p{p}_0, _canon{p}) for each, the last one's canon
+    None, compiled once per process.  The top phase builds them before the
     pool starts, so forked workers inherit them.  Each chain link compiles
     on its own, so the compiler never holds the whole walker at once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
-    for k, source in enumerate(_walker_links(rows, step, scale)):
+    for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return namespace["_upper0"], namespace["_lower0"], namespace["_canon"]
+    return [(namespace[f"_p{p}_0"], namespace.get(f"_canon{p}")) for p in range(len(cuts) + 1)]
 
 
-def _bottom_states(rows, step, scale, budget) -> list[tuple[tuple[int, ...], int]]:
-    """The upper phase: each distinct bottom state (R, t_K, ..., t_0), in
-    walk order, with the number of times the upper levels reach it.  A state
-    is folded with its negation, keeping the smaller key: x -> -x maps the
-    subtree of (R, t) onto that of (R, -t), so the two count alike while
-    R < budget; the zero-prefix state R == budget has t = 0 and keeps the
-    +-v clamp, under which each vector found stands for its +-v pair."""
-    upper, _, canon = _walker(tuple(map(tuple, rows)), tuple(step), scale)
-    states: Counter[tuple[int, ...]] = Counter()
-    for (r, *t), times in upper(budget).items():
-        states[min((r, *t), (r, *canon(*(-v for v in t))))] += times
-    return list(states.items())
-
-
-def _walk_states(args) -> dict[int, int]:
-    """The bottom phase for a share of the states: each state walked once,
-    its counts by norm multiplied by its tally."""
-    rows, step, scale, budget, states = args
-    lower = _walker(tuple(map(tuple, rows)), tuple(step), scale)[1]
-    counts: Counter[int] = Counter()
-    for key, times in states:
-        counts.update({norm: times * cnt for norm, cnt in lower(budget, *key).items()})
-    return counts
+def _walk_states(args):
+    """Run the phases in a slice of the walk from a list of (state, times).
+    Each phase walks each state once into one tally, weighted by its times.
+    A tally of states is folded, each key with its negation, keeping the
+    smaller key: x -> -x maps the subtree of (R, t) onto that of (R, -t),
+    so the two count alike while R < budget; the zero-prefix state R ==
+    budget has t = 0 and keeps the +-v clamp, under which each vector found
+    stands for its +-v pair.  Returns the folded states in walk order, or
+    after the last phase the counts by norm."""
+    rows, step, scale, budget, phases, states = args
+    cuts = _cut_levels(len(rows), budget // scale)
+    for phase, canon in _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[phases]:
+        tally: dict = {}
+        for key, times in states:
+            phase(budget, tally, times, *key)
+        if canon is None:
+            return tally
+        folded: Counter[tuple[int, ...]] = Counter()
+        for (r, *t), times in tally.items():
+            folded[min((r, *t), (r, *canon(*(-v for v in t))))] += times
+        states = list(folded.items())
+    return states
 
 
 def _pool(workers: int):
@@ -381,11 +396,11 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
     """Count all lattice vectors of each norm 1..max_norm.
 
     The Gram matrix is LLL-reduced first; the enumeration then works on the
-    reduced form, which leaves counts unchanged.  The upper phase of the
-    walk runs here; jobs > 1 deals its distinct bottom states out to
-    min(jobs, states) worker processes, round-robin in walk order, and the
-    counts are merged in worker order, so they do not depend on jobs.  jobs
-    must lie in 1..MAX_JOBS.
+    reduced form, which leaves counts unchanged.  The top phase of the walk
+    runs here; jobs > 1 deals the states it folds out to min(jobs, states)
+    worker processes, round-robin in walk order, each of which runs the
+    other phases on its share, and the counts are merged in worker order,
+    so they do not depend on jobs.  jobs must lie in 1..MAX_JOBS.
     """
     if not isinstance(max_norm, int) or max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
@@ -393,15 +408,15 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     rows, step, scale = _fincke_pohst_tables(*_lll(gram)[2:])
     budget = max_norm * scale
-    states = _bottom_states(rows, step, scale, budget)
+    states = _walk_states((rows, step, scale, budget, slice(1), [((budget,), 1)]))
     workers = min(jobs, len(states))
-    arglist = [(rows, step, scale, budget, states[i::workers]) for i in range(workers)]
+    arglist = [(rows, step, scale, budget, slice(1, None), states[i::workers]) for i in range(workers)]
     if workers == 1:
         parts = [_walk_states(arglist[0])]
     else:
         with _pool(workers) as pool:
             parts = list(pool.map(_walk_states, arglist))
-    merged = sum(parts, Counter())
+    merged = sum(map(Counter, parts), Counter())
     counts = {m: merged[m] for m in range(1, max_norm + 1)}
     return ShortVectorCount(max_norm=max_norm, counts=counts)
 

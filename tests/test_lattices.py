@@ -4,13 +4,13 @@ Enumeration counts in low dimension are verified against a dumb box search
 that bounds each coordinate through the inverse Gram diagonal, and in every
 dimension against a plain Fincke-Pohst walk kept here as an oracle (one
 lcm(L^3) scale for every level, every centre recomputed at every node).
-The generated walker is compared share by share with `oracle_walk`, the
-table-driven loop it replaced.  The LLL check is compared with a
-Gram-Schmidt recomputed entry by entry.  The integral `lll` is compared
-with `oracle_lll`, the same deep-insertion loop over the rationals on a
-Gram-Schmidt of its own, and the fraction-free `ldl` with `oracle_ldl`,
-the rational routine it replaced; the output of `lll` is pinned by a
-digest.
+The generated walker is compared with `oracle_walk`, the table-driven
+loop it replaced, state by state at every cut and share by share.  The
+LLL check is compared with a Gram-Schmidt recomputed entry by entry.  The
+integral `lll` is compared with `oracle_lll`, the same deep-insertion loop
+over the rationals on a Gram-Schmidt of its own, and the fraction-free
+`ldl` with `oracle_ldl`, the rational routine it replaced; the output of
+`lll` is pinned by a digest.
 """
 
 import hashlib
@@ -733,14 +733,26 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
         assert lll(g) == lattices.ReducedBasis(GramMatrix.from_rows(rows), tuple(map(tuple, u)))
 
 
-def two_phase_shares(rows, step, scale, budget, workers):
-    """The counts of each share of the bottom states, dealt as short_vectors
-    deals them to that many workers."""
-    states = lattices._bottom_states(rows, step, scale, budget)
-    return [
-        lattices._walk_states((rows, step, scale, budget, states[i::workers]))
-        for i in range(workers)
-    ]
+def walk(rows, step, scale, budget, phases, states):
+    """The phases in that slice of the walk, from (state, times) pairs."""
+    return lattices._walk_states((rows, step, scale, budget, phases, states))
+
+
+def states_per_cut(rows, step, scale, budget):
+    """The folded states at each cut, from the top phase down."""
+    found, states = [], [((budget,), 1)]
+    for p in range(len(lattices._cut_levels(len(rows), budget // scale))):
+        states = walk(rows, step, scale, budget, slice(p, p + 1), states)
+        found.append(states)
+    return found
+
+
+def dealt_shares(rows, step, scale, budget, workers):
+    """The counts of each share of the top phase's states, dealt as
+    short_vectors deals them to that many workers: each share runs the
+    other phases on its own, folding only its own states."""
+    states = walk(rows, step, scale, budget, slice(1), [((budget,), 1)])
+    return [walk(rows, step, scale, budget, slice(1, None), states[i::workers]) for i in range(workers)]
 
 
 def merge(parts):
@@ -751,12 +763,12 @@ def merge(parts):
     return merged
 
 
-def test_two_phase_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
+def test_dealt_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
     # raw and reduced tables of the 302 forms at three norms each: the
-    # shares of 1..4 workers add up to the single-phase count; short_vectors
-    # deals them the same way for jobs 1..4.  Leech runs reduced at norm 2
-    # only: its raw Gram has diagonal entries up to 1.3 M, a tree far too
-    # big for the oracle
+    # shares of 1..4 workers add up to the serial walk of every phase and
+    # to the single-phase count; short_vectors deals them the same way for
+    # jobs 1..4.  Leech runs reduced at norm 2 only: its raw Gram has
+    # diagonal entries up to 1.3 M, a tree far too big for the oracle
     monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool([], workers))
     for g in pinned_forms():
         reduced = lll(g).gram
@@ -768,53 +780,74 @@ def test_two_phase_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
             for max_norm in norms:
                 budget = max_norm * scale
                 want = oracle_walk(rows, step, scale, budget)
+                assert walk(rows, step, scale, budget, slice(None), [((budget,), 1)]) == want
                 for workers in (1, 2, 3, 4):
-                    assert merge(two_phase_shares(rows, step, scale, budget, workers)) == want
+                    assert merge(dealt_shares(rows, step, scale, budget, workers)) == want
         # want is the count of the reduced form at the largest norm
         want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
         for jobs in (1, 2, 3, 4):
             assert short_vectors(g, max_norm, jobs=jobs).counts == want
 
 
-def test_each_bottom_state_matches_oracle_walk():
-    # every state, walked alone, counts what the single-phase oracle counts
-    # below that node, and the states weighted by their tallies add up to the
-    # whole count; on the oracle cases and on forms deep enough to need two
+def test_each_state_at_each_cut_matches_oracle_walk():
+    # at every cut, every state walked alone through the phases below it
+    # counts what the single-phase oracle counts below that node, and the
+    # states weighted by their tallies add up to the whole count; on the
+    # oracle cases, E8 at norm 8 and Leech at norm 4 (two and five cuts),
+    # and at norm 2, which has one cut, on forms deep enough to need two
     # or three chain links in a phase: diagonal ones (at 70 levels the
     # bottom phase has 43, and links of 21 levels would not compile),
     # Leech + [[4]], and Leech + E8, whose bottom phase is one link of
-    # exactly 20 levels and whose dense rows pass partial sums over the cuts
+    # exactly 20 levels and whose dense rows pass partial sums over the cut
     leech = leech_gram().entries
-    cases = oracle_cases() + [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60, 70)]
+    cases = oracle_cases() + [(e8_gram(), 8), (leech_gram(), 4)]
+    cases += [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60, 70)]
     cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
     for g, max_norm in cases:
         rows, step, scale = tables(lll(g).gram.entries)
         budget = max_norm * scale
-        states = lattices._bottom_states(rows, step, scale, budget)
-        assert len({key for key, _ in states}) == len(states)
-        whole = {}
-        for key, times in states:
-            alone = lattices._walk_states((rows, step, scale, budget, [(key, times)]))
-            below = oracle_walk(rows, step, scale, budget, start=key)
-            assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, key)
-            whole = merge([whole, alone])
-        assert whole == oracle_walk(rows, step, scale, budget), g.dim
+        # on Leech at norm 4 the kissing number stands in for a 3 s oracle
+        # walk, and every 8th state, the zero state first, for all of them
+        leech4 = (g, max_norm) == (leech_gram(), 4)
+        whole = {4: 196560} if leech4 else oracle_walk(rows, step, scale, budget)
+        for p, states in enumerate(states_per_cut(rows, step, scale, budget)):
+            assert len({key for key, _ in states}) == len(states)
+            assert walk(rows, step, scale, budget, slice(p + 1, None), states) == whole, (g.dim, p)
+            for key, times in states[:: 8 if leech4 else 1]:
+                alone = walk(rows, step, scale, budget, slice(p + 1, None), [(key, times)])
+                below = oracle_walk(rows, step, scale, budget, start=key)
+                assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, p, key)
         for workers in (2, 3, 4):
-            assert merge(two_phase_shares(rows, step, scale, budget, workers)) == whole
+            assert merge(dealt_shares(rows, step, scale, budget, workers)) == whole
 
 
-def test_bottom_state_counts_are_pinned():
+def test_state_counts_per_cut_are_pinned():
     # a key that is exact but not canonical, or not folded with its
-    # negation, gives more states; the cut level is 14 for Leech, 4 for E8
-    for g, max_norm, want in ((leech_gram(), 4, 666), (e8_gram(), 8, 12)):
+    # negation, gives more states, and a cut moved by a level other ones;
+    # below norm 4 one cut at 3n // 5, from norm 4 up a cut every three
+    # levels from 3n // 4 down to n // 4
+    pins = (
+        (leech_gram(), 2, [266]),
+        (leech_gram(), 4, [158, 508, 1030, 676, 262]),
+        (leech_gram(), 6, [236, 796, 1682, 1164, 470]),
+        (e8_gram(), 8, [5, 17]),
+    )
+    for g, max_norm, want in pins:
         rows, step, scale = tables(lll(g).gram.entries)
-        assert len(lattices._bottom_states(rows, step, scale, max_norm * scale)) == want
-    assert [lattices._cut_level(n) for n in (1, 2, 8, 24, 60)] == [0, 1, 4, 14, 36]
+        assert [len(states) for states in states_per_cut(rows, step, scale, max_norm * scale)] == want
+    schedules = {n: [lattices._cut_levels(n, m) for m in range(1, 9)] for n in (1, 2, 8, 24, 60)}
+    assert schedules == {
+        1: [(0,)] * 8,
+        2: [(1,)] * 8,
+        8: [(4,)] * 3 + [(6, 3)] * 5,
+        24: [(14,)] * 3 + [(18, 15, 12, 9, 6)] * 5,
+        60: [(36,)] * 3 + [(45, 42, 39, 36, 33, 30, 27, 24, 21, 18, 15)] * 5,
+    }
 
 
 @lru_cache(maxsize=None)
 def invariance_states(name):
-    """Tables, budget, and the keys the upper phase tallies with R < budget."""
+    """Tables, budget, and for each cut the folded states with R < budget."""
     if name == "raw":
         g, max_norm = random_spd_gram(random.Random(71), 7, spread=3), 12
     else:
@@ -822,29 +855,34 @@ def invariance_states(name):
         g = lll(g).gram
     rows, step, scale = tables(g.entries)
     budget = max_norm * scale
-    upper = lattices._walker(tuple(map(tuple, rows)), tuple(step), scale)[0]
-    return rows, step, scale, budget, sorted(key for key in upper(budget) if key[0] < budget)
+    found = states_per_cut(rows, step, scale, budget)
+    return rows, step, scale, budget, [[key for key, _ in states if key[0] < budget] for states in found]
 
 
 @pytest.mark.parametrize("name", ["e8", "leech", "raw"])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, data):
-    # translating the partial sums t of a tallied state by a vector of the
-    # block lattice rows[0..K][0..K], or negating them, leaves its counts
-    # unchanged (R < budget, so no +-v clamp), and _canon maps the coset to
-    # one representative with 0 <= t_j < L_j
+    # at every cut K, translating the partial sums t of a state by a vector
+    # of the block lattice rows[0..K][0..K], or negating them, leaves its
+    # counts below unchanged (R < budget, so no +-v clamp), and the cut's
+    # _canon maps the coset to one representative with 0 <= t_j < L_j
     rows, step, scale, budget, keys = invariance_states(name)
-    _, lower, canon = lattices._walker(tuple(map(tuple, rows)), tuple(step), scale)
-    cut = lattices._cut_level(len(rows))
-    rest, *t = data.draw(st.sampled_from(keys))
+    cuts = lattices._cut_levels(len(rows), budget // scale)
+    p = data.draw(st.sampled_from([p for p, found in enumerate(keys) if found]))
+    cut, canon = cuts[p], lattices._walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[p][1]
+    rest, *t = data.draw(st.sampled_from(keys[p]))
     z = data.draw(st.lists(st.integers(-3, 3), min_size=cut + 1, max_size=cut + 1))
     # t holds t_k for k = cut down to 0; moved is t + M z
     moved = [t[cut - k] + sum(rows[k][j] * z[j] for j in range(k, cut + 1)) for k in range(cut, -1, -1)]
-    want = lower(budget, rest, *t)
+
+    def below(sums):
+        return walk(rows, step, scale, budget, slice(p + 1, None), [((rest, *sums), 1)])
+
+    want = below(t)
     assert want == oracle_walk(rows, step, scale, budget, start=(rest, *t))
-    assert lower(budget, rest, *moved) == want
-    assert lower(budget, rest, *(-v for v in moved)) == want
+    assert below(moved) == want
+    assert below([-v for v in moved]) == want
     assert canon(*moved) == canon(*t) == tuple(t)
     assert all(0 <= v < rows[k][k] for k, v in zip(range(cut, -1, -1), canon(*(-v for v in moved))))
 
@@ -857,7 +895,7 @@ def test_walk_checks_that_norms_are_multiples_of_the_scale():
     # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2
     rows, step, scale, budget = [[1]], [3], 2, 14
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-        two_phase_shares(rows, step, scale, budget, 1)
+        dealt_shares(rows, step, scale, budget, 1)
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
         oracle_walk(rows, step, scale, budget)
 
@@ -885,19 +923,21 @@ def test_walk_on_a_large_scale_matches_oracle_walk():
     # and a unit with (0, +-1)
     assert want == {1: 2, 3: 48, 4: 2 + 48 * 2}
     for workers in (1, 2, 3, 4):
-        assert merge(two_phase_shares(rows, step, scale, budget, workers)) == want
+        assert merge(dealt_shares(rows, step, scale, budget, workers)) == want
 
 
 def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
-    # a step one too large on the top level, in the upper phase, or on
-    # level 0, in the bottom phase: a leaf that uses it is off the scale
+    # a step one too large on the top level, in the top phase, on the
+    # first level of each later phase, or on level 0: a leaf that uses it
+    # is off the scale
     rows, step, scale, budget = large_scale_tables()
-    assert lattices._cut_level(len(rows)) < len(rows) - 1
-    for level in (len(step) - 1, 0):
+    cuts = lattices._cut_levels(len(rows), budget // scale)
+    assert cuts == (19, 16, 13, 10, 7)
+    for level in (len(step) - 1, *cuts, 0):
         wrong = list(step)
         wrong[level] += 1
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-            two_phase_shares(rows, wrong, scale, budget, 1)
+            dealt_shares(rows, wrong, scale, budget, 1)
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
             oracle_walk(rows, wrong, scale, budget)
 
@@ -937,18 +977,19 @@ class RecordingPool:
 def test_short_vectors_starts_at_most_one_worker_per_state(monkeypatch):
     started = []
     monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
-    cube = identity_gram(3)
-    # norm <= 8 on Z^3: the top level takes x = 0, 1, 2, three states
+    cube = identity_gram(5)
+    # norm <= 8 on Z^5: the top phase is level 4 alone, which takes x = 0,
+    # 1, 2, three states
     want = oracle_count(cube, 8)
     assert short_vectors(cube, 8, jobs=5).counts == want
     assert short_vectors(cube, 8, jobs=2).counts == want
-    # a line has no upper phase, so a single state and no pool
+    # a line has no top phase, so a single state and no pool
     assert short_vectors(GramMatrix.from_rows([[2]]), 8, jobs=4).counts[8] == 2
     assert started == [3, 2]
 
 
 def test_short_vectors_builds_the_walker_once(monkeypatch):
-    # the upper phase builds it and every worker's walk reuses it, as a
+    # the top phase builds it and every worker's walk reuses it, as a
     # forked worker does
     built = []
 
@@ -1001,13 +1042,13 @@ def test_short_vectors_domain(monkeypatch):
     def no_walk(*args):
         raise RuntimeError("walk started")
 
-    monkeypatch.setattr(lattices, "_bottom_states", no_walk)
+    monkeypatch.setattr(lattices, "_walk_states", no_walk)
     g = GramMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
         short_vectors(g, 0)
     with pytest.raises(ValueError):
         short_vectors(g, 2, jobs=0)
-    # above the ceiling neither the upper phase nor a pool starts
+    # above the ceiling neither the top phase nor a pool starts
     with pytest.raises(ValueError, match=f"between 1 and {lattices.MAX_JOBS}"):
         short_vectors(g, 2, jobs=lattices.MAX_JOBS + 1)
     assert started == []

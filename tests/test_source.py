@@ -19,12 +19,15 @@ def package_sources():
 
 
 def walker_sources():
-    # the links generated for the E8 and Leech tables
+    # the links generated for the E8 and Leech tables, with one cut and
+    # with the cascade
     found = []
     for name, gram in (("e8", lattices.e8_gram()), ("leech", leech_gram())):
         tables = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
-        for k, source in enumerate(lattices._walker_links(*tables)):
-            found.append((f"{name} link {k}", source))
+        for max_norm in (2, 4):
+            cuts = lattices._cut_levels(gram.dim, max_norm)
+            for k, source in enumerate(lattices._walker_links(*tables, cuts)):
+                found.append((f"{name} norm {max_norm} link {k}", source))
     return found
 
 
@@ -78,8 +81,9 @@ def test_no_fractions_in_package():
 def test_walker_source_depends_only_on_its_tables():
     for gram in (lattices.e8_gram(), leech_gram()):
         rows, step, scale = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
-        links = lattices._walker_links(rows, step, scale)
-        copies = ([list(row) for row in rows], list(step), scale)
+        cuts = lattices._cut_levels(gram.dim, 4)
+        links = lattices._walker_links(rows, step, scale, cuts)
+        copies = ([list(row) for row in rows], list(step), scale, cuts)
         assert lattices._walker_links(*copies) == links
         literals = {
             node.value

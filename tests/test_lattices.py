@@ -845,6 +845,47 @@ def test_state_counts_per_cut_are_pinned():
     }
 
 
+def counting_walker(real, nodes):
+    """A stand-in for lattices._walker, real, that runs a copy of the
+    generated source compiled here, with `nodes[p] += 1` as the first
+    statement of every loop body of phase p, in place of the functions real
+    compiles."""
+
+    def walker(*args):
+        namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError, "nodes": nodes}
+        for source in lattices._walker_links(*args):
+            lines = []
+            for line in source.splitlines():
+                lines.append(line)
+                if line.startswith("def _p"):
+                    phase = int(line[len("def _p") :].split("_")[0])
+                if line.lstrip().startswith("for x"):
+                    lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
+            exec(compile("\n".join(lines) + "\n", "<counting link>", "exec"), namespace)
+        return [tuple(namespace.get(getattr(f, "__name__", None), f) for f in phase) for phase in real(*args)]
+
+    return walker
+
+
+def test_nodes_per_phase_are_pinned(monkeypatch):
+    # the nodes each phase visits, counted on every loop iteration: a new
+    # label for the states at a cut moves none of them, and a key that
+    # splits or merges cosets moves the phases below
+    pins = (
+        (2, [3467, 6198], {}),
+        (4, [1474, 5897, 14140, 14344, 7174, 5942], {4: 196560}),
+        (6, [3763, 15272, 40007, 43615, 23265, 36501], {4: 196560, 6: 16773120}),
+    )
+    rows, step, scale = tables(lll(leech_gram()).gram.entries)
+    real = lattices._walker
+    for max_norm, want, counts in pins:
+        nodes = [0] * len(want)
+        monkeypatch.setattr(lattices, "_walker", counting_walker(real, nodes))
+        budget = max_norm * scale
+        assert walk(rows, step, scale, budget, slice(None), [((budget,), 1)]) == counts
+        assert nodes == want
+
+
 @lru_cache(maxsize=None)
 def invariance_states(name):
     """Tables, budget, and for each cut the folded states with R < budget."""

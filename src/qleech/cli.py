@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         choices=(2, 4, 6),
-        help="norm bound for the kissing check (6 takes seconds)",
+        help="norm bound for the kissing check",
     )
     add_jobs(p)
     add_out(p)

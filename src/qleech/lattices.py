@@ -10,10 +10,10 @@ produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints.  It runs as a cascade of phases
 split at cut levels, every three levels from norm 4 up: each phase walks
-the distinct states (remaining budget, coset of the partial sums) that the
-phase above tallied, each once and weighted by its tally, and tallies the
-states in which it reaches the next cut, which takes a 24-dimensional
-norm-4 sweep to about 49,000 nodes.  Every phase runs as Python source
+the distinct states (remaining budget, coset of the partial sums, named
+by a linear key from a diagonal form of the block) that the phase above
+tallied, each once and weighted by its tally, and tallies the states at
+the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.  Every phase runs as Python source
 generated for the form: one nested loop per level with the table entries
 written in as literals and Schnorr-Euchner partial sums in plain locals,
 cut into a chain of functions at CPython's 20 nested loops, each link
@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd, isqrt, lcm
+from functools import lru_cache, reduce
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 from . import MAX_JOBS
@@ -212,19 +212,40 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
 
 
-def _reduction(rows, cut: int, sums) -> list[str]:
-    """Source that sets r0..r{cut} to the canonical representative of the
-    partial sums sums[0..cut] (expressions, None for 0) modulo the lattice
-    of the block rows[0..cut][0..cut]: for j = cut down to 0, z_j, r_j =
-    divmod(t_j, L_j), then t_k -= rows[k][j] z_j for k < j.  The names are
-    fresh: a phase's loops still read its input sums t_k after a tally."""
-    lines = []
-    for j in range(cut, -1, -1):
-        expr = sums[j] or "0"
-        for i in range(j + 1, cut + 1):
-            expr = _plus(expr, -rows[j][i], f"z{i}")
-        lines.append(f"z{j}, r{j} = divmod({expr}, {rows[j][j]})")
-    return lines
+def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
+    """A linear key of Z^{cut+1} / B Z^{cut+1}, B = rows[0..cut][0..cut]: pairs
+    (u, e), e > 1, with t, t' in one coset exactly when u . (t - t') = 0 mod
+    e for every pair.  Row and column operations, the smallest entry of a
+    pivot's column, then of its row, reducing the others, take B to a
+    diagonal U B V (Cohen, GTM 138, 2.4.4, no divisor chain); the u are rows
+    of U, and V is never formed.  Entries are kept mod D = prod L_j, as D
+    Z^{cut+1} lies in U B Z^{cut+1}, so e_k = gcd(U B V [k][k], D).  Raises
+    ConstructionError unless the e_k multiply to D, the group order."""
+    n = cut + 1
+    order = prod(rows[k][k] for k in range(n))
+    half = order // 2
+    a, u = [list(row[:n]) for row in rows[:n]], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 :]):
+            if any(a[i][k] for i in range(k + 1, n)):
+                p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
+                a[k], a[p], u[k], u[p] = a[p], a[k], u[p], u[k]
+                for i in range(k + 1, n):
+                    if q := a[i][k] // a[k][k]:
+                        a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
+                        u[i] = [(x - q * y) % order for x, y in zip(u[i], u[k])]
+            else:
+                p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
+                for row in a[k:]:
+                    row[k], row[p] = row[p], row[k]
+                qs = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // a[k][k])]
+                for row in a[k:]:
+                    for j, q in qs:
+                        row[j] = (row[j] - q * row[k] + half) % order - half
+    moduli = [gcd(a[k][k], order) for k in range(n)]
+    if prod(moduli) != order:
+        raise ConstructionError("coset key does not match the order of the block group")
+    return [([v % e for v in row], e) for row, e in zip(u, moduli) if e > 1]
 
 
 def _walker_links(rows, step, scale, cuts) -> list[str]:
@@ -240,18 +261,20 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     _p{p}_0(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
     below the state (R, t) at level a, its first level (the top phase has
     a = n-1 and no t), and at each descent into its cut K adds times to
-    tally[(R, r_K, ..., r_0)], r the sums reduced by _reduction, which
-    _canon{p}(t_K, ..., t_0) also runs.  The last phase walks levels
-    K..0 below the last cut and adds 2 times to tally[norm] at each leaf.
+    tally[(R, w)] = [times, (R, t_K, ..., t_0)], the state first seen, w
+    the key of t by _coset_key(rows, K) mod _moduli{p}.  The last phase
+    walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
     One per-level emitter writes every phase: a `for x_i in range(lo, hi +
     1)` loop per level with the table entries written in as literals.  A
     node computes only its child's centre and range and skips an empty
-    range; a descent also brings the lower rows' partial sums s{k}_{i} =
-    sum_{j>=i} rows[k][j] x_j up to date (Schnorr-Euchner), all plain
-    locals.  CPython compiles at most 20 nested loops in one function, so
-    each phase is cut into links of at most 20 levels, the lowest one
-    full, so calls between links happen high up, where nodes are few.
+    range; a descent also brings up to date, in plain locals, the partial
+    sums s{k}_{i} = sum_{j>=i} rows[k][j] x_j of the phase's lower rows
+    (Schnorr-Euchner) and the key's, u_c . t once per input state plus
+    (u_c . rows[0..K][j] mod e_c) x_j at each level j.  CPython compiles
+    at most 20 nested loops in one function, so each phase is cut into
+    links of at most 20 levels, the lowest one full, so calls between
+    links happen high up, where nodes are few.
     """
     n = len(rows)
     links: list[list[str]] = []
@@ -270,33 +293,28 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
             f"{pad}    lo = 0",
         ]
 
-    def names(prefix, cut):
-        return ", ".join(f"{prefix}{k}" for k in range(cut, -1, -1))
-
-    def tally(pad, remaining, sums, cut):
-        return [pad + text for text in _reduction(rows, cut, sums)] + [
-            f"{pad}key = ({remaining}, {names('r', cut)})",
-            f"{pad}tally[key] = tally.get(key, 0) + times",
-        ]
-
-    def chain(name, first, last, sums):
-        # levels first down to last, then a tally at the cut last - 1 or the
-        # leaves of level 0; sums[k] names sum_{j>i} rows[k][j] x_j at level
-        # i, None for 0, so sums[i] is the centre of level i
+    def chain(name, first, last, sums, key):
+        # levels first down to last, then a tally at the cut last - 1 keyed by
+        # the pairs (u, e) of key, or the leaves of level 0; sums[k] names sum_{j>i}
+        # coeffs[k][j] x_j at level i, None for 0 (rows k < last keep their input
+        # t_k), and sums[n + c] the key's u_c . t plus u_c . rows[..][j] x_j
         start = len(links)
         remaining = f"R{first}"
         params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
         out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):"]
         links.append(out)
         pad = "    "
-        if first < last:
-            out += tally(pad, remaining, sums, last - 1)
-        else:
+        coeffs = [*rows, *([sum(u[k] * rows[k][j] for k in range(last)) % e for j in range(n)] for u, e in key)]
+        for c, (u, e) in enumerate(key):
+            expr = " + ".join(f"{u[k]} * {sums[k]}" for k in range(last) if u[k] and sums[k])
+            sums.append(f"s{n + c}" if expr else None)
+            out += [f"{pad}s{n + c} = ({expr}) % {e}"] * bool(expr)
+        if first >= last:
             out += child(pad, first, remaining, sums[first], False)
         for i in range(first, last - 1, -1):
             if i < first and (i - last) % 20 == 19:
-                names = ["budget", "tally", "times", "lo", "hi", remaining, *filter(None, sums[: i + 1])]
-                args = ", ".join(dict.fromkeys(names))
+                names = [*filter(None, sums[: i + 1] + sums[n:]), *(f"x{j}" for j in range(first, i, -1) if last)]
+                args = ", ".join(dict.fromkeys(["budget", "tally", "times", "lo", "hi", remaining, *names]))
                 out.append(f"{pad}{name}{len(links) - start}({args})")
                 out = [f"def {name}{len(links) - start}({args}, isqrt=isqrt):"]
                 links.append(out)
@@ -314,66 +332,73 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
                     f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
                     f"{pad}    tally[norm] = tally.get(norm, 0) + 2 * times",
                 ]
-                break
+                return
             remaining = f"R{i - 1}"
             out.append(f"{pad}{remaining} = {rest}")
-            if i == last:
-                sums = [_plus(s, rows[k][i], f"x{i}") for k, s in enumerate(sums[:i])]
-                out += tally(pad, remaining, sums, last - 1)
-                break
-            centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
-            if centre is not None and not centre.isidentifier():
-                out.append(f"{pad}c{i - 1} = {centre}")
-                centre = f"c{i - 1}"
-            sums[i - 1] = centre
-            out += child(pad, i - 1, remaining, centre, True)
-            for k in range(i - 1):
-                if rows[k][i]:
-                    out.append(f"{pad}s{k}_{i} = {_plus(sums[k], rows[k][i], f'x{i}')}")
+            if i > last:
+                centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
+                if centre is not None and not centre.isidentifier():
+                    out.append(f"{pad}c{i - 1} = {centre}")
+                    centre = f"c{i - 1}"
+                sums[i - 1] = centre
+                out += child(pad, i - 1, remaining, centre, True)
+            for k in [*range(last, i - 1), *range(n, len(sums))]:
+                if coeffs[k][i]:
+                    out.append(f"{pad}s{k}_{i} = {_plus(sums[k], coeffs[k][i], f'x{i}')}")
                     sums[k] = f"s{k}_{i}"
+        # the state's input sums t_k (k < last) with the walked levels added,
+        # on the first sighting of its key only
+        comps = (f"({v}) % {e}" if v else "0" for v, (_, e) in zip(sums[n:], key))
+        state = (reduce(lambda acc, j: _plus(acc, rows[k][j], f"x{j}"), range(first, last - 1, -1), sums[k]) for k in range(last))
+        out += [f"{pad}key = ({', '.join([remaining, *comps])},)", f"{pad}seen = tally.get(key)", f"{pad}if seen is None:"]
+        out += [f"{pad}    tally[key] = [times, ({', '.join([remaining, *[v or '0' for v in state][::-1]])})]"]
+        out += [f"{pad}else:", f"{pad}    seen[0] += times"]
 
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
-        chain(f"_p{p}_", first, cut + 1, [f"t{k}" if p else None for k in range(first + 1)])
+        key = _coset_key(rows, cut) if cut >= 0 else []
+        chain(f"_p{p}_", first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], key)
         if cut >= 0:
-            canon = ["    " + text for text in _reduction(rows, cut, [f"t{k}" for k in range(cut + 1)])]
-            links.append([f"def _canon{p}({names('t', cut)}):", *canon, f"    return {names('r', cut)},"])
+            links.append([f"_moduli{p} = {tuple(e for _, e in key)!r}"])
     return ["\n".join(link) + "\n" for link in links]
 
 
 @lru_cache(maxsize=1)
 def _walker(rows, step, scale, cuts):
     """The phases of the walker for these tables (as tuples, the cache key)
-    and cut levels: (_p{p}_0, _canon{p}) for each, the last one's canon
+    and cut levels: (_p{p}_0, _moduli{p}) for each, the last one's moduli
     None, compiled once per process.  The top phase builds them before the
     pool starts, so forked workers inherit them.  Each chain link compiles
     on its own, so the compiler never holds the whole walker at once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
     for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return [(namespace[f"_p{p}_0"], namespace.get(f"_canon{p}")) for p in range(len(cuts) + 1)]
+    return [(namespace[f"_p{p}_0"], namespace.get(f"_moduli{p}")) for p in range(len(cuts) + 1)]
 
 
 def _walk_states(args):
     """Run the phases in a slice of the walk from a list of (state, times).
     Each phase walks each state once into one tally, weighted by its times.
-    A tally of states is folded, each key with its negation, keeping the
-    smaller key: x -> -x maps the subtree of (R, t) onto that of (R, -t),
-    so the two count alike while R < budget; the zero-prefix state R ==
-    budget has t = 0 and keeps the +-v clamp, under which each vector found
-    stands for its +-v pair.  Returns the folded states in walk order, or
-    after the last phase the counts by norm."""
+    A tally is folded, each key with its negation mod the e, keeping the
+    smaller key and its state, negated if need be: x -> -x maps the subtree
+    of (R, t) onto that of (R, -t), so the two count alike while R < budget;
+    the zero-prefix state R == budget has t = 0 and keeps the +-v clamp,
+    under which each vector found stands for its +-v pair.  Returns the
+    folded states (R, t_K, ..., t_0) in walk order, or the counts by norm."""
     rows, step, scale, budget, phases, states = args
     cuts = _cut_levels(len(rows), budget // scale)
-    for phase, canon in _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[phases]:
+    for phase, moduli in _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[phases]:
         tally: dict = {}
-        for key, times in states:
-            phase(budget, tally, times, *key)
-        if canon is None:
+        for state, times in states:
+            phase(budget, tally, times, *state)
+        if moduli is None:
             return tally
-        folded: Counter[tuple[int, ...]] = Counter()
-        for (r, *t), times in tally.items():
-            folded[min((r, *t), (r, *canon(*(-v for v in t))))] += times
-        states = list(folded.items())
+        folded: dict = {}
+        for key, (times, state) in tally.items():
+            neg = (key[0], *(-v % e for v, e in zip(key[1:], moduli)))
+            if neg < key:
+                key, state = neg, (key[0], *(-v for v in state[1:]))
+            folded.setdefault(key, [0, state])[0] += times
+        states = [(state, times) for times, state in folded.values()]
     return states
 
 

@@ -22,7 +22,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -845,6 +845,40 @@ def test_state_counts_per_cut_are_pinned():
     }
 
 
+def test_coset_keys_are_exact_at_every_level():
+    # at every level K of these forms each column of the block rows[0..K][0..K]
+    # has key 0, so the key is constant on cosets, and the moduli multiply to
+    # prod L_j, the order of the group, so it also separates them: the tables
+    # of reduced Leech (norms 2, 4 and 6 cut at levels among these), E8, the
+    # 302 pinned forms raw and reduced, and Z^70
+    forms = [lll(g).gram for g in (leech_gram(), e8_gram())] + [identity_gram(70)]
+    forms += [h for g in pinned_forms() for h in (g, lll(g).gram)]
+    for g in forms:
+        rows = tables(g.entries)[0]
+        for cut in range(g.dim):
+            key = lattices._coset_key(rows, cut)
+            assert all(e > 1 and len(u) == cut + 1 for u, e in key)
+            assert prod(e for _, e in key) == prod(rows[k][k] for k in range(cut + 1))
+            for j in range(cut + 1):
+                assert all(sum(u[k] * rows[k][j] for k in range(j + 1)) % e == 0 for u, e in key)
+
+
+def test_coset_key_components_are_pinned_on_leech():
+    rows = tables(lll(leech_gram()).gram.entries)[0]
+    cuts = lattices._cut_levels(24, 4)
+    assert [len(lattices._coset_key(rows, cut)) for cut in cuts] == [13, 11, 8, 6, 6]
+
+
+def test_coset_key_rejects_a_block_that_is_not_triangular():
+    # with an entry below the diagonal the block no longer has order prod L_j
+    rows = tables(lll(leech_gram()).gram.entries)[0]
+    for cut in (1, 6, 18):
+        bad = [list(row) for row in rows]
+        bad[cut][0] += 1
+        with pytest.raises(ConstructionError, match="order of the block group"):
+            lattices._coset_key(bad, cut)
+
+
 def counting_walker(real, nodes):
     """A stand-in for lattices._walker, real, that runs a copy of the
     generated source compiled here, with `nodes[p] += 1` as the first
@@ -900,18 +934,39 @@ def invariance_states(name):
     return rows, step, scale, budget, [[key for key, _ in states if key[0] < budget] for states in found]
 
 
+def oracle_canon(rows, t):
+    """The canonical representative of the partial sums t = (t_K, ..., t_0)
+    modulo the lattice of the block rows[0..K][0..K], by back substitution:
+    for j = K down to 0, z_j, r_j = divmod(t_j, L_j), then t_k -= rows[k][j]
+    z_j for k < j; so 0 <= r_j < L_j."""
+    r = list(t[::-1])
+    for j in range(len(r) - 1, -1, -1):
+        z, r[j] = divmod(r[j], rows[j][j])
+        for k in range(j):
+            r[k] -= rows[k][j] * z
+    return tuple(r[::-1])
+
+
+def coset_key(rows, t):
+    """The key of the partial sums t = (t_K, ..., t_0) by _coset_key(rows,
+    K): u . t mod e for each of its pairs (u, e)."""
+    cut = len(t) - 1
+    return tuple(sum(u[k] * t[cut - k] for k in range(cut + 1)) % e for u, e in lattices._coset_key(rows, cut))
+
+
 @pytest.mark.parametrize("name", ["e8", "leech", "raw"])
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, data):
     # at every cut K, translating the partial sums t of a state by a vector
     # of the block lattice rows[0..K][0..K], or negating them, leaves its
-    # counts below unchanged (R < budget, so no +-v clamp), and the cut's
-    # _canon maps the coset to one representative with 0 <= t_j < L_j
+    # counts below unchanged (R < budget, so no +-v clamp); the cut's key is
+    # the same on the translate, negated mod e on the negation, and equal on
+    # two drawn sums exactly when oracle_canon reduces them alike
     rows, step, scale, budget, keys = invariance_states(name)
     cuts = lattices._cut_levels(len(rows), budget // scale)
     p = data.draw(st.sampled_from([p for p, found in enumerate(keys) if found]))
-    cut, canon = cuts[p], lattices._walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[p][1]
+    cut, moduli = cuts[p], [e for _, e in lattices._coset_key(rows, cuts[p])]
     rest, *t = data.draw(st.sampled_from(keys[p]))
     z = data.draw(st.lists(st.integers(-3, 3), min_size=cut + 1, max_size=cut + 1))
     # t holds t_k for k = cut down to 0; moved is t + M z
@@ -924,8 +979,12 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     assert want == oracle_walk(rows, step, scale, budget, start=(rest, *t))
     assert below(moved) == want
     assert below([-v for v in moved]) == want
-    assert canon(*moved) == canon(*t) == tuple(t)
-    assert all(0 <= v < rows[k][k] for k, v in zip(range(cut, -1, -1), canon(*(-v for v in moved))))
+    assert coset_key(rows, moved) == coset_key(rows, t)
+    assert coset_key(rows, [-v for v in moved]) == tuple(-v % e for v, e in zip(coset_key(rows, t), moduli))
+    _, *other = data.draw(st.sampled_from(keys[p]))
+    sign = data.draw(st.sampled_from([1, -1]))
+    other = [sign * v for v in other]
+    assert (coset_key(rows, moved) == coset_key(rows, other)) == (oracle_canon(rows, moved) == oracle_canon(rows, other))
 
 
 def identity_gram(n):

@@ -13,12 +13,12 @@ split at cut levels, every three levels from norm 4 up: each phase walks
 the distinct states (remaining budget, coset of the partial sums, named
 by a linear key from a diagonal form of the block) that the phase above
 tallied, each once and weighted by its tally, and tallies the states at
-the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.  Every phase runs as Python source
-generated for the form: one nested loop per level with the table entries
-written in as literals and Schnorr-Euchner partial sums in plain locals,
-cut into a chain of functions at CPython's 20 nested loops, each link
-compiled on its own.  Parallel runs deal the top phase's states to the
-workers.
+the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.
+Every phase runs as Python source generated for the form: one nested
+loop per level, table entries written in as literals, Schnorr-Euchner
+partial sums in plain locals, cut into a chain of functions at CPython's
+20 nested loops, each link compiled on its own.  Parallel runs deal the
+top phase's states to the workers.
 
 The two theta checks share one comparison: enumerated counts per even norm
 against independently computed series coefficients, and zero at every odd
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
@@ -213,12 +213,11 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
 
 
 def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
-    """A linear key of Z^{cut+1} / B Z^{cut+1}, B = rows[0..cut][0..cut]: pairs
-    (u, e), e > 1, with t, t' in one coset exactly when u . (t - t') = 0 mod
-    e for every pair.  Row and column operations, the smallest entry of a
-    pivot's column, then of its row, reducing the others, take B to a
-    diagonal U B V (Cohen, GTM 138, 2.4.4, no divisor chain); the u are rows
-    of U, and V is never formed.  Entries are kept mod D = prod L_j, as D
+    """A linear key of Z^{cut+1} / B Z^{cut+1}, B = rows[0..cut][0..cut]:
+    pairs (u, e), e > 1, with t, t' in one coset exactly when u . (t - t')
+    = 0 mod e for each.  Row and column operations take B to a diagonal
+    U B V (Cohen, GTM 138, 2.4.4, no divisor chain), the u being the rows
+    of U; V is never formed.  Entries are kept mod D = prod L_j, as D
     Z^{cut+1} lies in U B Z^{cut+1}, so e_k = gcd(U B V [k][k], D).  Raises
     ConstructionError unless the e_k multiply to D, the group order."""
     n = cut + 1
@@ -269,12 +268,10 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     1)` loop per level with the table entries written in as literals.  A
     node computes only its child's centre and range and skips an empty
     range; a descent also brings up to date, in plain locals, the partial
-    sums s{k}_{i} = sum_{j>=i} rows[k][j] x_j of the phase's lower rows
-    (Schnorr-Euchner) and the key's, u_c . t once per input state plus
-    (u_c . rows[0..K][j] mod e_c) x_j at each level j.  CPython compiles
-    at most 20 nested loops in one function, so each phase is cut into
-    links of at most 20 levels, the lowest one full, so calls between
-    links happen high up, where nodes are few.
+    sums of the phase's lower rows (Schnorr-Euchner) and of the key.
+    CPython compiles at most 20 nested loops in one function, so each phase
+    is cut into links of at most 20 levels, the lowest one full, so calls
+    between links happen high up, where nodes are few.
     """
     n = len(rows)
     links: list[list[str]] = []
@@ -294,17 +291,17 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
         ]
 
     def chain(name, first, last, sums, key):
-        # levels first down to last, then a tally at the cut last - 1 keyed by
-        # the pairs (u, e) of key, or the leaves of level 0; sums[k] names sum_{j>i}
-        # coeffs[k][j] x_j at level i, None for 0 (rows k < last keep their input
-        # t_k), and sums[n + c] the key's u_c . t plus u_c . rows[..][j] x_j
+        # levels first down to last, then a tally at the cut last - 1 keyed
+        # by key's pairs (u, e), or the leaves of level 0; sums[k] names
+        # sum_{j>i} table[k][j] x_j at level i, None for 0 (rows k < last
+        # keep their input t_k), sums[n + c] u_c . t plus the key's terms
         start = len(links)
         remaining = f"R{first}"
         params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
         out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):"]
         links.append(out)
         pad = "    "
-        coeffs = [*rows, *([sum(u[k] * rows[k][j] for k in range(last)) % e for j in range(n)] for u, e in key)]
+        table = [*rows, *([sum(x * r[j] for x, r in zip(u, rows)) % e for j in range(n)] for u, e in key)]
         for c, (u, e) in enumerate(key):
             expr = " + ".join(f"{u[k]} * {sums[k]}" for k in range(last) if u[k] and sums[k])
             sums.append(f"s{n + c}" if expr else None)
@@ -313,8 +310,9 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
             out += child(pad, first, remaining, sums[first], False)
         for i in range(first, last - 1, -1):
             if i < first and (i - last) % 20 == 19:
-                names = [*filter(None, sums[: i + 1] + sums[n:]), *(f"x{j}" for j in range(first, i, -1) if last)]
-                args = ", ".join(dict.fromkeys(["budget", "tally", "times", "lo", "hi", remaining, *names]))
+                names = ["budget", "tally", "times", "lo", "hi", remaining, *filter(None, sums[: i + 1])]
+                names += [*filter(None, sums[n:]), *(f"x{j}" for j in range(first, i, -1) if last)]
+                args = ", ".join(dict.fromkeys(names))
                 out.append(f"{pad}{name}{len(links) - start}({args})")
                 out = [f"def {name}{len(links) - start}({args}, isqrt=isqrt):"]
                 links.append(out)
@@ -343,15 +341,17 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
                 sums[i - 1] = centre
                 out += child(pad, i - 1, remaining, centre, True)
             for k in [*range(last, i - 1), *range(n, len(sums))]:
-                if coeffs[k][i]:
-                    out.append(f"{pad}s{k}_{i} = {_plus(sums[k], coeffs[k][i], f'x{i}')}")
+                if table[k][i]:
+                    out.append(f"{pad}s{k}_{i} = {_plus(sums[k], table[k][i], f'x{i}')}")
                     sums[k] = f"s{k}_{i}"
-        # the state's input sums t_k (k < last) with the walked levels added,
-        # on the first sighting of its key only
-        comps = (f"({v}) % {e}" if v else "0" for v, (_, e) in zip(sums[n:], key))
-        state = (reduce(lambda acc, j: _plus(acc, rows[k][j], f"x{j}"), range(first, last - 1, -1), sums[k]) for k in range(last))
-        out += [f"{pad}key = ({', '.join([remaining, *comps])},)", f"{pad}seen = tally.get(key)", f"{pad}if seen is None:"]
-        out += [f"{pad}    tally[key] = [times, ({', '.join([remaining, *[v or '0' for v in state][::-1]])})]"]
+        # the key, and on its first sighting the state: input t_k plus the walked levels
+        state = sums[:last]
+        for j in range(first, last - 1, -1):
+            state = [_plus(v, rows[k][j], f"x{j}") for k, v in enumerate(state)]
+        comps = [f"({v}) % {e}" if v else "0" for v, (_, e) in zip(sums[n:], key)]
+        held = ", ".join([remaining, *(v or "0" for v in state[::-1])])
+        out += [f"{pad}key = ({', '.join([remaining, *comps])},)", f"{pad}seen = tally.get(key)"]
+        out += [f"{pad}if seen is None:", f"{pad}    tally[key] = [times, ({held})]"]
         out += [f"{pad}else:", f"{pad}    seen[0] += times"]
 
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):

@@ -896,7 +896,10 @@ def counting_walker(real, nodes):
                 if line.lstrip().startswith("for x"):
                     lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
             exec(compile("\n".join(lines) + "\n", "<counting link>", "exec"), namespace)
-        return [tuple(namespace.get(getattr(f, "__name__", None), f) for f in phase) for phase in real(*args)]
+        # each generated function by its name; anything else as real has it
+        return [
+            tuple(namespace.get(getattr(f, "__name__", None), f) for f in phase) for phase in real(*args)
+        ]
 
     return walker
 
@@ -950,8 +953,8 @@ def oracle_canon(rows, t):
 def coset_key(rows, t):
     """The key of the partial sums t = (t_K, ..., t_0) by _coset_key(rows,
     K): u . t mod e for each of its pairs (u, e)."""
-    cut = len(t) - 1
-    return tuple(sum(u[k] * t[cut - k] for k in range(cut + 1)) % e for u, e in lattices._coset_key(rows, cut))
+    pairs = lattices._coset_key(rows, len(t) - 1)
+    return tuple(sum(x * v for x, v in zip(u, t[::-1])) % e for u, e in pairs)
 
 
 @pytest.mark.parametrize("name", ["e8", "leech", "raw"])
@@ -980,11 +983,13 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     assert below(moved) == want
     assert below([-v for v in moved]) == want
     assert coset_key(rows, moved) == coset_key(rows, t)
-    assert coset_key(rows, [-v for v in moved]) == tuple(-v % e for v, e in zip(coset_key(rows, t), moduli))
+    key = coset_key(rows, t)
+    assert coset_key(rows, [-v for v in moved]) == tuple(-v % e for v, e in zip(key, moduli))
     _, *other = data.draw(st.sampled_from(keys[p]))
     sign = data.draw(st.sampled_from([1, -1]))
     other = [sign * v for v in other]
-    assert (coset_key(rows, moved) == coset_key(rows, other)) == (oracle_canon(rows, moved) == oracle_canon(rows, other))
+    same = coset_key(rows, moved) == coset_key(rows, other)
+    assert same == (oracle_canon(rows, moved) == oracle_canon(rows, other))
 
 
 def identity_gram(n):

@@ -261,7 +261,7 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     below the state (R, t) at level a, its first level (the top phase has
     a = n-1 and no t), and at each descent into its cut K adds times to
     tally[(R, w)] = [times, (R, t_K, ..., t_0)], the state first seen, w
-    the key of t by _coset_key(rows, K) mod _moduli{p}.  The last phase
+    the key of t by _coset_key(rows, K) mod _p{p}_moduli.  The last phase
     walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
     One per-level emitter writes every phase: a `for x_i in range(lo, hi +
@@ -348,31 +348,31 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
         state = sums[:last]
         for j in range(first, last - 1, -1):
             state = [_plus(v, rows[k][j], f"x{j}") for k, v in enumerate(state)]
-        comps = [f"({v}) % {e}" if v else "0" for v, (_, e) in zip(sums[n:], key)]
+        kept = [(v, e) for v, (_, e) in zip(sums[n:], key) if v]  # a component left at 0 is no key
+        comps = [f"({v}) % {e}" for v, e in kept]
         held = ", ".join([remaining, *(v or "0" for v in state[::-1])])
         out += [f"{pad}key = ({', '.join([remaining, *comps])},)", f"{pad}seen = tally.get(key)"]
         out += [f"{pad}if seen is None:", f"{pad}    tally[key] = [times, ({held})]"]
         out += [f"{pad}else:", f"{pad}    seen[0] += times"]
+        links.append([f"{name}moduli = {tuple(e for _, e in kept)!r}"])
 
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
         key = _coset_key(rows, cut) if cut >= 0 else []
         chain(f"_p{p}_", first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], key)
-        if cut >= 0:
-            links.append([f"_moduli{p} = {tuple(e for _, e in key)!r}"])
     return ["\n".join(link) + "\n" for link in links]
 
 
 @lru_cache(maxsize=1)
 def _walker(rows, step, scale, cuts):
     """The phases of the walker for these tables (as tuples, the cache key)
-    and cut levels: (_p{p}_0, _moduli{p}) for each, the last one's moduli
+    and cut levels: (_p{p}_0, _p{p}_moduli) for each, the last one's moduli
     None, compiled once per process.  The top phase builds them before the
     pool starts, so forked workers inherit them.  Each chain link compiles
     on its own, so the compiler never holds the whole walker at once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
     for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return [(namespace[f"_p{p}_0"], namespace.get(f"_moduli{p}")) for p in range(len(cuts) + 1)]
+    return [(namespace[f"_p{p}_0"], namespace.get(f"_p{p}_moduli")) for p in range(len(cuts) + 1)]
 
 
 def _walk_states(args):

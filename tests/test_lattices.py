@@ -821,6 +821,22 @@ def test_each_state_at_each_cut_matches_oracle_walk():
             assert merge(dealt_shares(rows, step, scale, budget, workers)) == whole
 
 
+def test_states_stored_across_chain_links_match_oracle_walk():
+    # Z^36 + Leech at norm 2: the top phase, levels 59..37, runs as two
+    # chain links, and the state it stores at the cut 36 is a sum over the
+    # coordinates of both, those of the first passed on to the second
+    g = block_diagonal(identity_gram(36).entries, leech_gram().entries)
+    rows, step, scale = tables(lll(g).gram.entries)
+    budget = 2 * scale
+    (states,) = states_per_cut(rows, step, scale, budget)
+    assert walk(rows, step, scale, budget, slice(1, None), states) == {1: 72, 2: 2520}
+    for key, times in states:
+        below = oracle_walk(rows, step, scale, budget, start=key)
+        assert walk(rows, step, scale, budget, slice(1, None), [(key, times)]) == {
+            norm: times * cnt for norm, cnt in below.items()
+        }
+
+
 def test_state_counts_per_cut_are_pinned():
     # a key that is exact but not canonical, or not folded with its
     # negation, gives more states, and a cut moved by a level other ones;

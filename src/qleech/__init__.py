@@ -8,5 +8,5 @@ observations, lorentz, lattices and cli."""
 
 __version__ = "0.1.0"
 
-# at most this many enumeration worker processes; here so cli need not load lattices
+# the ceiling of the accepted --jobs value; here so cli need not load lattices
 MAX_JOBS = 64

@@ -143,7 +143,7 @@ def _cmd_leech(args) -> tuple[bool, dict]:
         }
         return det == 1 and even, payload
     if args.check == "min":
-        found = lattices.short_vectors(lorentz.leech_gram(), 2, jobs=args.jobs)
+        found = lattices.short_vectors(lorentz.leech_gram(), 2)
         ok = found.counts[1] == 0 and found.counts[2] == 0
         payload = {
             "maxNorm": found.max_norm,
@@ -151,7 +151,7 @@ def _cmd_leech(args) -> tuple[bool, dict]:
             "normTwoCount": found.counts[2],
         }
         return ok, payload
-    check = lattices.theta_check_leech(args.max_norm, jobs=args.jobs)
+    check = lattices.theta_check_leech(args.max_norm)
     a, b = check.combination
     payload = {
         "maxNorm": check.counts.max_norm,
@@ -166,7 +166,7 @@ def _cmd_e8(args) -> tuple[bool, dict]:
     from . import lattices
     if args.max_norm % 2 or not 2 <= args.max_norm <= 8:
         raise UsageError("--max-norm must be even and between 2 and 8")
-    check = lattices.theta_check_e8(args.max_norm, jobs=args.jobs)
+    check = lattices.theta_check_e8(args.max_norm)
     payload = {
         "maxNorm": check.counts.max_norm,
         "countsByNorm": {str(m): c for m, c in sorted(check.counts.counts.items())},
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help=f"parallel enumeration workers, at most {MAX_JOBS} (output bytes unchanged)",
+            help=f"accepted for compatibility, 1 to {MAX_JOBS}; the walk runs in one process",
         )
 
     p = sub.add_parser("coeffs", help="expand a named q-series")

@@ -17,8 +17,8 @@ the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.
 Every phase runs as Python source generated for the form: one nested
 loop per level, table entries written in as literals, Schnorr-Euchner
 partial sums in plain locals, cut into a chain of functions at CPython's
-20 nested loops, each link compiled on its own.  Parallel runs deal the
-top phase's states to the workers.
+20 nested loops, each link compiled on its own.  The whole walk runs in
+one process.
 
 The two theta checks share one comparison: enumerated counts per even norm
 against independently computed series coefficients, and zero at every odd
@@ -29,7 +29,6 @@ first two coefficients rather than hardcoded.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -366,16 +365,15 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
 def _walker(rows, step, scale, cuts):
     """The phases of the walker for these tables (as tuples, the cache key)
     and cut levels: (_p{p}_0, _p{p}_moduli) for each, the last one's moduli
-    None, compiled once per process.  The top phase builds them before the
-    pool starts, so forked workers inherit them.  Each chain link compiles
-    on its own, so the compiler never holds the whole walker at once."""
+    None, compiled once per process.  Each chain link compiles on its own,
+    so the compiler never holds the whole walker at once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
     for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
     return [(namespace[f"_p{p}_0"], namespace.get(f"_p{p}_moduli")) for p in range(len(cuts) + 1)]
 
 
-def _walk_states(args):
+def _walk_states(rows, step, scale, budget, phases, states):
     """Run the phases in a slice of the walk from a list of (state, times).
     Each phase walks each state once into one tally, weighted by its times.
     A tally is folded, each key with its negation mod the e, keeping the
@@ -384,7 +382,6 @@ def _walk_states(args):
     the zero-prefix state R == budget has t = 0 and keeps the +-v clamp,
     under which each vector found stands for its +-v pair.  Returns the
     folded states (R, t_K, ..., t_0) in walk order, or the counts by norm."""
-    rows, step, scale, budget, phases, states = args
     cuts = _cut_levels(len(rows), budget // scale)
     for phase, moduli in _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[phases]:
         tally: dict = {}
@@ -402,30 +399,15 @@ def _walk_states(args):
     return states
 
 
-def _pool(workers: int):
-    """A pool of that many worker processes, imported only here so that
-    serial runs never load multiprocessing.  Forked workers start at once
-    with the compiled walker, where spawn and forkserver (the Linux default
-    from Python 3.14) compile it afresh; but a fork would also copy a lock
-    held by another thread, so a process with more threads spawns."""
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
-    context = multiprocessing.get_context("fork" if fork else "spawn")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
-
-
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:
     """Count all lattice vectors of each norm 1..max_norm.
 
     The Gram matrix is LLL-reduced first; the enumeration then works on the
-    reduced form, which leaves counts unchanged.  The top phase of the walk
-    runs here; jobs > 1 deals the states it folds out to min(jobs, states)
-    worker processes, round-robin in walk order, each of which runs the
-    other phases on its share, and the counts are merged in worker order,
-    so they do not depend on jobs.  jobs must lie in 1..MAX_JOBS.
+    reduced form, which leaves counts unchanged.  Every phase of the walk
+    runs in this process.  jobs must lie in 1..MAX_JOBS and is otherwise
+    ignored: it stays only for bench/layers.py, which calls
+    short_vectors(gram, 4, jobs=2), as --jobs stays for the kissing-jobs2
+    workload.
     """
     if not isinstance(max_norm, int) or max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
@@ -433,16 +415,8 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     rows, step, scale = _fincke_pohst_tables(*_lll(gram)[2:])
     budget = max_norm * scale
-    states = _walk_states((rows, step, scale, budget, slice(1), [((budget,), 1)]))
-    workers = min(jobs, len(states))
-    arglist = [(rows, step, scale, budget, slice(1, None), states[i::workers]) for i in range(workers)]
-    if workers == 1:
-        parts = [_walk_states(arglist[0])]
-    else:
-        with _pool(workers) as pool:
-            parts = list(pool.map(_walk_states, arglist))
-    merged = sum(map(Counter, parts), Counter())
-    counts = {m: merged[m] for m in range(1, max_norm + 1)}
+    found = _walk_states(rows, step, scale, budget, slice(None), [((budget,), 1)])
+    counts = {m: found.get(m, 0) for m in range(1, max_norm + 1)}
     return ShortVectorCount(max_norm=max_norm, counts=counts)
 
 
@@ -526,7 +500,7 @@ def _theta(lattice: str, found: ShortVectorCount, combination, expected) -> Thet
     return ThetaCheck(lattice, combination, found, tuple(rows), ok)
 
 
-def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
+def theta_check_leech(max_norm: int = 4) -> ThetaCheck:
     """Compare quotient-lattice counts with the weight-12 combination of
     E4^3 and Delta whose expansion starts 1 + 0 q.
 
@@ -535,7 +509,7 @@ def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
     """
     if max_norm not in (2, 4, 6):
         raise ValueError("max_norm must be 2, 4 or 6")
-    found = short_vectors(leech_gram(), max_norm, jobs=jobs)
+    found = short_vectors(leech_gram(), max_norm)
     order = max(max_norm // 2 + 1, 2)
     e4_cubed = eisenstein_e4(order) ** 3
     disc = delta(order)
@@ -552,10 +526,10 @@ def theta_check_leech(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
     return _theta("leech", found, (a, b), lambda nn: a * e4_cubed.coeff(nn) + b * disc.coeff(nn))
 
 
-def theta_check_e8(max_norm: int = 4, jobs: int = 1) -> ThetaCheck:
+def theta_check_e8(max_norm: int = 4) -> ThetaCheck:
     """Compare E8 counts with the classical formula: 240 sigma_3(n) vectors
     of norm 2n."""
     if max_norm < 2 or max_norm % 2:
         raise ValueError("max_norm must be a positive even integer")
-    found = short_vectors(e8_gram(), max_norm, jobs=jobs)
+    found = short_vectors(e8_gram(), max_norm)
     return _theta("e8", found, None, lambda nn: 240 * sigma(3, nn))

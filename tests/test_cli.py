@@ -343,7 +343,7 @@ def test_leech_rejects_bad_jobs(capsys):
 
 
 def test_jobs_ceiling(monkeypatch, capsys):
-    # above the ceiling no enumeration starts, so no worker either
+    # above the ceiling no enumeration starts
     def no_enumeration(*args, **kwargs):
         raise RuntimeError("enumeration started")
 
@@ -484,11 +484,14 @@ def run_python(args):
         (["verify", "--observation", "jm"], set()),
         (["cannonball", "--max-n", "10"], set()),
         (["leech", "gram"], set()),
+        (["leech", "kissing", "--max-norm", "2", "--jobs", "2"], set()),
+        (["e8", "--max-norm", "2", "--jobs", "3"], set()),
     ],
-    ids=["coeffs", "verify", "cannonball", "leech-gram"],
+    ids=["coeffs", "verify", "cannonball", "leech-gram", "leech-kissing-jobs2", "e8-jobs3"],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):
-    # no worker pool is imported without --jobs > 1
+    # the walk runs in one process, so no process pool module is loaded,
+    # whatever --jobs says
     done = run_python(["-c", LIST_MODULES, *argv])
     assert done.returncode == 0, done.stderr
     loaded = set(done.stderr.split())
@@ -511,8 +514,8 @@ def test_module_entry_point_matches_main(capsys):
 # -- fuzzing -------------------------------------------------------------------
 
 # every run stays small: orders up to 60, cannonball up to 1000, E8 up to
-# norm 4, Leech kissing at norm 2 only (3 is refused), and no --jobs above 1
-# that passes the checks (0 and 65 are refused before any worker starts);
+# norm 4, Leech kissing at norm 2 only (3 is refused), and --jobs only at 1
+# and at 0 and 65, which are refused before any walk starts;
 # no malformed token parses as an integer
 JOBS = st.sampled_from([[], ["--jobs", "0"], ["--jobs", "1"], ["--jobs", "65"]])
 MALFORMED = st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-", "--", "--order", "2 3", "nan"])

@@ -5,21 +5,18 @@ that bounds each coordinate through the inverse Gram diagonal, and in every
 dimension against a plain Fincke-Pohst walk kept here as an oracle (one
 lcm(L^3) scale for every level, every centre recomputed at every node).
 The generated walker is compared with `oracle_walk`, the table-driven
-loop it replaced, state by state at every cut and share by share.  The
-LLL check is compared with a Gram-Schmidt recomputed entry by entry.  The
-integral `lll` is compared with `oracle_lll`, the same deep-insertion loop
-over the rationals on a Gram-Schmidt of its own, and the fraction-free
-`ldl` with `oracle_ldl`, the rational routine it replaced; the output of
+loop it replaced, state by state at every cut.  The LLL check is
+compared with a Gram-Schmidt recomputed entry by entry.  The integral
+`lll` is compared with `oracle_lll`, the same deep-insertion loop over the
+rationals on a Gram-Schmidt of its own, and the fraction-free `ldl` with
+`oracle_ldl`, the rational routine it replaced; the output of
 `lll` is pinned by a digest.
 """
 
 import hashlib
 import json
-import multiprocessing
 import random
 import sys
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm, prod
@@ -735,7 +732,7 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
 
 def walk(rows, step, scale, budget, phases, states):
     """The phases in that slice of the walk, from (state, times) pairs."""
-    return lattices._walk_states((rows, step, scale, budget, phases, states))
+    return lattices._walk_states(rows, step, scale, budget, phases, states)
 
 
 def states_per_cut(rows, step, scale, budget):
@@ -747,29 +744,17 @@ def states_per_cut(rows, step, scale, budget):
     return found
 
 
-def dealt_shares(rows, step, scale, budget, workers):
-    """The counts of each share of the top phase's states, dealt as
-    short_vectors deals them to that many workers: each share runs the
-    other phases on its own, folding only its own states."""
-    states = walk(rows, step, scale, budget, slice(1), [((budget,), 1)])
-    return [walk(rows, step, scale, budget, slice(1, None), states[i::workers]) for i in range(workers)]
+def serial_walk(rows, step, scale, budget):
+    """The counts by norm of the whole walk, every phase in turn."""
+    return walk(rows, step, scale, budget, slice(None), [((budget,), 1)])
 
 
-def merge(parts):
-    merged = {}
-    for part in parts:
-        for norm, cnt in part.items():
-            merged[norm] = merged.get(norm, 0) + cnt
-    return merged
-
-
-def test_dealt_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
-    # raw and reduced tables of the 302 forms at three norms each: the
-    # shares of 1..4 workers add up to the serial walk of every phase and
-    # to the single-phase count; short_vectors deals them the same way for
-    # jobs 1..4.  Leech runs reduced at norm 2 only: its raw Gram has
-    # diagonal entries up to 1.3 M, a tree far too big for the oracle
-    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool([], workers))
+def test_dealt_counts_match_oracle_walk_on_pinned_forms():
+    # raw and reduced tables of the 302 forms at three norms each: the walk
+    # of every phase counts what the single-phase oracle counts, and so
+    # does short_vectors for each accepted jobs 1..4.  Leech runs reduced
+    # at norm 2 only: its raw Gram has diagonal entries up to 1.3 M, a tree
+    # far too big for the oracle
     for g in pinned_forms():
         reduced = lll(g).gram
         first = reduced.entries[0][0]
@@ -780,9 +765,7 @@ def test_dealt_counts_match_oracle_walk_on_pinned_forms(monkeypatch):
             for max_norm in norms:
                 budget = max_norm * scale
                 want = oracle_walk(rows, step, scale, budget)
-                assert walk(rows, step, scale, budget, slice(None), [((budget,), 1)]) == want
-                for workers in (1, 2, 3, 4):
-                    assert merge(dealt_shares(rows, step, scale, budget, workers)) == want
+                assert serial_walk(rows, step, scale, budget) == want
         # want is the count of the reduced form at the largest norm
         want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
         for jobs in (1, 2, 3, 4):
@@ -817,8 +800,7 @@ def test_each_state_at_each_cut_matches_oracle_walk():
                 alone = walk(rows, step, scale, budget, slice(p + 1, None), [(key, times)])
                 below = oracle_walk(rows, step, scale, budget, start=key)
                 assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, p, key)
-        for workers in (2, 3, 4):
-            assert merge(dealt_shares(rows, step, scale, budget, workers)) == whole
+        assert serial_walk(rows, step, scale, budget) == whole
 
 
 def test_states_stored_across_chain_links_match_oracle_walk():
@@ -935,7 +917,7 @@ def test_nodes_per_phase_are_pinned(monkeypatch):
         nodes = [0] * len(want)
         monkeypatch.setattr(lattices, "_walker", counting_walker(real, nodes))
         budget = max_norm * scale
-        assert walk(rows, step, scale, budget, slice(None), [((budget,), 1)]) == counts
+        assert serial_walk(rows, step, scale, budget) == counts
         assert nodes == want
 
 
@@ -1016,7 +998,7 @@ def test_walk_checks_that_norms_are_multiples_of_the_scale():
     # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2
     rows, step, scale, budget = [[1]], [3], 2, 14
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-        dealt_shares(rows, step, scale, budget, 1)
+        serial_walk(rows, step, scale, budget)
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
         oracle_walk(rows, step, scale, budget)
 
@@ -1043,8 +1025,7 @@ def test_walk_on_a_large_scale_matches_oracle_walk():
     # norm 1: (0, +-1) on the block; 3: the 48 units of 3 I_24; 4: (0, +-2),
     # and a unit with (0, +-1)
     assert want == {1: 2, 3: 48, 4: 2 + 48 * 2}
-    for workers in (1, 2, 3, 4):
-        assert merge(dealt_shares(rows, step, scale, budget, workers)) == want
+    assert serial_walk(rows, step, scale, budget) == want
 
 
 def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
@@ -1058,7 +1039,7 @@ def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
         wrong = list(step)
         wrong[level] += 1
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-            dealt_shares(rows, wrong, scale, budget, 1)
+            serial_walk(rows, wrong, scale, budget)
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
             oracle_walk(rows, wrong, scale, budget)
 
@@ -1078,40 +1059,8 @@ def test_short_vectors_against_oracle_walk():
             assert short_vectors(g, max_norm, jobs=jobs).counts == want
 
 
-class RecordingPool:
-    """Stands in for the pool from lattices._pool: records how many workers
-    were asked for and maps in this process."""
-
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-def test_short_vectors_starts_at_most_one_worker_per_state(monkeypatch):
-    started = []
-    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
-    cube = identity_gram(5)
-    # norm <= 8 on Z^5: the top phase is level 4 alone, which takes x = 0,
-    # 1, 2, three states
-    want = oracle_count(cube, 8)
-    assert short_vectors(cube, 8, jobs=5).counts == want
-    assert short_vectors(cube, 8, jobs=2).counts == want
-    # a line has no top phase, so a single state and no pool
-    assert short_vectors(GramMatrix.from_rows([[2]]), 8, jobs=4).counts[8] == 2
-    assert started == [3, 2]
-
-
 def test_short_vectors_builds_the_walker_once(monkeypatch):
-    # the top phase builds it and every worker's walk reuses it, as a
-    # forked worker does
+    # one walk compiles the walker once for all its phases
     built = []
 
     def links(*tables):
@@ -1120,46 +1069,12 @@ def test_short_vectors_builds_the_walker_once(monkeypatch):
 
     walker_links = lattices._walker_links
     monkeypatch.setattr(lattices, "_walker_links", links)
-    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool([], workers))
     lattices._walker.cache_clear()
     assert short_vectors(e8_gram(), 4, jobs=3).counts == {1: 0, 2: 240, 3: 0, 4: 2160}
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
-def test_short_vectors_jobs_under_every_start_method(monkeypatch, method):
-    # a spawned or forkserver worker imports the package afresh and builds
-    # its own walker; the counts must not depend on how workers start
-    context = multiprocessing.get_context(method)
-    monkeypatch.setattr(
-        lattices, "_pool", lambda workers: ProcessPoolExecutor(workers, mp_context=context)
-    )
-    counts = short_vectors(e8_gram(), 6, jobs=2).counts
-    assert counts == {1: 0, 2: 240, 3: 0, 4: 2160, 5: 0, 6: 6720}
-
-
-@pytest.mark.parametrize("threads, method", [(1, "fork"), (2, "spawn")])
-def test_pool_forks_only_a_single_threaded_process(monkeypatch, threads, method):
-    # fork hands the workers the compiled walker, but a lock held by another
-    # thread would stay held in a forked child
-    chosen = []
-    get_context = multiprocessing.get_context
-
-    def record(name):
-        chosen.append(name)
-        return get_context(name)
-
-    monkeypatch.setattr(multiprocessing, "get_context", record)
-    monkeypatch.setattr(threading, "active_count", lambda: threads)
-    lattices._pool(2).shutdown()
-    forks = "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
-    assert chosen == [method if forks else "spawn"]
-
-
 def test_short_vectors_domain(monkeypatch):
-    started = []
-    monkeypatch.setattr(lattices, "_pool", lambda workers: RecordingPool(started, workers))
-
     def no_walk(*args):
         raise RuntimeError("walk started")
 
@@ -1169,10 +1084,9 @@ def test_short_vectors_domain(monkeypatch):
         short_vectors(g, 0)
     with pytest.raises(ValueError):
         short_vectors(g, 2, jobs=0)
-    # above the ceiling neither the top phase nor a pool starts
+    # above the ceiling no walk starts
     with pytest.raises(ValueError, match=f"between 1 and {lattices.MAX_JOBS}"):
         short_vectors(g, 2, jobs=lattices.MAX_JOBS + 1)
-    assert started == []
     # the ceiling itself passes the check and reaches the walk
     with pytest.raises(RuntimeError, match="walk started"):
         short_vectors(g, 2, jobs=lattices.MAX_JOBS)
@@ -1255,7 +1169,7 @@ def test_theta_checks_fail_on_an_odd_norm(monkeypatch, capsys, check, argv, even
     for odd in (0, 2):
         counts = {1: 0, 2: even[2], 3: odd, 4: even[4]}
         monkeypatch.setattr(
-            lattices, "short_vectors", lambda gram, max_norm, jobs=1: ShortVectorCount(4, counts)
+            lattices, "short_vectors", lambda gram, max_norm: ShortVectorCount(4, counts)
         )
         result = check(4)
         assert all(r.matches for r in result.rows)

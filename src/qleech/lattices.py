@@ -259,8 +259,11 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     _p{p}_0(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
     below the state (R, t) at level a, its first level (the top phase has
     a = n-1 and no t), and at each descent into its cut K adds times to
-    tally[(R, w)] = [times, (R, t_K, ..., t_0)], the state first seen, w
-    the key of t by _coset_key(rows, K) mod _p{p}_moduli.  The last phase
+    tally[(R, w)] = [times, (R, t_K, ..., t_0)], w the key of t by
+    _coset_key(rows, K).  The state first seen with a key is stored, in one
+    entry under both (R, w) and (R, -w mod e): x -> -x maps the subtree of
+    (R, t) onto that of (R, -t), so the two count alike, and a later
+    descent of either sign finds the entry by one lookup.  The last phase
     walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
     One per-level emitter writes every phase: a `for x_i in range(lo, hi +
@@ -348,12 +351,11 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
         for j in range(first, last - 1, -1):
             state = [_plus(v, rows[k][j], f"x{j}") for k, v in enumerate(state)]
         kept = [(v, e) for v, (_, e) in zip(sums[n:], key) if v]  # a component left at 0 is no key
-        comps = [f"({v}) % {e}" for v, e in kept]
+        own, neg = (", ".join([remaining, *(f"{s}({v}) % {e}" for v, e in kept)]) for s in ("", "-"))
         held = ", ".join([remaining, *(v or "0" for v in state[::-1])])
-        out += [f"{pad}key = ({', '.join([remaining, *comps])},)", f"{pad}seen = tally.get(key)"]
-        out += [f"{pad}if seen is None:", f"{pad}    tally[key] = [times, ({held})]"]
+        out += [f"{pad}key = ({own},)", f"{pad}seen = tally.get(key)"]
+        out += [f"{pad}if seen is None:", f"{pad}    tally[key] = tally[({neg},)] = [times, ({held})]"]
         out += [f"{pad}else:", f"{pad}    seen[0] += times"]
-        links.append([f"{name}moduli = {tuple(e for _, e in kept)!r}"])
 
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
         key = _coset_key(rows, cut) if cut >= 0 else []
@@ -363,39 +365,35 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
 
 @lru_cache(maxsize=1)
 def _walker(rows, step, scale, cuts):
-    """The phases of the walker for these tables (as tuples, the cache key)
-    and cut levels: (_p{p}_0, _p{p}_moduli) for each, the last one's moduli
-    None, compiled once per process.  Each chain link compiles on its own,
-    so the compiler never holds the whole walker at once."""
+    """The phases _p{p}_0 of the walker for these tables (as tuples, the
+    cache key) and cut levels, compiled once per process.  Each chain link
+    compiles on its own, so the compiler never holds the whole walker at
+    once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
     for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
         exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return [(namespace[f"_p{p}_0"], namespace.get(f"_p{p}_moduli")) for p in range(len(cuts) + 1)]
+    return [namespace[f"_p{p}_0"] for p in range(len(cuts) + 1)]
 
 
 def _walk_states(rows, step, scale, budget, phases, states):
     """Run the phases in a slice of the walk from a list of (state, times).
     Each phase walks each state once into one tally, weighted by its times.
-    A tally is folded, each key with its negation mod the e, keeping the
-    smaller key and its state, negated if need be: x -> -x maps the subtree
-    of (R, t) onto that of (R, -t), so the two count alike while R < budget;
-    the zero-prefix state R == budget has t = 0 and keeps the +-v clamp,
-    under which each vector found stands for its +-v pair.  Returns the
-    folded states (R, t_K, ..., t_0) in walk order, or the counts by norm."""
+    A tally holds each entry under a key and its negation, which count
+    alike while R < budget; the zero-prefix state R == budget has t = 0,
+    its own negation, and keeps the +-v clamp, under which each vector
+    found stands for its +-v pair.  Returns the states (R, t_K, ..., t_0)
+    of the distinct entries in walk order, or the counts by norm."""
     cuts = _cut_levels(len(rows), budget // scale)
-    for phase, moduli in _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)[phases]:
+    walker = _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)
+    for phase in walker[phases]:
         tally: dict = {}
         for state, times in states:
             phase(budget, tally, times, *state)
-        if moduli is None:
+        if phase is walker[-1]:
             return tally
-        folded: dict = {}
-        for key, (times, state) in tally.items():
-            neg = (key[0], *(-v % e for v, e in zip(key[1:], moduli)))
-            if neg < key:
-                key, state = neg, (key[0], *(-v for v in state[1:]))
-            folded.setdefault(key, [0, state])[0] += times
-        states = [(state, times) for times, state in folded.values()]
+        # each entry sits under its key and that key's negation, maybe the same
+        entries = {id(entry): entry for entry in tally.values()}
+        states = [(state, times) for times, state in entries.values()]
     return states
 
 

@@ -10,12 +10,14 @@ The expansions used here:
     j(q)     = E4(q)^3 / Delta(q)                  (simple pole, lead 1/q)
              = q^-1 E4(q)^3 prod_{n>=1} (1 - q^n)^-24
 
-Delta and the factor P^-24 of j (P the sparse pentagonal series) come
-straight from the series power recurrence.  The weight-8 forms for SL_2(Z)
-are one-dimensional (Serre, A Course in Arithmetic, VII 3), so E4^2 = E8,
+Delta and j both come from J = P^3, P the Euler product, whose sparse
+expansion is Jacobi's identity.  Delta = q ((J^2)^2)^2 is three squarings
+through the one multiplication kernel, and the factor P^-24 of j is J^-8
+by the series power recurrence.  The weight-8 forms for SL_2(Z) are
+one-dimensional (Serre, A Course in Arithmetic, VII 3), so E4^2 = E8,
 both having constant term 1, and the sieved E8 saves a product:
 
-    j = q^-1 * E4 * E8 * P^-24
+    j = q^-1 * E4 * E8 * J^-8
 
 two Kronecker-substitution products, with no Delta and no dense inverse.
 SERIES names the expansions that `qleech coeffs` prints.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .qseries import LaurentSeries, euler_product_pentagonal
+from .qseries import LaurentSeries, euler_product_cubed, euler_product_pentagonal
 
 
 def sigma(k: int, n: int) -> int:
@@ -71,25 +73,29 @@ def eisenstein_e8(order: int) -> LaurentSeries:
 def delta(order: int) -> LaurentSeries:
     """The discriminant form Delta modulo q^order; valuation 1, lead 1.
 
-    Built as q * (euler product)^24, the power taken to order - 1 so that
-    the shifted window is exactly [1, order).
+    Built as q * ((J^2)^2)^2, J = (euler product)^3, three squarings taken
+    to order - 1 so that the shifted window is exactly [1, order).
     """
     if order < 2:
         raise ValueError("order must be at least 2 to see the leading term")
-    return (euler_product_pentagonal(order - 1) ** 24).shift(1)
+    power = euler_product_cubed(order - 1)
+    for _ in range(3):
+        power = power * power
+    return power.shift(1)
 
 
 def j_invariant(order: int) -> LaurentSeries:
     """The modular invariant j modulo q^order; valuation -1, lead 1.
 
-    Computed as q^-1 * E4 * E8 * (euler product)^-24 with every factor
-    taken to order + 1, so that the shifted window is exactly [-1, order).
+    Computed as q^-1 * E4 * E8 * J^-8, J = (euler product)^3, with every
+    factor taken to order + 1, so that the shifted window is exactly
+    [-1, order).
     """
     if order < 0:
         raise ValueError("order must be at least 0 to see the pole")
     work = order + 1
     e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
-    return (e4e8 * euler_product_pentagonal(work) ** -24).shift(-1)
+    return (e4e8 * euler_product_cubed(work) ** -8).shift(-1)
 
 
 def j_coeff(m: int) -> int:

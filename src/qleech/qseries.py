@@ -22,7 +22,11 @@ coefficient window into one exact Decimal, one signed slot of decimal digits
 per coefficient, and multiplies once (libmpdec uses a number-theoretic
 transform for large operands).  The slot width comes from the operands and
 the decimal context traps any rounding, so no setting can lose a digit.
-Powers, inverses included, come from J.C.P. Miller's recurrence.
+A series times itself packs once, so libmpdec squares.  Other powers,
+inverses included, come from J.C.P. Miller's recurrence.
+
+The Euler product P = prod (1 - q^n) has two sparse expansions here, by
+Euler's pentagonal number theorem, and of its cube by Jacobi's identity.
 """
 
 from __future__ import annotations
@@ -234,7 +238,11 @@ def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     which turns the first n signed, borrowing slots into digits again.  When
     the whole total is negative, str() shows its magnitude rather than its
     residue mod 10^(w n), so 10^K for K past both is added first.
+
+    When a is b the window is packed once and the one Decimal is passed as
+    both factors, which libmpdec squares: one transform fewer.
     """
+    square = a is b
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
     width = _EXACT.create_decimal(2 * max(map(abs, a)) * max(map(abs, b)) * n).adjusted() + 2
@@ -248,7 +256,8 @@ def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         slots = "".join([str(x + bias).zfill(width) for x in reversed(c)])
         return _EXACT.subtract(_EXACT.create_decimal(slots), biases)
 
-    total = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), biases)
+    packed = pack(a)
+    total = _EXACT.add(_EXACT.multiply(packed, packed if square else pack(b)), biases)
     size = width * n
     if total.is_signed():
         total = _EXACT.add(total, _EXACT.scaleb(1, max(size, total.adjusted() + 1)))
@@ -322,4 +331,22 @@ def euler_product_pentagonal(order: int) -> LaurentSeries:
         if not hit:
             break
         k += 1
+    return LaurentSeries.from_coeffs(0, out, order)
+
+
+def euler_product_cubed(order: int) -> LaurentSeries:
+    """The cube of the same product, by Jacobi's identity.
+
+    prod (1 - q^n)^3 = sum_{k>=0} (-1)^k (2k + 1) q^{k(k+1)/2}; about
+    sqrt(2 order) terms land inside the window, fewer than the pentagonal
+    series has, and none of its arithmetic is shared with that route.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    out = [0] * order
+    k = e = 0
+    while e < order:
+        out[e] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+        e += k
     return LaurentSeries.from_coeffs(0, out, order)

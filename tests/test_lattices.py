@@ -894,10 +894,8 @@ def counting_walker(real, nodes):
                 if line.lstrip().startswith("for x"):
                     lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
             exec(compile("\n".join(lines) + "\n", "<counting link>", "exec"), namespace)
-        # each generated function by its name; anything else as real has it
-        return [
-            tuple(namespace.get(getattr(f, "__name__", None), f) for f in phase) for phase in real(*args)
-        ]
+        # each phase real compiles, by its name
+        return [namespace[phase.__name__] for phase in real(*args)]
 
     return walker
 

@@ -12,7 +12,7 @@ from qleech.modforms import (
     j_invariant,
     sigma,
 )
-from qleech.qseries import LaurentSeries, euler_product
+from qleech.qseries import LaurentSeries, euler_product, euler_product_pentagonal
 from test_qseries import oracle_mul
 
 
@@ -137,6 +137,12 @@ def test_delta_against_naive_euler_route():
     assert delta(1000) == oracle_pow(euler_product(999), 24).shift(1)
 
 
+def test_delta_against_pentagonal_power():
+    # the route delta took before the squarings of Jacobi's cube: Miller's
+    # recurrence on the pentagonal series
+    assert delta(5000) == (euler_product_pentagonal(4999) ** 24).shift(1)
+
+
 def tau(m):
     # Ramanujan tau(m), the coefficient of q^m in Delta
     return delta(m + 1).coeff(m)
@@ -165,6 +171,14 @@ def test_j_against_long_division():
     j = j_by_long_division(1000)
     assert j_invariant(1000) == j
     assert j.coeff(3) == 864299970
+
+
+def test_j_against_pentagonal_power():
+    # the factor P^-24 by Miller's recurrence on the pentagonal series, the
+    # route j_invariant took before J^-8
+    work = 2001
+    e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
+    assert j_invariant(2000) == (e4e8 * euler_product_pentagonal(work) ** -24).shift(-1)
 
 
 def test_j_delta_product_is_e4_cubed():

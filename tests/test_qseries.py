@@ -14,6 +14,7 @@ from qleech.qseries import (
     SlotWidthError,
     TruncationError,
     euler_product,
+    euler_product_cubed,
     euler_product_pentagonal,
 )
 
@@ -35,6 +36,17 @@ def oracle_mul(a, b):
         for j in range(min(n - i, len(b.coeffs))):
             out[i + j] += a.coeffs[i] * b.coeffs[j]
     return LaurentSeries(val, order, tuple(out))
+
+
+def assert_square(a):
+    """a * a, which passes one window as both operands of the kernel, is
+    the schoolbook square and the kernel's product of the window with a
+    distinct copy of it."""
+    copy = tuple(list(a.coeffs))
+    assert copy is not a.coeffs or not copy
+    assert a * a == oracle_mul(a, a)
+    if not a.is_zero:
+        assert qseries._product(a.coeffs, a.coeffs) == qseries._product(a.coeffs, copy)
 
 
 # magnitudes up to 2^300 of both signs, with the binary and decimal
@@ -198,6 +210,13 @@ def test_mul_decimal_slot_boundaries(k):
         a = LaurentSeries.from_coeffs(0, [x] * 99)
         b = LaurentSeries.from_coeffs(-1, [y] * 99)
         assert a * b == LaurentSeries.from_coeffs(-1, [(m + 1) * x * y for m in range(99)])
+    # the same windows squared: one tuple as both operands
+    for x in edges:
+        for length in (1, 2, 3):
+            assert_square(LaurentSeries.from_coeffs(-1, [x] * length))
+        a = LaurentSeries.from_coeffs(1, [x] * 99)
+        assert_square(a)
+        assert a * a == LaurentSeries.from_coeffs(2, [(m + 1) * x * x for m in range(99)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 10, 99, 100, 299, 300])
@@ -208,6 +227,8 @@ def test_mul_decimal_zero_runs_and_negative_windows(k):
         negative = LaurentSeries.from_coeffs(1, [-(10**k), -(10**k - 1), -1] * 17)
         for a, b in ((runs, runs), (runs, negative), (negative, negative)):
             assert a * b == oracle_mul(a, b)
+        assert_square(runs)
+        assert_square(negative)
 
 
 def test_mul_negative_total():
@@ -221,6 +242,26 @@ def test_mul_negative_total():
     b = LaurentSeries.from_coeffs(0, [-1] + [0] * 25 + [-(10**70)])
     assert a * b == oracle_mul(a, b)
     assert (a * b) * b == a * (b * b)
+
+
+def test_square_passes_one_decimal_twice(monkeypatch):
+    # a window times itself is packed once and libmpdec gets one Decimal as
+    # both factors; an equal copy of the window takes the general path
+    exact, factors = qseries._EXACT, []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(exact, name)
+
+        def multiply(self, x, y):
+            factors.append(x is y)
+            return exact.multiply(x, y)
+
+    monkeypatch.setattr(qseries, "_EXACT", Spy())
+    a = LaurentSeries.from_coeffs(0, [3, -(10**40), 0, 7] * 5)
+    copy = LaurentSeries(a.valuation, a.order, tuple(list(a.coeffs)))
+    assert a * a == a * copy
+    assert factors == [True, False]
 
 
 def test_mul_ignores_callers_decimal_context():
@@ -377,11 +418,19 @@ def test_order_must_be_positive():
         euler_product(0)
     with pytest.raises(ValueError):
         euler_product_pentagonal(-3)
+    with pytest.raises(ValueError, match="at least 1"):
+        euler_product_cubed(0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 50, 200, 500])
 def test_euler_routes_agree(order):
     assert euler_product(order) == euler_product_pentagonal(order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 10, 5000])
+def test_jacobi_cube_is_pentagonal_cube(order):
+    # Jacobi's identity against the power recurrence on the pentagonal route
+    assert euler_product_cubed(order) == euler_product_pentagonal(order) ** 3
 
 
 # -- randomized algebraic properties ------------------------------------------
@@ -396,6 +445,12 @@ def test_add_commutes(a, b):
 @given(wide_series_st(), wide_series_st())
 def test_mul_matches_schoolbook_oracle(a, b):
     assert a * b == oracle_mul(a, b)
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_series_st())
+def test_square_matches_schoolbook_oracle(a):
+    assert_square(a)
 
 
 @given(series_st(), series_st())

@@ -453,6 +453,25 @@ def test_stdout_matches_benchmark_digest(capsys, command):
     assert hashlib.sha256(zeroed.encode()).hexdigest() == DIGESTS[command]
 
 
+# the same digest for the commands the benchmark does not run
+PINNED = {
+    "e8 --max-norm 8": "f59239a37c5308f74cdcad36fc6b72dffa900c1decd7d8aefe78eb39371dfc88",
+    "leech gram": "543e74f0e5d58cfe4070c5a83da02044a4e186bfa9b207c49cc66376a88be1b1",
+    "leech kissing --max-norm 2": "45d98786df7b7d15a61824519416b2150e168d69e280aa7983c884ccb2aebca5",
+    "leech kissing --max-norm 6": "b47ca2516f9fee4f358ebba69f903ff044b9616262f3e467386744801f1349e4",
+    "leech min": "d3988398c77116b5b3b602df1f2442bf0cf73970663ca5ef98963ec9645764b4",
+    "verify": "86677ef1225525edd55c4366242a2ba887fb0b6e40805210a220a2b6dbaed8ad",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_stdout_is_pinned(capsys, command):
+    code, out, err = run(capsys, command.split())
+    assert (code, err) == (0, "")
+    zeroed = ELAPSED.sub(r'"elapsedMillis": 0\1', out)
+    assert hashlib.sha256(zeroed.encode()).hexdigest() == PINNED[command]
+
+
 # -- start-up ------------------------------------------------------------------
 
 SRC = str(Path(qleech.__file__).resolve().parent.parent)

@@ -2,6 +2,7 @@
 generates at run time, which the scans of the package files cannot see."""
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 
@@ -93,6 +94,28 @@ def test_walker_source_depends_only_on_its_tables():
         }
         assert scale in literals
         assert not literals & {max_norm * scale for max_norm in (2, 4, 6)}
+
+
+# sha256 of the walker source, its phases joined in order; Leech's norms 4
+# and 6 share one schedule of cuts, and so one source
+WALKER_DIGESTS = {
+    ("leech", 2): "d4342b3c50b9b7b1806011cc72667cfe29f3eb3679cd0670056afa1f84d6ef81",
+    ("leech", 4): "1f1a1e4858c7d660686bb50582ac7340908cdd76cb60ba810f57edb319236699",
+    ("leech", 6): "1f1a1e4858c7d660686bb50582ac7340908cdd76cb60ba810f57edb319236699",
+    ("e8", 8): "0d3f6692b8ec2915c61162507aa6abea163142a9e70e8f89c692dcdb483d4000",
+}
+
+
+def test_walker_source_is_pinned():
+    grams = {"leech": leech_gram(), "e8": lattices.e8_gram()}
+    for (name, max_norm), digest in WALKER_DIGESTS.items():
+        tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[2:])
+        cuts = lattices._cut_levels(grams[name].dim, max_norm)
+        sources = lattices._walker_links(*tables, cuts)
+        assert len(sources) == len(cuts) + 1
+        # each phase is one link here, _p{p}_0, named as the phase _p{p}
+        text = re.sub(r"\b(_p\d+)_0\b", r"\1", "".join(sources))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, max_norm)
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -14,11 +14,11 @@ the distinct states (remaining budget, coset of the partial sums, named
 by a linear key from a diagonal form of the block) that the phase above
 tallied, each once and weighted by its tally, and tallies the states at
 the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.
-Every phase runs as Python source generated for the form: one nested
-loop per level, table entries written in as literals, Schnorr-Euchner
-partial sums in plain locals, cut into a chain of functions at CPython's
-20 nested loops, each link compiled on its own.  The whole walk runs in
-one process.
+Every phase runs as one function of Python source generated for the
+form: one nested loop per level, table entries written in as literals,
+Schnorr-Euchner partial sums in plain locals, each phase compiled on its
+own.  The cut levels keep a phase to 20 levels, the most nested loops
+CPython compiles in one function.  The whole walk runs in one process.
 
 The two theta checks share one comparison: enumerated counts per even norm
 against independently computed series coefficients, and zero at every odd
@@ -198,10 +198,13 @@ def _cut_levels(n: int, max_norm: int) -> tuple[int, ...]:
     3n // 4 down to n // 4: 18, 15, 12, 9 and 6 on Leech, which visit a
     tenth of the nodes of one cut at 14.  Below norm 4 the states repeat
     too little for a cut to pay for its tallies, and one cut at 3n // 5
-    (14 on Leech) walks fastest."""
-    if max_norm < 4:
-        return (3 * n // 5,)
-    return tuple(range(3 * n // 4, n // 4 - 1, -3))
+    (14 on Leech) walks fastest.  CPython compiles at most 20 nested loops
+    in one function, so cuts every 20 levels, from n - 21 down above the
+    first of these and from the last of them - 20 down below it, keep each
+    phase to 20 levels; none is added for n <= 33 below norm 4, or for
+    n <= 74 from norm 4 up."""
+    cuts = (3 * n // 5,) if max_norm < 4 else range(3 * n // 4, n // 4 - 1, -3)
+    return (*range(n - 21, cuts[0], -20), *cuts, *range(cuts[-1] - 20, -1, -20))
 
 
 def _plus(expr: str | None, coeff: int, name: str) -> str | None:
@@ -246,9 +249,9 @@ def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
     return [([v % e for v in row], e) for row, e in zip(u, moduli) if e > 1]
 
 
-def _walker_links(rows, step, scale, cuts) -> list[str]:
+def _walker_sources(rows, step, scale, cuts) -> list[str]:
     """Python source of the walker for these tables and cut levels, one
-    chain link per string; the source is a pure function of its inputs.
+    phase per string; the source is a pure function of its inputs.
 
     The walk runs in phases split at the cut levels.  Below a cut K the
     count of a subtree depends only on the remaining budget R and on the
@@ -256,7 +259,7 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     modulo the lattice of the block rows[0..K][0..K], as moving x_0..x_K by
     a vector of Z^{K+1} is a bijection of subtrees.  So each phase walks
     the distinct states its input holds, one at a time:
-    _p{p}_0(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
+    _p{p}(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
     below the state (R, t) at level a, its first level (the top phase has
     a = n-1 and no t), and at each descent into its cut K adds times to
     tally[(R, w)] = [times, (R, t_K, ..., t_0)], w the key of t by
@@ -271,12 +274,10 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
     node computes only its child's centre and range and skips an empty
     range; a descent also brings up to date, in plain locals, the partial
     sums of the phase's lower rows (Schnorr-Euchner) and of the key.
-    CPython compiles at most 20 nested loops in one function, so each phase
-    is cut into links of at most 20 levels, the lowest one full, so calls
-    between links happen high up, where nodes are few.
+    _cut_levels keeps a phase to 20 levels, the most nested loops CPython
+    compiles in one function, so no phase calls another.
     """
     n = len(rows)
-    links: list[list[str]] = []
 
     def child(pad, i, remaining, centre, skip):
         # the range of x_i, skipping an empty one when in a loop; every step
@@ -292,16 +293,14 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
             f"{pad}    lo = 0",
         ]
 
-    def chain(name, first, last, sums, key):
+    def phase(p, first, last, sums, key):
         # levels first down to last, then a tally at the cut last - 1 keyed
         # by key's pairs (u, e), or the leaves of level 0; sums[k] names
         # sum_{j>i} table[k][j] x_j at level i, None for 0 (rows k < last
         # keep their input t_k), sums[n + c] u_c . t plus the key's terms
-        start = len(links)
         remaining = f"R{first}"
         params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
-        out = [f"def {name}0({', '.join(params)}, isqrt=isqrt):"]
-        links.append(out)
+        out = [f"def _p{p}({', '.join(params)}, isqrt=isqrt):"]
         pad = "    "
         table = [*rows, *([sum(x * r[j] for x, r in zip(u, rows)) % e for j in range(n)] for u, e in key)]
         for c, (u, e) in enumerate(key):
@@ -311,14 +310,6 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
         if first >= last:
             out += child(pad, first, remaining, sums[first], False)
         for i in range(first, last - 1, -1):
-            if i < first and (i - last) % 20 == 19:
-                names = ["budget", "tally", "times", "lo", "hi", remaining, *filter(None, sums[: i + 1])]
-                names += [*filter(None, sums[n:]), *(f"x{j}" for j in range(first, i, -1) if last)]
-                args = ", ".join(dict.fromkeys(names))
-                out.append(f"{pad}{name}{len(links) - start}({args})")
-                out = [f"def {name}{len(links) - start}({args}, isqrt=isqrt):"]
-                links.append(out)
-                pad = "    "
             out.append(f"{pad}for x{i} in range(lo, hi + 1):")
             pad += "    "
             out.append(f"{pad}y = {_plus(sums[i], rows[i][i], f'x{i}')}")
@@ -332,7 +323,7 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
                     f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
                     f"{pad}    tally[norm] = tally.get(norm, 0) + 2 * times",
                 ]
-                return
+                return out
             remaining = f"R{i - 1}"
             out.append(f"{pad}{remaining} = {rest}")
             if i > last:
@@ -355,24 +346,26 @@ def _walker_links(rows, step, scale, cuts) -> list[str]:
         held = ", ".join([remaining, *(v or "0" for v in state[::-1])])
         out += [f"{pad}key = ({own},)", f"{pad}seen = tally.get(key)"]
         out += [f"{pad}if seen is None:", f"{pad}    tally[key] = tally[({neg},)] = [times, ({held})]"]
-        out += [f"{pad}else:", f"{pad}    seen[0] += times"]
+        return out + [f"{pad}else:", f"{pad}    seen[0] += times"]
 
+    sources = []
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
         key = _coset_key(rows, cut) if cut >= 0 else []
-        chain(f"_p{p}_", first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], key)
-    return ["\n".join(link) + "\n" for link in links]
+        out = phase(p, first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], key)
+        sources.append("\n".join(out) + "\n")
+    return sources
 
 
 @lru_cache(maxsize=1)
 def _walker(rows, step, scale, cuts):
-    """The phases _p{p}_0 of the walker for these tables (as tuples, the
-    cache key) and cut levels, compiled once per process.  Each chain link
+    """The phases _p{p} of the walker for these tables (as tuples, the
+    cache key) and cut levels, compiled once per process.  Each phase
     compiles on its own, so the compiler never holds the whole walker at
     once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
-    for k, source in enumerate(_walker_links(rows, step, scale, cuts)):
-        exec(compile(source, f"<walker link {k}>", "exec"), namespace)
-    return [namespace[f"_p{p}_0"] for p in range(len(cuts) + 1)]
+    for p, source in enumerate(_walker_sources(rows, step, scale, cuts)):
+        exec(compile(source, f"<walker phase {p}>", "exec"), namespace)
+    return [namespace[f"_p{p}"] for p in range(len(cuts) + 1)]
 
 
 def _walk_states(rows, step, scale, budget, phases, states):

@@ -32,6 +32,7 @@ here ever rounds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -66,7 +67,10 @@ class LorentzVector:
     doubled: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(int(c) for c in self.doubled)
+        try:
+            coords = tuple(int(operator.index(c)) for c in self.doubled)
+        except TypeError:
+            raise ValueError("doubled coordinates must be integers") from None
         object.__setattr__(self, "doubled", coords)
         if not is_member(coords):
             raise ValueError("doubled coordinates are not a lattice member")
@@ -124,7 +128,7 @@ def _hermite(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...]
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    h = [list(map(int, r)) for r in rows]
+    h = [[int(operator.index(x)) for x in r] for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [row[:] for row in u]
 
@@ -183,7 +187,7 @@ def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
         raise ValueError("matrix must be square")
     if n == 0:
         return 1
-    a = [list(map(int, r)) for r in rows]
+    a = [[int(operator.index(x)) for x in r] for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -221,7 +225,7 @@ def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     q_ik = mu_ik.
     """
     n = len(rows)
-    a = [list(map(int, r)) for r in rows]
+    a = [[int(operator.index(x)) for x in r] for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     for i in range(n):
@@ -276,7 +280,10 @@ class GramMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        try:
+            entries = tuple(tuple(int(operator.index(x)) for x in row) for row in self.entries)
+        except TypeError:
+            raise ValueError("Gram entries must be integers") from None
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.dim or any(len(r) != self.dim for r in entries):
             raise ValueError("entries must form a dim x dim square")

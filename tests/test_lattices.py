@@ -13,6 +13,7 @@ rationals on a Gram-Schmidt of its own, and the fraction-free `ldl` with
 `lll` is pinned by a digest.
 """
 
+import ast
 import hashlib
 import json
 import random
@@ -777,15 +778,17 @@ def test_each_state_at_each_cut_matches_oracle_walk():
     # counts what the single-phase oracle counts below that node, and the
     # states weighted by their tallies add up to the whole count; on the
     # oracle cases, E8 at norm 8 and Leech at norm 4 (two and five cuts),
-    # and at norm 2, which has one cut, on forms deep enough to need two
-    # or three chain links in a phase: diagonal ones (at 70 levels the
-    # bottom phase has 43, and links of 21 levels would not compile),
-    # Leech + [[4]], and Leech + E8, whose bottom phase is one link of
-    # exactly 20 levels and whose dense rows pass partial sums over the cut
+    # and at norm 2, one cut of its own, on forms deep enough for
+    # _cut_levels to add a cut every 20 levels: diagonal ones (Z^70 is cut
+    # at 49, 42, 22 and 2), Leech + [[4]], Leech + E8, whose bottom phase
+    # has exactly 20 levels and whose dense rows pass partial sums over the
+    # cut, and Z^36 + Leech, cut at 39, 36 and 16, where the state stored at
+    # 36 sums the coordinates of the two phases above it
     leech = leech_gram().entries
     cases = oracle_cases() + [(e8_gram(), 8), (leech_gram(), 4)]
     cases += [(identity_gram(n), 2) for n in (19, 20, 21, 26, 45, 60, 70)]
     cases += [(block_diagonal(leech, [[4]]), 2), (block_diagonal(leech, e8_gram().entries), 2)]
+    cases += [(block_diagonal(identity_gram(36).entries, leech), 2)]
     for g, max_norm in cases:
         rows, step, scale = tables(lll(g).gram.entries)
         budget = max_norm * scale
@@ -803,27 +806,12 @@ def test_each_state_at_each_cut_matches_oracle_walk():
         assert serial_walk(rows, step, scale, budget) == whole
 
 
-def test_states_stored_across_chain_links_match_oracle_walk():
-    # Z^36 + Leech at norm 2: the top phase, levels 59..37, runs as two
-    # chain links, and the state it stores at the cut 36 is a sum over the
-    # coordinates of both, those of the first passed on to the second
-    g = block_diagonal(identity_gram(36).entries, leech_gram().entries)
-    rows, step, scale = tables(lll(g).gram.entries)
-    budget = 2 * scale
-    (states,) = states_per_cut(rows, step, scale, budget)
-    assert walk(rows, step, scale, budget, slice(1, None), states) == {1: 72, 2: 2520}
-    for key, times in states:
-        below = oracle_walk(rows, step, scale, budget, start=key)
-        assert walk(rows, step, scale, budget, slice(1, None), [(key, times)]) == {
-            norm: times * cnt for norm, cnt in below.items()
-        }
-
-
 def test_state_counts_per_cut_are_pinned():
     # a key that is exact but not canonical, or not folded with its
     # negation, gives more states, and a cut moved by a level other ones;
     # below norm 4 one cut at 3n // 5, from norm 4 up a cut every three
-    # levels from 3n // 4 down to n // 4
+    # levels from 3n // 4 down to n // 4, and a cut every 20 levels beyond
+    # them where a phase would be taller
     pins = (
         (leech_gram(), 2, [266]),
         (leech_gram(), 4, [158, 508, 1030, 676, 262]),
@@ -839,8 +827,54 @@ def test_state_counts_per_cut_are_pinned():
         2: [(1,)] * 8,
         8: [(4,)] * 3 + [(6, 3)] * 5,
         24: [(14,)] * 3 + [(18, 15, 12, 9, 6)] * 5,
-        60: [(36,)] * 3 + [(45, 42, 39, 36, 33, 30, 27, 24, 21, 18, 15)] * 5,
+        60: [(39, 36, 16)] * 3 + [(45, 42, 39, 36, 33, 30, 27, 24, 21, 18, 15)] * 5,
     }
+
+
+def old_cut_levels(n, max_norm):
+    """The schedule before _cut_levels kept each phase to 20 levels."""
+    return (3 * n // 5,) if max_norm < 4 else tuple(range(3 * n // 4, n // 4 - 1, -3))
+
+
+def phase_heights(n, cuts):
+    """The levels each phase walks, from the top phase down."""
+    bounds = [n - 1, *cuts, -1]
+    return [a - b for a, b in zip(bounds, bounds[1:])]
+
+
+def test_cut_levels_keep_each_phase_to_20_levels():
+    # the cuts strictly decrease inside 0..n-1 (the top phase may be
+    # empty), no phase is taller than the 20 nested loops CPython compiles
+    # in one function, the old cuts all stay, and a schedule whose phases
+    # all fit is the old one: for n <= 33 below norm 4 and n <= 74 from 4 up
+    for n in range(1, 121):
+        for max_norm in range(1, 9):
+            cuts, old = lattices._cut_levels(n, max_norm), old_cut_levels(n, max_norm)
+            top, *below = phase_heights(n, cuts)
+            assert 0 <= top <= 20 and all(0 < h <= 20 for h in below), (n, max_norm)
+            assert set(old) <= set(cuts)
+            assert (cuts == old) == (max(phase_heights(n, old)) <= 20), (n, max_norm)
+            if n <= (33 if max_norm < 4 else 74):
+                assert cuts == old
+
+
+def test_deep_forms_walk_one_function_per_phase():
+    # 2 I_100 at norm 2 and 2 I_120 at norm 4 (sqrt(2) Z^n, whose norm 2
+    # holds the 2n vectors +-e_i and norm 4 the 4 C(n, 2) vectors +-e_i +-e_j)
+    # need cuts every 20 levels; each phase is one function _p{p} of at most
+    # 20 nested loops that calls no other phase
+    for n, max_norm, want in ((100, 2, {1: 0, 2: 200}), (120, 4, {1: 0, 2: 240, 3: 0, 4: 28560})):
+        g = GramMatrix.from_rows([[2 * int(i == j) for j in range(n)] for i in range(n)])
+        assert short_vectors(g, max_norm).counts == want
+        rows, step, scale = tables(lll(g).gram.entries)
+        cuts = lattices._cut_levels(n, max_norm)
+        for p, source in enumerate(lattices._walker_sources(rows, step, scale, cuts)):
+            (function,) = ast.parse(source).body
+            assert function.name == f"_p{p}"
+            loops = [node for node in ast.walk(function) if isinstance(node, ast.For)]
+            assert len(loops) == phase_heights(n, cuts)[p] <= 20
+            calls = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
+            assert calls <= {"range", "isqrt", "divmod", "tally.get", "ConstructionError"}
 
 
 def test_coset_keys_are_exact_at_every_level():
@@ -885,15 +919,13 @@ def counting_walker(real, nodes):
 
     def walker(*args):
         namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError, "nodes": nodes}
-        for source in lattices._walker_links(*args):
+        for phase, source in enumerate(lattices._walker_sources(*args)):
             lines = []
             for line in source.splitlines():
                 lines.append(line)
-                if line.startswith("def _p"):
-                    phase = int(line[len("def _p") :].split("_")[0])
                 if line.lstrip().startswith("for x"):
                     lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
-            exec(compile("\n".join(lines) + "\n", "<counting link>", "exec"), namespace)
+            exec(compile("\n".join(lines) + "\n", f"<counting phase {phase}>", "exec"), namespace)
         # each phase real compiles, by its name
         return [namespace[phase.__name__] for phase in real(*args)]
 
@@ -1061,12 +1093,12 @@ def test_short_vectors_builds_the_walker_once(monkeypatch):
     # one walk compiles the walker once for all its phases
     built = []
 
-    def links(*tables):
+    def sources(*tables):
         built.append(tables)
-        return walker_links(*tables)
+        return walker_sources(*tables)
 
-    walker_links = lattices._walker_links
-    monkeypatch.setattr(lattices, "_walker_links", links)
+    walker_sources = lattices._walker_sources
+    monkeypatch.setattr(lattices, "_walker_sources", sources)
     lattices._walker.cache_clear()
     assert short_vectors(e8_gram(), 4, jobs=3).counts == {1: 0, 2: 240, 3: 0, 4: 2160}
     assert len(built) == 1

@@ -28,6 +28,7 @@ from qleech.lorentz import (
     inner_product,
     is_member,
     lattice_basis,
+    ldl,
     leech_gram,
     quotient_representatives,
     weyl_vector,
@@ -393,6 +394,33 @@ def test_gram_matrix_validation():
     assert g.is_even and g.determinant() == 3
     assert g.is_positive_definite
     assert g.to_jsonable() == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.9, Fraction(2), Fraction(5, 2), "2"])
+def test_inexact_entries_are_refused(bad):
+    # entries go through operator.index: a float, a Fraction or a string is
+    # refused, never truncated or parsed
+    with pytest.raises(ValueError, match="must be integers"):
+        GramMatrix.from_rows([[bad, 1], [1, 2]])
+    with pytest.raises(ValueError, match="must be integers"):
+        LorentzVector((bad,) + (0,) * 24 + (2,))
+    for routine in (_hermite, bareiss_determinant, ldl):
+        with pytest.raises(TypeError):
+            routine([[bad, 1], [1, 2]])
+
+
+def test_bool_and_int_subclass_entries_are_plain_ints():
+    class Int(int):
+        pass
+
+    rows, plain = [[Int(2), True], [True, Int(2)]], [[2, 1], [1, 2]]
+    g = GramMatrix.from_rows(rows)
+    assert g == GramMatrix.from_rows(plain) and {type(x) for row in g.entries for x in row} == {int}
+    assert g.to_jsonable() == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
+    v = LorentzVector((Int(2),) + (False,) * 24 + (True + True,))
+    assert v.doubled == (2,) + (0,) * 24 + (2,) and {type(c) for c in v.doubled} == {int}
+    assert bareiss_determinant(rows) == 3
+    assert ldl(rows) == ldl(plain) and _hermite(rows) == _hermite(plain)
 
 
 # -- the rank-26 lattice -------------------------------------------------------

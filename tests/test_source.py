@@ -20,15 +20,15 @@ def package_sources():
 
 
 def walker_sources():
-    # the links generated for the E8 and Leech tables, with one cut and
+    # the phases generated for the E8 and Leech tables, with one cut and
     # with the cascade
     found = []
     for name, gram in (("e8", lattices.e8_gram()), ("leech", leech_gram())):
         tables = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
         for max_norm in (2, 4):
             cuts = lattices._cut_levels(gram.dim, max_norm)
-            for k, source in enumerate(lattices._walker_links(*tables, cuts)):
-                found.append((f"{name} norm {max_norm} link {k}", source))
+            for p, source in enumerate(lattices._walker_sources(*tables, cuts)):
+                found.append((f"{name} norm {max_norm} phase {p}", source))
     return found
 
 
@@ -83,12 +83,12 @@ def test_walker_source_depends_only_on_its_tables():
     for gram in (lattices.e8_gram(), leech_gram()):
         rows, step, scale = lattices._fincke_pohst_tables(*lattices._lll(gram)[2:])
         cuts = lattices._cut_levels(gram.dim, 4)
-        links = lattices._walker_links(rows, step, scale, cuts)
+        sources = lattices._walker_sources(rows, step, scale, cuts)
         copies = ([list(row) for row in rows], list(step), scale, cuts)
-        assert lattices._walker_links(*copies) == links
+        assert lattices._walker_sources(*copies) == sources
         literals = {
             node.value
-            for source in links
+            for source in sources
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Constant)
         }
@@ -111,11 +111,9 @@ def test_walker_source_is_pinned():
     for (name, max_norm), digest in WALKER_DIGESTS.items():
         tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[2:])
         cuts = lattices._cut_levels(grams[name].dim, max_norm)
-        sources = lattices._walker_links(*tables, cuts)
+        sources = lattices._walker_sources(*tables, cuts)
         assert len(sources) == len(cuts) + 1
-        # each phase is one link here, _p{p}_0, named as the phase _p{p}
-        text = re.sub(r"\b(_p\d+)_0\b", r"\1", "".join(sources))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, max_norm)
+        assert hashlib.sha256("".join(sources).encode()).hexdigest() == digest, (name, max_norm)
 
 
 REPO = Path(__file__).resolve().parents[1]

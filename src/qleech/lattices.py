@@ -198,11 +198,9 @@ def _cut_levels(n: int, max_norm: int) -> tuple[int, ...]:
     3n // 4 down to n // 4: 18, 15, 12, 9 and 6 on Leech, which visit a
     tenth of the nodes of one cut at 14.  Below norm 4 the states repeat
     too little for a cut to pay for its tallies, and one cut at 3n // 5
-    (14 on Leech) walks fastest.  CPython compiles at most 20 nested loops
-    in one function, so cuts every 20 levels, from n - 21 down above the
-    first of these and from the last of them - 20 down below it, keep each
-    phase to 20 levels; none is added for n <= 33 below norm 4, or for
-    n <= 74 from norm 4 up."""
+    (14 on Leech) walks fastest.  Cuts every 20 levels, from n - 21 down
+    above these and from the last of them - 20 down below, keep each phase
+    within the 20 nested loops CPython compiles in one function."""
     cuts = (3 * n // 5,) if max_norm < 4 else range(3 * n // 4, n // 4 - 1, -3)
     return (*range(n - 21, cuts[0], -20), *cuts, *range(cuts[-1] - 20, -1, -20))
 

@@ -39,7 +39,7 @@ from .modforms import delta, eisenstein_e4, sigma
 from .lorentz import (
     ConstructionError,
     GramMatrix,
-    bareiss_determinant,
+    _certify,
     ldl,
     leech_gram,
 )
@@ -439,12 +439,7 @@ def e8_gram() -> GramMatrix:
             row.append(s // 4)
         entries.append(row)
     gram = GramMatrix.from_rows(entries)
-    if not gram.is_even:
-        raise ConstructionError("E8 Gram must be even")
-    if bareiss_determinant(gram.entries) != 1:
-        raise ConstructionError("E8 Gram determinant must be 1")
-    if not gram.is_positive_definite:
-        raise ConstructionError("E8 Gram must be positive definite")
+    _certify(gram, 1, (gram.dim, 0, 0), "E8")
     return gram
 
 
@@ -502,16 +497,13 @@ def theta_check_leech(max_norm: int = 4) -> ThetaCheck:
     order = max(max_norm // 2 + 1, 2)
     e4_cubed = eisenstein_e4(order) ** 3
     disc = delta(order)
-    system = [
-        [e4_cubed.coeff(0), disc.coeff(0)],
-        [e4_cubed.coeff(1), disc.coeff(1)],
-    ]
-    # Cramer's rule for system . (a, b) = (1, 0): the numerators are cofactors
-    det = bareiss_determinant(system)
-    num_a, num_b = system[1][1], -system[1][0]
-    if det == 0 or num_a % det or num_b % det:
+    e0, e1 = e4_cubed.coeff(0), e4_cubed.coeff(1)
+    d0, d1 = disc.coeff(0), disc.coeff(1)
+    # Cramer's rule for a (e0, e1) + b (d0, d1) = (1, 0)
+    det = e0 * d1 - d0 * e1
+    if det == 0 or d1 % det or e1 % det:
         raise ConstructionError("weight-12 combination is not integral")
-    a, b = num_a // det, num_b // det
+    a, b = d1 // det, -e1 // det
     return _theta("leech", found, (a, b), lambda nn: a * e4_cubed.coeff(nn) + b * disc.coeff(nn))
 
 

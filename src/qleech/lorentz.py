@@ -19,15 +19,14 @@ extracted with integer row reduction, and 24 representatives spanning a
 complement of w inside it give an even positive definite Gram matrix of
 determinant 1.
 
-The exact linear algebra lives here too, as two elimination routines and a
-determinant.  A row-style Hermite normal form returns its unimodular
-transform U together with the transpose of U^-1, built step by step; it
-yields the lattice basis, the complement of w, the coordinates of w in that
-complement and the unimodular completion.  One fraction-free symmetric
-LDL^T gives the inertia, and the lattice module reuses its integers for
-LLL, the LLL check and the Fincke-Pohst tables.  Bareiss elimination gives
-determinants by an independent route.  Everything is plain int; nothing
-here ever rounds.
+The exact linear algebra lives here too, as two elimination routines.  A
+row-style Hermite normal form returns its unimodular transform U together
+with the transpose of U^-1, built step by step; it yields the lattice basis,
+the complement of w, the coordinates of w in that complement and the
+unimodular completion.  One fraction-free symmetric LDL^T gives every
+determinant and inertia, both read from one pass, and the lattice module
+reuses its integers for LLL, the LLL check and the Fincke-Pohst tables.
+Everything is plain int; nothing here ever rounds.
 """
 
 from __future__ import annotations
@@ -180,34 +179,6 @@ def hermite_normal_form(
     return h, u
 
 
-def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    a = [[int(operator.index(x)) for x in r] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Fraction-free symmetric LDL^T of a symmetric integer matrix A in the
     style of Bareiss (Math. Comp. 22, 1968): each step divides exactly by
@@ -219,10 +190,10 @@ def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     replaced by a symmetric swap with a later nonzero diagonal entry or, when
     the whole trailing diagonal vanishes, by folding a later row and column
     into row k; a row and column that stay zero are dropped, with no minor.
-    Both steps are congruences, so the signs of d[k] d[k+1] always give the
-    inertia, each dropped row being a zero eigenvalue.  A positive definite
-    input never takes either step, so there d[k+1] / d[k] = |b_k*|^2 and
-    q_ik = mu_ik.
+    Both steps are unimodular congruences, so the signs of d[k] d[k+1] give
+    the inertia, a dropped row being a zero eigenvalue, and d[n] is det A (0
+    if a row was dropped).  A positive definite input never takes either
+    step, so there d[k+1] / d[k] = |b_k*|^2 and q_ik = mu_ik.
     """
     n = len(rows)
     a = [[int(operator.index(x)) for x in r] for r in rows]
@@ -260,13 +231,21 @@ def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     return d, a
 
 
-def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric integer
-    matrix: the signs of its LDL^T pivots d[k+1] / d[k]."""
+def _invariants(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int, int]]:
+    """(determinant, inertia) of a symmetric integer matrix from one ldl pass."""
     d, _ = ldl(rows)
-    pos = sum(1 for p, q in zip(d, d[1:]) if p * q > 0)
-    neg = len(d) - 1 - pos
-    return pos, neg, len(rows) - pos - neg
+    n, pos = len(rows), sum(1 for p, q in zip(d, d[1:]) if p * q > 0)
+    return (d[n] if len(d) > n else 0), (pos, len(d) - 1 - pos, n + 1 - len(d))
+
+
+def bareiss_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a symmetric integer matrix, read from ldl."""
+    return _invariants(rows)[0]
+
+
+def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts, read from ldl."""
+    return _invariants(rows)[1]
 
 
 # -- Gram matrices -----------------------------------------------------------
@@ -323,6 +302,16 @@ def gram_of(vectors: Sequence[LorentzVector]) -> GramMatrix:
     return GramMatrix.from_rows(rows)
 
 
+def _certify(gram: GramMatrix, det: int, signature: tuple[int, int, int], what: str) -> None:
+    """Raise ConstructionError unless gram is even, with determinant det and
+    inertia signature, both read from one ldl pass."""
+    if not gram.is_even:
+        raise ConstructionError(f"{what} Gram has an odd diagonal entry")
+    got = _invariants(gram.entries)
+    if got != (det, signature):
+        raise ConstructionError(f"{what} Gram has (det, inertia) {got}, not {(det, signature)}")
+
+
 # -- the lattice and its Leech quotient ---------------------------------------
 
 
@@ -350,12 +339,7 @@ def lattice_basis() -> tuple[tuple[LorentzVector, ...], GramMatrix]:
         raise ConstructionError(f"expected rank {DIM}, got {len(rows)}")
     basis = tuple(LorentzVector(row) for row in rows)
     gram = gram_of(basis)
-    if bareiss_determinant(gram.entries) != -1:
-        raise ConstructionError("basis Gram determinant is not -1")
-    if not gram.is_even:
-        raise ConstructionError("basis Gram has an odd diagonal entry")
-    if inertia(gram.entries) != (SPACELIKE_DIM, 1, 0):
-        raise ConstructionError("basis Gram has the wrong signature")
+    _certify(gram, -1, (SPACELIKE_DIM, 1, 0), "basis")
     return basis, gram
 
 
@@ -431,10 +415,5 @@ def leech_gram() -> GramMatrix:
     determinant 1.  The self-checks run once; failures are fatal."""
     reps = quotient_representatives()
     gram = gram_of(reps)
-    if not gram.is_even:
-        raise ConstructionError("quotient Gram has an odd diagonal entry")
-    if bareiss_determinant(gram.entries) != 1:
-        raise ConstructionError("quotient Gram determinant is not 1")
-    if inertia(gram.entries) != (gram.dim, 0, 0):
-        raise ConstructionError("quotient Gram is not positive definite")
+    _certify(gram, 1, (gram.dim, 0, 0), "quotient")
     return gram

@@ -14,6 +14,7 @@ so a caller can re-reduce them independently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -38,6 +39,10 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
     """Square-and-sum the named expansion's coefficients on [lo, hi]."""
     if sequence not in _SEQUENCE_VALUATIONS:
         raise ValueError(f"unknown sequence {sequence!r}; choose from {sorted(_SEQUENCE_VALUATIONS)}")
+    try:
+        lo, hi, modulus = map(operator.index, (lo, hi, modulus))
+    except TypeError:
+        raise ValueError("lo, hi and modulus must be integers") from None
     if lo > hi:
         raise ValueError("empty range: lo must not exceed hi")
     if modulus < 1:

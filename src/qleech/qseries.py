@@ -74,6 +74,8 @@ class LaurentSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.valuation, int) and isinstance(self.order, int)):
+            raise ValueError("valuation and order must be integers")
         if len(self.coeffs) != self.order - self.valuation:
             raise ValueError("coefficient window does not match order - valuation")
         if self.coeffs:

@@ -40,7 +40,6 @@ from qleech.lattices import (
 from qleech.lorentz import (
     ConstructionError,
     GramMatrix,
-    bareiss_determinant,
     lattice_basis,
     ldl,
     leech_gram,
@@ -484,7 +483,7 @@ def pinned_forms():
     while len(forms) < 302:
         n = rng.randint(1, 9)
         b = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if bareiss_determinant(b):
+        if fraction_det(b):
             forms.append(GramMatrix.from_rows([[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]))
     return forms
 

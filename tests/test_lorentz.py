@@ -1,23 +1,29 @@
 """Even unimodular Lorentzian lattice, exact linear algebra, Leech quotient.
 
 Determinants and ranks asserted here are recomputed with a plain
-fraction-based Gaussian elimination so the library's Bareiss/HNF code is
+fraction-based Gaussian elimination so the library's LDL^T/HNF code is
 never its own witness.  Two slow routes live here as oracles: a rational
 Gauss-Jordan solver for coordinates, and a congruence diagonalization for
 inertia that eliminates without recording multipliers.
 """
 
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import qleech.lattices as lattices
+import qleech.lorentz as lorentz
+from qleech.lattices import e8_gram
 from qleech.lorentz import (
     DIM,
     SPACELIKE_DIM,
     ConstructionError,
     GramMatrix,
     LorentzVector,
+    _certify,
     _complement,
     _hermite,
     bareiss_determinant,
@@ -311,12 +317,34 @@ def test_hnf_rectangular_and_rank_deficient():
 
 
 def test_bareiss_matches_fraction_gauss():
+    # the determinant is ldl's last minor: random symmetric forms, forms with
+    # zeros on the diagonal (the swap and fold steps), singular products
+    # B^T D B, the empty matrix and the three certified Grams, each against
+    # Gauss elimination on Fractions
     rng = random.Random(23)
-    for _ in range(25):
-        m = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+    forms = [[], [[0, 1], [1, 0]], [[0, 1, 0], [1, 0, 2], [0, 2, 0]], [[1, 2], [2, 4]]]
+    for n in range(1, 7):
+        for _ in range(10):
+            full, sparse, hollow = ([[0] * n for _ in range(n)] for _ in range(3))
+            for i in range(n):
+                for j in range(i, n):
+                    full[i][j] = full[j][i] = rng.randint(-9, 9)
+                    sparse[i][j] = sparse[j][i] = rng.choice((0, 0, rng.randint(-9, 9)))
+                    hollow[i][j] = hollow[j][i] = rng.randint(-9, 9) if i != j else 0
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            diag = [rng.choice((-1, 2)) for _ in range(n - 1)]
+            low = [
+                [sum(b[k][i] * diag[k] * b[k][j] for k in range(n - 1)) for j in range(n)]
+                for i in range(n)
+            ]
+            forms += [full, sparse, hollow, low]
+    forms += [lattice_basis()[1].entries, leech_gram().entries, e8_gram().entries]
+    for m in forms:
         assert bareiss_determinant(m) == fraction_det(m)
-    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert bareiss_determinant(singular) == 0
+    assert [bareiss_determinant(g) for g in forms[-3:]] == [-1, 1, 1]
+    assert bareiss_determinant([]) == 1 and bareiss_determinant([[1, 2], [2, 4]]) == 0
+    with pytest.raises(ValueError, match="symmetric"):
+        bareiss_determinant([[1, 2], [3, 4]])
 
 
 def test_inertia_examples():
@@ -421,6 +449,54 @@ def test_bool_and_int_subclass_entries_are_plain_ints():
     assert v.doubled == (2,) + (0,) * 24 + (2,) and {type(c) for c in v.doubled} == {int}
     assert bareiss_determinant(rows) == 3
     assert ldl(rows) == ldl(plain) and _hermite(rows) == _hermite(plain)
+
+
+# -- the certificates ----------------------------------------------------------
+
+
+def test_certificate_refuses_each_failure():
+    # the Leech Gram passes as itself and fails on an odd diagonal entry, a
+    # wrong determinant and a wrong signature
+    leech = leech_gram()
+    _certify(leech, 1, (24, 0, 0), "quotient")
+    odd = [list(row) for row in leech.entries]
+    odd[0][0] += 1
+    with pytest.raises(ConstructionError, match="quotient Gram has an odd diagonal entry"):
+        _certify(GramMatrix.from_rows(odd), 1, (24, 0, 0), "quotient")
+    got = re.escape("(det, inertia) (1, (24, 0, 0))")
+    with pytest.raises(ConstructionError, match=got + re.escape(", not (-1, (24, 0, 0))")):
+        _certify(leech, -1, (24, 0, 0), "quotient")
+    with pytest.raises(ConstructionError, match=got + re.escape(", not (1, (23, 1, 0))")):
+        _certify(leech, 1, (23, 1, 0), "quotient")
+    basis_gram = lattice_basis()[1]
+    with pytest.raises(ConstructionError, match=re.escape("basis Gram has (det, inertia) (-1,")):
+        _certify(basis_gram, -1, (26, 0, 0), "basis")
+
+
+def test_each_certificate_is_one_ldl_call(monkeypatch):
+    # fresh, cold caches stand in for the four cached builders, and
+    # monkeypatch puts the warm ones back afterwards
+    for module, name in (
+        (lorentz, "lattice_basis"),
+        (lorentz, "quotient_representatives"),
+        (lorentz, "leech_gram"),
+        (lattices, "e8_gram"),
+    ):
+        monkeypatch.setattr(module, name, lru_cache(maxsize=1)(getattr(module, name).__wrapped__))
+    sizes = []
+    real = lorentz.ldl
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(lorentz, "ldl", spy)
+    assert lorentz.lattice_basis()[1].entries == lattice_basis()[1].entries
+    assert sizes == [26]
+    assert lorentz.leech_gram() == leech_gram()
+    assert sizes == [26, 24]
+    assert lattices.e8_gram() == e8_gram()
+    assert sizes == [26, 24, 8]
 
 
 # -- the rank-26 lattice -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Congruence windows and the cannonball search."""
 
+from fractions import Fraction
+
 import pytest
 
 from qleech.observations import (
@@ -63,6 +65,23 @@ def test_congruence_input_validation():
         check_congruence("j", -2, 5, 7)
     with pytest.raises(ValueError):
         check_congruence("delta", 0, 5, 7)
+
+
+@pytest.mark.parametrize("kind", [float, Fraction, str])
+def test_congruence_refuses_non_integer_bounds(kind):
+    # total % 70.0 would turn the 52-digit sum into a float, residue 4.0
+    for args in ((kind(1), 24, 70), (1, kind(24), 70), (1, 24, kind(70))):
+        with pytest.raises(ValueError, match="lo, hi and modulus must be integers"):
+            check_congruence("j", *args)
+
+
+def test_congruence_takes_bools_and_int_subclasses_as_ints():
+    class Int(int):
+        pass
+
+    r = check_congruence("j", True, Int(24), Int(70))
+    assert (r.lo, r.hi, r.modulus, r.residue) == (1, 24, 70, 42)
+    assert {type(x) for x in (r.lo, r.hi, r.modulus, r.residue)} == {int}
 
 
 # -- square pyramids that are squares ------------------------------------------

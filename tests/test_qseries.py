@@ -116,6 +116,29 @@ def test_from_coeffs_rejects_non_integers(bad):
         LaurentSeries.from_coeffs(0, [bad])
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2), decimal.Decimal(2)])
+def test_non_integer_valuation_or_order_refused(bad):
+    # a series with exponents 0.5, 1.5, 2.5 or a zero known below q^2.5 is no
+    # truncated Laurent series
+    s = LaurentSeries.from_coeffs(1, [1, 2, 3])
+    for build in (
+        lambda: s.shift(bad),
+        lambda: LaurentSeries.zero(bad),
+        lambda: LaurentSeries.from_coeffs(bad, [1, 2]),
+        lambda: LaurentSeries(0, bad, (1, 2)),
+        lambda: LaurentSeries(bad, 2, (1, 2)),
+    ):
+        with pytest.raises(ValueError, match="valuation and order must be integers"):
+            build()
+    # truncate and one refuse it too, a few through Python's own TypeError
+    # from a slice or a repeat before any series is built
+    for build in (lambda: s.truncate(bad), lambda: LaurentSeries.one(bad)):
+        with pytest.raises((TypeError, ValueError)):
+            build()
+    with pytest.raises(ValueError, match="valuation and order must be integers"):
+        s.truncate(bad - 1)
+
+
 def test_zero_series_shape():
     z = LaurentSeries.from_coeffs(2, [0, 0, 0])
     assert z.is_zero

@@ -411,33 +411,14 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
 
 # -- reference lattices and theta checks --------------------------------------
 
-# simple roots in doubled coordinates: the half-integer root first, then
-# e_0 + e_1 and the differences e_{i+1} - e_i
-_E8_SIMPLE_ROOTS = (
-    (1, -1, -1, -1, -1, -1, -1, 1),
-    (2, 2, 0, 0, 0, 0, 0, 0),
-    (-2, 2, 0, 0, 0, 0, 0, 0),
-    (0, -2, 2, 0, 0, 0, 0, 0),
-    (0, 0, -2, 2, 0, 0, 0, 0),
-    (0, 0, 0, -2, 2, 0, 0, 0),
-    (0, 0, 0, 0, -2, 2, 0, 0),
-    (0, 0, 0, 0, 0, -2, 2, 0),
-)
-
-
 @lru_cache(maxsize=1)
 def e8_gram() -> GramMatrix:
-    """Gram matrix of the E8 root lattice from its simple roots; checked to
-    be even with determinant 1."""
-    entries = []
-    for a in _E8_SIMPLE_ROOTS:
-        row = []
-        for b in _E8_SIMPLE_ROOTS:
-            s = sum(x * y for x, y in zip(a, b))
-            if s % 4:
-                raise ConstructionError("root coordinates are not on the doubled grid")
-            row.append(s // 4)
-        entries.append(row)
+    """Gram matrix of E8: the Cartan matrix of its Dynkin diagram (Bourbaki's
+    nodes 0..7, the chain 0-2-3-4-5-6-7 with node 1 joined to node 3), checked
+    even, positive definite and unimodular, which fixes E8 (Serre, V.2)."""
+    entries = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
+        entries[i][j] = entries[j][i] = -1
     gram = GramMatrix.from_rows(entries)
     _certify(gram, 1, (gram.dim, 0, 0), "E8")
     return gram

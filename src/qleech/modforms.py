@@ -57,7 +57,7 @@ def _eisenstein(order: int, factor: int, power: int) -> LaurentSeries:
         for n in range(d, order, d):
             coeffs[n] += term
     coeffs[0] = 1
-    return LaurentSeries.from_coeffs(0, coeffs, order)
+    return LaurentSeries.from_coeffs(0, coeffs)
 
 
 def eisenstein_e4(order: int) -> LaurentSeries:

@@ -49,8 +49,8 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
         raise ValueError("modulus must be at least 1")
     if lo < _SEQUENCE_VALUATIONS[sequence]:
         raise ValueError(f"range starts below the valuation of {sequence}")
-    builder, least = SERIES[sequence]
-    series = builder(max(hi + 1, least))
+    # hi >= lo >= the valuation, so hi + 1 reaches the series' least order
+    series = SERIES[sequence][0](hi + 1)
     total = 0
     for m in range(lo, hi + 1):
         c = series.coeff(m)

@@ -87,23 +87,20 @@ class LaurentSeries:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_coeffs(
-        cls, valuation: int, coeffs: Sequence[int], order: int | None = None
-    ) -> "LaurentSeries":
-        """Build a series from the window starting at q^valuation.
+    def from_coeffs(cls, valuation: int, coeffs: Sequence[int]) -> "LaurentSeries":
+        """Build a series from the window starting at q^valuation, known
+        below q^(valuation + len(coeffs)).
 
         Leading zeros are stripped (tightening the valuation); an all-zero
-        window yields the zero series at the same order.  Coefficients must
-        be integers (operator.index): nothing is converted.
+        window yields the zero series at the same order.  Valuation and
+        coefficients must be integers (operator.index): nothing is converted.
         """
         try:
             coeffs = tuple(map(operator.index, coeffs))
         except TypeError:
             raise ValueError("coefficients must be integers") from None
-        if order is None:
-            order = valuation + len(coeffs)
-        elif order != valuation + len(coeffs):
-            raise ValueError("order must equal valuation + len(coeffs)")
+        valuation = _integer(valuation, "valuation and order")
+        order = valuation + len(coeffs)
         k = 0
         while k < len(coeffs) and coeffs[k] == 0:
             k += 1
@@ -119,6 +116,7 @@ class LaurentSeries:
     @classmethod
     def one(cls, order: int) -> "LaurentSeries":
         """The constant 1, known modulo q^order."""
+        order = _integer(order, "valuation and order")
         return cls(0, order, (1,) + (0,) * (order - 1))
 
     # -- queries -----------------------------------------------------------
@@ -129,6 +127,7 @@ class LaurentSeries:
 
     def coeff(self, m: int) -> int:
         """Coefficient of q^m.  Raises TruncationError for m >= order."""
+        m = _integer(m, "exponents")
         if m >= self.order:
             raise TruncationError(
                 f"coefficient of q^{m} requested but series is truncated at q^{self.order}"
@@ -147,8 +146,6 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         order = min(self.order, other.order)
-        if self.is_zero and other.is_zero:
-            return LaurentSeries.zero(order)
         val = min(self.valuation, other.valuation, order)
         out = [0] * (order - val)
         for src in (self, other):
@@ -157,7 +154,7 @@ class LaurentSeries:
                 if src.valuation + k >= order:
                     break
                 out[base + k] += c
-        return LaurentSeries.from_coeffs(val, out, order)
+        return LaurentSeries.from_coeffs(val, out)
 
     def __mul__(self, other):
         """Product with another series.
@@ -169,13 +166,10 @@ class LaurentSeries:
         """
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        # a zero factor: its order acts as the valuation bound, so the
-        # product is known to vanish to order zero.order + other.valuation
-        if self.is_zero or other.is_zero:
-            a_val = self.order if self.is_zero else self.valuation
-            b_val = other.order if other.is_zero else other.valuation
-            return LaurentSeries.zero(min(self.order + b_val, other.order + a_val))
         order = min(self.order + other.valuation, other.order + self.valuation)
+        # a zero factor's valuation is its order, so this bounds a zero product
+        if self.is_zero or other.is_zero:
+            return LaurentSeries.zero(order)
         val = self.valuation + other.valuation
         # leading term a0*b0 is nonzero over the integers, no re-tightening
         return LaurentSeries(val, order, _product(self.coeffs, other.coeffs))
@@ -209,19 +203,28 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         """Forget coefficients at q^order and beyond.  Cannot extend."""
+        order = _integer(order, "valuation and order")
         if order > self.order:
             raise TruncationError(
                 f"cannot extend truncation from q^{self.order} to q^{order}"
             )
-        if order == self.order:
-            return self
-        if self.is_zero or order <= self.valuation:
+        # a zero series has valuation equal to its order
+        if order <= self.valuation:
             return LaurentSeries.zero(order)
         return LaurentSeries(self.valuation, order, self.coeffs[: order - self.valuation])
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by q^k (exact, shifts the whole window)."""
+        k = _integer(k, "valuation and order")
         return LaurentSeries(self.valuation + k, self.order + k, self.coeffs)
+
+
+def _integer(value, what: str) -> int:
+    """value through operator.index: ints, bools and int subclasses pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -309,7 +312,7 @@ def euler_product(order: int) -> LaurentSeries:
         # multiply by (1 - q^n) in place, descending to reuse old values
         for m in range(order - 1, n - 1, -1):
             out[m] -= out[m - n]
-    return LaurentSeries.from_coeffs(0, out, order)
+    return LaurentSeries.from_coeffs(0, out)
 
 
 def euler_product_pentagonal(order: int) -> LaurentSeries:
@@ -333,7 +336,7 @@ def euler_product_pentagonal(order: int) -> LaurentSeries:
         if not hit:
             break
         k += 1
-    return LaurentSeries.from_coeffs(0, out, order)
+    return LaurentSeries.from_coeffs(0, out)
 
 
 def euler_product_cubed(order: int) -> LaurentSeries:
@@ -351,4 +354,4 @@ def euler_product_cubed(order: int) -> LaurentSeries:
         out[e] = -(2 * k + 1) if k % 2 else 2 * k + 1
         k += 1
         e += k
-    return LaurentSeries.from_coeffs(0, out, order)
+    return LaurentSeries.from_coeffs(0, out)

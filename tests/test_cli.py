@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import qleech
 import qleech.cli as cli
 import qleech.lattices as lattices
+import qleech.lorentz as lorentz
 import qleech.observations as observations
 from qleech.cli import main
 from qleech.modforms import delta
@@ -211,6 +213,27 @@ def test_order_ceiling(capsys):
     assert parsed["payload"]["order"] == "5001"
 
 
+def test_order_maximum_with_unsafe_order(monkeypatch, capsys):
+    # past the hard maximum no flag helps, and no builder runs
+    def never(order):
+        raise AssertionError("a builder ran past the order maximum")
+
+    for name in cli.modforms.SERIES:
+        monkeypatch.setitem(cli.modforms.SERIES, name, (never, 0))
+    for extra in ([], ["--unsafe-order"]):
+        code, out, err = run(capsys, ["coeffs", "--series", "euler", "--order", "20001", *extra])
+        assert code == 2
+        assert out == ""
+        assert "20001 exceeds the" in err
+    monkeypatch.undo()
+    code, parsed = run_json(
+        capsys, ["coeffs", "--series", "euler", "--order", str(cli.ORDER_MAX), "--unsafe-order"]
+    )
+    assert code == 0
+    assert cli.ORDER_MAX == 20000
+    assert parsed["payload"]["order"] == "20000"
+
+
 def test_seed_order_padding_rejected(capsys):
     # the working precision of j is internal; no flag reaches past the ceiling
     code, out, err = run(
@@ -313,6 +336,50 @@ def test_leech_gram_command(capsys):
     assert payload["gram"]["dim"] == "24"
     assert len(payload["gram"]["entries"]) == 24
     assert_payload_strings(payload)
+
+
+def cold_leech_caches(monkeypatch):
+    """Fresh, cold caches in place of the three cached Leech builders;
+    monkeypatch puts the warm ones back afterwards."""
+    for name in ("lattice_basis", "quotient_representatives", "leech_gram"):
+        monkeypatch.setattr(lorentz, name, lru_cache(maxsize=1)(getattr(lorentz, name).__wrapped__))
+
+
+def test_leech_gram_command_reads_its_certificate(monkeypatch, capsys):
+    # the payload's determinant and parity come from the certificate that
+    # leech_gram raises on: one ldl for the 26x26 basis, one for the 24x24
+    # Leech Gram, and none of the command's own
+    code, warm = run_json(capsys, ["leech", "gram"])
+    assert code == 0
+    cold_leech_caches(monkeypatch)
+    sizes = []
+    real = lorentz.ldl
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(lorentz, "ldl", spy)
+    code, cold = run_json(capsys, ["leech", "gram"])
+    assert code == 0
+    assert sizes == [26, 24]
+    assert strip_elapsed(cold) == strip_elapsed(warm)
+
+
+def test_leech_gram_failed_certificate_exits_1(monkeypatch, capsys):
+    # a Leech Gram whose certificate fails never reaches the payload
+    cold_leech_caches(monkeypatch)
+    real = lorentz._invariants
+
+    def det_2_on_the_quotient(rows):
+        det, signature = real(rows)
+        return (2 if len(rows) == 24 else det), signature
+
+    monkeypatch.setattr(lorentz, "_invariants", det_2_on_the_quotient)
+    code, out, err = run(capsys, ["leech", "gram"])
+    assert code == 1
+    assert out == ""
+    assert "internal failure: quotient Gram has (det, inertia) (2, (24, 0, 0))" in err
 
 
 def test_leech_min_command(capsys):

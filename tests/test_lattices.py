@@ -1143,6 +1143,29 @@ def test_e8_gram_certificate():
     assert g.is_positive_definite
 
 
+# the simple roots of E8 in doubled coordinates: the half-integer root
+# first, then e_0 + e_1 and the differences e_{i+1} - e_i
+E8_SIMPLE_ROOTS_DOUBLED = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
+
+
+def test_e8_gram_is_the_gram_of_its_simple_roots():
+    # the Dynkin diagram's Cartan matrix against the inner products of the
+    # simple roots themselves, each a multiple of 4 in doubled coordinates
+    roots = E8_SIMPLE_ROOTS_DOUBLED
+    products = [[sum(x * y for x, y in zip(a, b)) for b in roots] for a in roots]
+    assert all(p % 4 == 0 for row in products for p in row)
+    assert e8_gram().entries == tuple(tuple(p // 4 for p in row) for row in products)
+
+
 def test_e8_theta_counts():
     check = theta_check_e8(6)
     assert check.lattice == "e8"

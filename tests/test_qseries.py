@@ -130,13 +130,45 @@ def test_non_integer_valuation_or_order_refused(bad):
     ):
         with pytest.raises(ValueError, match="valuation and order must be integers"):
             build()
-    # truncate and one refuse it too, a few through Python's own TypeError
-    # from a slice or a repeat before any series is built
-    for build in (lambda: s.truncate(bad), lambda: LaurentSeries.one(bad)):
-        with pytest.raises((TypeError, ValueError)):
+    # truncate and one refuse it too, before any slice or repeat
+    for build in (
+        lambda: s.truncate(bad),
+        lambda: s.truncate(bad - 1),
+        lambda: LaurentSeries.one(bad),
+    ):
+        with pytest.raises(ValueError, match="valuation and order must be integers"):
             build()
-    with pytest.raises(ValueError, match="valuation and order must be integers"):
-        s.truncate(bad - 1)
+
+
+@pytest.mark.parametrize(
+    "bad", [-0.5, 0.5, 1.5, 2.0, Fraction(1, 2), decimal.Decimal(2), "1", None]
+)
+def test_non_integer_exponent_or_order_is_value_error(bad):
+    # a coefficient at q^-0.5 is no zero, and a truncation at q^1.5 no
+    # TypeError from a slice: every exponent and order goes through
+    # operator.index, and anything else is refused as a ValueError
+    s = LaurentSeries.from_coeffs(0, [1, 2, 3])
+    for call in (
+        lambda: s.coeff(bad),
+        lambda: s.truncate(bad),
+        lambda: s.shift(bad),
+        lambda: LaurentSeries.one(bad),
+        lambda: LaurentSeries.from_coeffs(bad, [1, 2]),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
+
+def test_bool_and_int_subclass_exponents_accepted():
+    class Exponent(int):
+        pass
+
+    s = LaurentSeries.from_coeffs(0, [1, 2, 3])
+    assert s.coeff(True) == 2 and s.coeff(Exponent(2)) == 3 and s.coeff(Exponent(-1)) == 0
+    assert s.truncate(Exponent(2)) == LaurentSeries.from_coeffs(0, [1, 2])
+    assert s.shift(True) == LaurentSeries.from_coeffs(1, [1, 2, 3])
+    assert LaurentSeries.one(Exponent(2)) == LaurentSeries.from_coeffs(0, [1, 0])
+    assert LaurentSeries.from_coeffs(Exponent(-1), [0, 5]) == LaurentSeries.from_coeffs(0, [5])
 
 
 def test_zero_series_shape():

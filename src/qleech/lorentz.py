@@ -14,18 +14,18 @@ with the mostly-plus sign convention (spacelike squares count positive),
 and it is integer valued and even on lattice members.
 
 The Leech lattice appears as w_perp / w for the isotropic Weyl vector
-w = (0, 1, 2, ..., 24 | 70): a basis of the sublattice orthogonal to w is
-extracted with integer row reduction, and 24 representatives spanning a
-complement of w inside it give an even positive definite Gram matrix of
-determinant 1.
+w = (0, 1, 2, ..., 24 | 70): the lattice basis is a staircase certified by
+its Gram, a basis of the sublattice orthogonal to w comes from integer row
+reduction, and 24 representatives of a complement of w inside it give an
+even positive definite Gram matrix of determinant 1.
 
 The exact linear algebra lives here too, as two elimination routines.  A
 row-style Hermite normal form returns its unimodular transform U together
-with the transpose of U^-1, built step by step; it yields the lattice basis,
-the complement of w, the coordinates of w in that complement and the
-unimodular completion.  One fraction-free symmetric LDL^T gives every
-determinant and inertia, both read from one pass, and the lattice module
-reuses its integers for LLL, the LLL check and the Fincke-Pohst tables.
+with the transpose of U^-1, built step by step; it yields the complement of
+w, the coordinates of w in that complement and the unimodular completion.
+One fraction-free symmetric LDL^T gives every determinant and inertia, both
+read from one pass, and the lattice module reuses its integers for LLL, the
+LLL check and the Fincke-Pohst tables.
 Everything is plain int; nothing here ever rounds.
 """
 
@@ -319,24 +319,15 @@ def _certify(gram: GramMatrix, det: int, signature: tuple[int, int, int], what: 
 def lattice_basis() -> tuple[tuple[LorentzVector, ...], GramMatrix]:
     """A basis of the full rank-26 lattice with its Gram matrix.
 
-    Generators, in doubled coordinates: 2 e_i + 2 e_t for each spacelike i,
-    the purely timelike 4 e_t, and the all-ones vector (the half-integer
-    coset representative).  Hermite reduction of the 27 generators yields 26
-    independent rows; determinant -1 and inertia (25, 1) are checked before
-    the basis is released.
+    A staircase in doubled coordinates: row 0 is the all-ones vector and row
+    k = 1..25 is 2 e_k + 2 e_25, so row 25 is 4 e_25.  LorentzVector refuses
+    non-members and the lattice is unimodular, so the certificate, an even
+    Gram of determinant -1 and inertia (25, 1), proves the rows a basis: a
+    full-rank sublattice of determinant -1 has index 1 (Serre, V).
     """
-    gens: list[tuple[int, ...]] = []
-    for i in range(SPACELIKE_DIM):
-        row = [0] * DIM
-        row[i] = 2
-        row[-1] = 2
-        gens.append(tuple(row))
-    gens.append((0,) * SPACELIKE_DIM + (4,))
-    gens.append((1,) * DIM)
-    h, _ = hermite_normal_form(gens)
-    rows = [row for row in h if any(row)]
-    if len(rows) != DIM:
-        raise ConstructionError(f"expected rank {DIM}, got {len(rows)}")
+    rows = [(1,) * DIM] + [
+        tuple(2 * (j == k) + 2 * (j == SPACELIKE_DIM) for j in range(DIM)) for k in range(1, DIM)
+    ]
     basis = tuple(LorentzVector(row) for row in rows)
     gram = gram_of(basis)
     _certify(gram, -1, (SPACELIKE_DIM, 1, 0), "basis")
@@ -356,9 +347,9 @@ def _combination(coefs: Sequence[int], vectors: Sequence[LorentzVector]) -> Lore
 def coordinates_in_basis(v: LorentzVector) -> tuple[int, ...]:
     """Integer coordinates of a member with respect to lattice_basis().
 
-    The basis is a full-rank Hermite staircase: row k has its pivot in
-    column k and zeros to the left of it, so the coordinates follow by
-    forward substitution with exact division.
+    The basis is a full-rank staircase: row k has its pivot in column k and
+    zeros to the left of it, so the coordinates follow by forward
+    substitution with exact division.
     """
     basis, _ = lattice_basis()
     coords: list[int] = []

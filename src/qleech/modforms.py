@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .qseries import LaurentSeries, euler_product_cubed, euler_product_pentagonal
+from .qseries import LaurentSeries, _integer, euler_product_cubed, euler_product_pentagonal
 
 
 def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n) = sum_{d | n} d^k, for n >= 1."""
+    k, n = _integer(k, "power and argument"), _integer(n, "power and argument")
     if k < 1:
         raise ValueError("power must be at least 1")
     if n < 1:
@@ -49,6 +50,7 @@ def sigma(k: int, n: int) -> int:
 def _eisenstein(order: int, factor: int, power: int) -> LaurentSeries:
     """1 + factor sum_{n>=1} sigma_power(n) q^n modulo q^order, by one sieve:
     each d < order adds factor d^power to its multiples, O(order log order)."""
+    order = _integer(order, "orders")
     if order < 1:
         raise ValueError("order must be at least 1")
     coeffs = [0] * order
@@ -76,6 +78,7 @@ def delta(order: int) -> LaurentSeries:
     Built as q * ((J^2)^2)^2, J = (euler product)^3, three squarings taken
     to order - 1 so that the shifted window is exactly [1, order).
     """
+    order = _integer(order, "orders")
     if order < 2:
         raise ValueError("order must be at least 2 to see the leading term")
     power = euler_product_cubed(order - 1)
@@ -91,6 +94,7 @@ def j_invariant(order: int) -> LaurentSeries:
     factor taken to order + 1, so that the shifted window is exactly
     [-1, order).
     """
+    order = _integer(order, "orders")
     if order < 0:
         raise ValueError("order must be at least 0 to see the pole")
     work = order + 1
@@ -100,6 +104,7 @@ def j_invariant(order: int) -> LaurentSeries:
 
 def j_coeff(m: int) -> int:
     """Coefficient of q^m in j, for m >= -1."""
+    m = _integer(m, "exponents")
     if m < -1:
         raise ValueError("j has a simple pole: no coefficients below q^-1")
     return j_invariant(m + 1).coeff(m)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .modforms import SERIES
+from .qseries import _integer
 
 _SEQUENCE_VALUATIONS = {"j": -1, "delta": 1}
 
@@ -76,6 +77,7 @@ def cannonball(max_n: int) -> tuple[CannonballSolution, ...]:
     The pyramid number n(n+1)(2n+1)/6 is tested with an exact integer
     square root; no floating point is involved at any scale.
     """
+    max_n = _integer(max_n, "search bounds")
     if max_n < 1:
         raise ValueError("search bound must be at least 1")
     found = []

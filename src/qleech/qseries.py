@@ -35,7 +35,8 @@ import decimal
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count
+from typing import Iterable, Sequence
 
 
 class TruncationError(LookupError):
@@ -278,23 +279,21 @@ def _power(f: tuple[int, ...], k: int) -> tuple[int, ...]:
 
         m f_0 p_m = sum_{1 <= i <= m} ((k + 1) i - m) f_i p_{m-i}
 
-    The division is exact because p has integer coefficients.  Only the
-    nonzero f_i enter the sums, so a sparse base such as the pentagonal
-    series costs O(n sqrt n) instead of O(n^2).
+    summed with one big multiplication per term, a small factor times
+    p_{m-i}, and divided exactly because p has integer coefficients.  Only
+    nonzero f_i enter, so a sparse base costs O(n sqrt n), not O(n^2).
     """
     f0 = f[0]
     # f0 is +-1 whenever k < 0, and then f0^k = f0^-k
     p = [f0 ** abs(k)]
     terms = [(i, c, (k + 1) * i * c) for i, c in enumerate(f) if i and c]
     for m in range(1, len(f)):
-        weighted = plain = 0
+        acc = 0
         for i, c, w in terms:
             if i > m:
                 break
-            q = p[m - i]
-            weighted += w * q
-            plain += c * q
-        p.append((weighted - m * plain) // (m * f0))
+            acc += (w - m * c) * p[m - i]
+        p.append(acc // (m * f0))
     return tuple(p)
 
 
@@ -304,6 +303,7 @@ def euler_product(order: int) -> LaurentSeries:
     Direct expansion: factors with n >= order do not touch the window, so
     the product over n < order is already exact to this order.
     """
+    order = _integer(order, "orders")
     if order < 1:
         raise ValueError("order must be at least 1")
     out = [0] * order
@@ -315,28 +315,29 @@ def euler_product(order: int) -> LaurentSeries:
     return LaurentSeries.from_coeffs(0, out)
 
 
-def euler_product_pentagonal(order: int) -> LaurentSeries:
-    """Same product via the pentagonal number expansion.
-
-    prod (1 - q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}; only O(sqrt(order))
-    terms land inside the window, so this route is effectively free and is
-    arithmetically independent of the term-by-term product.
-    """
+def _sparse(order: int, terms: Iterable[tuple[int, int]]) -> LaurentSeries:
+    """The power series sum c q^e modulo q^order, from (e, c) pairs in
+    ascending order of e; the pairs are read up to the first e >= order."""
+    order = _integer(order, "orders")
     if order < 1:
         raise ValueError("order must be at least 1")
     out = [0] * order
-    k = 0
-    while True:
-        hit = False
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e < order:
-                out[e] += -1 if kk % 2 else 1
-                hit = True
-        if not hit:
+    for e, c in terms:
+        if e >= order:
             break
-        k += 1
+        out[e] += c
     return LaurentSeries.from_coeffs(0, out)
+
+
+def euler_product_pentagonal(order: int) -> LaurentSeries:
+    """Same product via the pentagonal number expansion.
+
+    prod (1 - q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}, exponents ascending
+    as k(3k-1)/2, k(3k+1)/2 for k = 0, 1, ...; O(sqrt(order)) terms land in
+    the window, so this route is free and independent of the direct product.
+    """
+    pairs = ((k * (3 * k + s) // 2, (-1) ** k) for k in count() for s in ((-1, 1) if k else (0,)))
+    return _sparse(order, pairs)
 
 
 def euler_product_cubed(order: int) -> LaurentSeries:
@@ -346,12 +347,4 @@ def euler_product_cubed(order: int) -> LaurentSeries:
     sqrt(2 order) terms land inside the window, fewer than the pentagonal
     series has, and none of its arithmetic is shared with that route.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    out = [0] * order
-    k = e = 0
-    while e < order:
-        out[e] = -(2 * k + 1) if k % 2 else 2 * k + 1
-        k += 1
-        e += k
-    return LaurentSeries.from_coeffs(0, out)
+    return _sparse(order, ((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in count()))

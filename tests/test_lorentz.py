@@ -513,6 +513,23 @@ def test_lattice_basis_certificate():
     assert oracle_inertia(gram.entries) == (SPACELIKE_DIM, 1, 0)
 
 
+def test_lattice_basis_is_the_hermite_form_of_its_generators():
+    # oracle: the 27 generators, in doubled coordinates 2 e_i + 2 e_t for
+    # each spacelike i, the timelike 4 e_t and the all-ones vector, reduced
+    # to Hermite normal form; its nonzero rows are the staircase basis
+    gens = []
+    for i in range(SPACELIKE_DIM):
+        row = [0] * DIM
+        row[i] = row[-1] = 2
+        gens.append(row)
+    gens.append([0] * SPACELIKE_DIM + [4])
+    gens.append([1] * DIM)
+    h, _ = hermite_normal_form(gens)
+    rows = [row for row in h if any(row)]
+    assert len(rows) == DIM
+    assert rows == [b.doubled for b in lattice_basis()[0]]
+
+
 def test_lattice_basis_spans_sample_members():
     basis, _ = lattice_basis()
     cols = [[b.doubled[k] for b in basis] for k in range(DIM)]

@@ -1,5 +1,8 @@
 """Modular form coefficients checked against slow in-test recomputations."""
 
+import decimal
+from fractions import Fraction
+
 import pytest
 
 from qleech.cli import main
@@ -12,7 +15,12 @@ from qleech.modforms import (
     j_invariant,
     sigma,
 )
-from qleech.qseries import LaurentSeries, euler_product, euler_product_pentagonal
+from qleech.qseries import (
+    LaurentSeries,
+    euler_product,
+    euler_product_cubed,
+    euler_product_pentagonal,
+)
 from test_qseries import oracle_mul
 
 
@@ -64,6 +72,47 @@ def j_by_long_division(order):
             acc -= c[i] * d[n - i]
         c.append(acc)  # d[0] == 1, no division needed
     return LaurentSeries.from_coeffs(-1, c)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (euler_product, (2.0,)),
+        (euler_product_pentagonal, (2.0,)),
+        (euler_product_cubed, (2.0,)),
+        (euler_product_cubed, (Fraction(2),)),
+        (eisenstein_e4, (2.0,)),
+        (eisenstein_e8, (2.5,)),
+        (delta, (3.0,)),
+        (delta, (decimal.Decimal(3),)),
+        (j_invariant, (1.0,)),
+        (j_invariant, ("1",)),
+        (j_coeff, (0.0,)),
+        (sigma, (3, 4.0)),
+        (sigma, (2.5, 4)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_builders_refuse_non_integer_orders(build, args):
+    # a series known below q^2.0 is no truncation: the order goes through
+    # operator.index, and anything else is a ValueError, not Python's own
+    # TypeError from a list repeat or a range
+    with pytest.raises(ValueError, match="must be integers"):
+        build(*args)
+
+
+def test_builders_accept_bool_and_int_subclass_orders():
+    class Order(int):
+        pass
+
+    assert euler_product(True) == euler_product_pentagonal(True) == euler_product_cubed(True)
+    assert euler_product_cubed(Order(5)) == euler_product_cubed(5)
+    assert eisenstein_e4(Order(4)) == eisenstein_e4(4)
+    assert eisenstein_e8(Order(4)) == eisenstein_e8(4)
+    assert delta(Order(6)) == delta(6)
+    assert j_invariant(Order(3)) == j_invariant(3)
+    assert j_coeff(Order(1)) == j_coeff(True) == 196884
+    assert sigma(Order(3), Order(6)) == sigma(3, 6) and sigma(True, True) == 1
 
 
 def test_sigma_examples():

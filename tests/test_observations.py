@@ -109,10 +109,20 @@ def test_cannonball_prefix_stability():
 
 
 def test_cannonball_domain():
+    class Bound(int):
+        pass
+
     with pytest.raises(ValueError):
         cannonball(0)
     with pytest.raises(ValueError):
         cannonball(-3)
+    # a float bound is refused before range() sees it; bools and int
+    # subclasses pass through operator.index
+    for bad in (10.0, 24.5, Fraction(30), "100"):
+        with pytest.raises(ValueError, match="search bounds must be integers"):
+            cannonball(bad)
+    assert cannonball(True) == cannonball(1)
+    assert cannonball(Bound(30)) == cannonball(30)
 
 
 def test_cannonball_solution_type():

@@ -477,12 +477,14 @@ def test_order_must_be_positive():
         euler_product_cubed(0)
 
 
-@pytest.mark.parametrize("order", [1, 2, 50, 200, 500])
+# every order up to 40 puts each pentagonal and Jacobi exponent boundary
+# (1, 2, 5, 7, 12, 15, ... and 1, 3, 6, 10, 15, ...) at the end of a window
+@pytest.mark.parametrize("order", [*range(1, 41), 50, 200, 500])
 def test_euler_routes_agree(order):
     assert euler_product(order) == euler_product_pentagonal(order)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 10, 5000])
+@pytest.mark.parametrize("order", [*range(1, 41), 5000])
 def test_jacobi_cube_is_pentagonal_cube(order):
     # Jacobi's identity against the power recurrence on the pentagonal route
     assert euler_product_cubed(order) == euler_product_pentagonal(order) ** 3

@@ -29,12 +29,11 @@ first two coefficients rather than hardcoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Sequence
 
-from . import MAX_JOBS
+from . import MAX_JOBS, _Value
 from .modforms import delta, eisenstein_e4, sigma
 from .lorentz import (
     ConstructionError,
@@ -45,13 +44,11 @@ from .lorentz import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedBasis:
-    """LLL output: the reduced Gram matrix and the unimodular row transform
-    such that transform . original . transform^T == gram."""
+class ReducedBasis(_Value):
+    """LLL output: the reduced GramMatrix gram and the unimodular row transform,
+    a tuple of tuples of ints, such that transform . original . transform^T == gram."""
 
-    gram: GramMatrix
-    transform: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram", "transform")
 
 
 def lll(gram: GramMatrix) -> ReducedBasis:
@@ -154,16 +151,15 @@ def is_lll_reduced(gram: GramMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ShortVectorCount:
-    """Vector counts per exact norm value, 1 through max_norm inclusive.
+class ShortVectorCount(_Value):
+    """Vector counts per exact norm value, 1 through the int max_norm
+    inclusive, in counts, a dict from int norms to int counts.
 
     Counts include both members of each +-v pair; the zero vector is
     excluded.  Norms that do not occur are present with count 0.
     """
 
-    max_norm: int
-    counts: dict[int, int]
+    __slots__ = ("max_norm", "counts")
 
 
 def _fincke_pohst_tables(d: Sequence[int], lam: Sequence[Sequence[int]]):
@@ -406,7 +402,7 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
     budget = max_norm * scale
     found = _walk_states(rows, step, scale, budget, slice(None), [((budget,), 1)])
     counts = {m: found.get(m, 0) for m in range(1, max_norm + 1)}
-    return ShortVectorCount(max_norm=max_norm, counts=counts)
+    return ShortVectorCount(max_norm, counts)
 
 
 # -- reference lattices and theta checks --------------------------------------
@@ -424,31 +420,24 @@ def e8_gram() -> GramMatrix:
     return gram
 
 
-@dataclass(frozen=True)
-class ThetaRow:
-    """One norm compared between enumeration and a series coefficient."""
+class ThetaRow(_Value):
+    """One norm compared between enumeration and a series coefficient: the
+    ints norm, enumerated and series_coefficient, and the bool matches."""
 
-    norm: int
-    enumerated: int
-    series_coefficient: int
-    matches: bool
+    __slots__ = ("norm", "enumerated", "series_coefficient", "matches")
 
 
-@dataclass(frozen=True)
-class ThetaCheck:
+class ThetaCheck(_Value):
     """Enumerated counts against independently computed theta coefficients.
 
-    combination is (a, b) for the weight-12 form a E4^3 + b Delta when one
-    is derived, None when the expected counts come from a closed formula.
-    counts carries the full enumeration result, max_norm included; ok also
-    requires every odd norm count to vanish.
+    lattice is a str; combination is the int pair (a, b) of the weight-12 form
+    a E4^3 + b Delta when one is derived, None when the expected counts come
+    from a closed formula.  counts, a ShortVectorCount, carries the full
+    enumeration result, max_norm included; rows is a tuple of ThetaRow; the
+    bool ok also requires every odd norm count to vanish.
     """
 
-    lattice: str
-    combination: tuple[int, int] | None
-    counts: ShortVectorCount
-    rows: tuple[ThetaRow, ...]
-    ok: bool
+    __slots__ = ("lattice", "combination", "counts", "rows", "ok")
 
 
 def _theta(lattice: str, found: ShortVectorCount, combination, expected) -> ThetaCheck:

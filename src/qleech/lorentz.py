@@ -32,9 +32,10 @@ Everything is plain int; nothing here ever rounds.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
+
+from . import _Value
 
 SPACELIKE_DIM = 25
 DIM = 26
@@ -59,15 +60,14 @@ def is_member(doubled: Sequence[int]) -> bool:
     return (sum(doubled[:SPACELIKE_DIM]) - doubled[-1]) % 4 == 0
 
 
-@dataclass(frozen=True)
-class LorentzVector:
-    """A member of the lattice, held in doubled coordinates."""
+class LorentzVector(_Value):
+    """A member of the lattice, held in doubled coordinates, a tuple of ints."""
 
-    doubled: tuple[int, ...]
+    __slots__ = ("doubled",)
 
     def __post_init__(self) -> None:
         try:
-            coords = tuple(int(operator.index(c)) for c in self.doubled)
+            coords = tuple(map(operator.index, self.doubled))
         except TypeError:
             raise ValueError("doubled coordinates must be integers") from None
         object.__setattr__(self, "doubled", coords)
@@ -251,29 +251,30 @@ def inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int, int]:
 # -- Gram matrices -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """A symmetric integer matrix of pairwise inner products."""
+class GramMatrix(_Value):
+    """A symmetric integer matrix of pairwise inner products: dim, an int,
+    and entries, a tuple of dim rows, each a tuple of dim ints."""
 
-    dim: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("dim", "entries")
 
     def __post_init__(self) -> None:
         try:
-            entries = tuple(tuple(int(operator.index(x)) for x in row) for row in self.entries)
+            dim = operator.index(self.dim)
+            entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
         except TypeError:
-            raise ValueError("Gram entries must be integers") from None
+            raise ValueError("Gram dim and entries must be integers") from None
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", entries)
-        if len(entries) != self.dim or any(len(r) != self.dim for r in entries):
+        if len(entries) != dim or any(len(r) != dim for r in entries):
             raise ValueError("entries must form a dim x dim square")
-        for i in range(self.dim):
+        for i in range(dim):
             for j in range(i):
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GramMatrix":
-        return cls(len(rows), tuple(tuple(r) for r in rows))
+        return cls(len(rows), rows)
 
     @property
     def is_even(self) -> bool:

@@ -15,25 +15,20 @@ so a caller can re-reduce them independently.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import isqrt
 
+from . import _Value
 from .modforms import SERIES
 from .qseries import _integer
 
 _SEQUENCE_VALUATIONS = {"j": -1, "delta": 1}
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Sum of squared coefficients over [lo, hi], reduced mod modulus."""
+class CongruenceReport(_Value):
+    """Sum of squared coefficients over [lo, hi], reduced mod modulus: the
+    str sequence, then the ints lo, hi, modulus, sum_of_squares, residue."""
 
-    sequence: str
-    lo: int
-    hi: int
-    modulus: int
-    sum_of_squares: int
-    residue: int
+    __slots__ = ("sequence", "lo", "hi", "modulus", "sum_of_squares", "residue")
 
 
 def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> CongruenceReport:
@@ -59,12 +54,10 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
     return CongruenceReport(sequence, lo, hi, modulus, total, total % modulus)
 
 
-@dataclass(frozen=True)
-class CannonballSolution:
-    """n for which the first n squares stack to a perfect square m^2."""
+class CannonballSolution(_Value):
+    """n for which the first n squares stack to a perfect square m^2; both ints."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
     @property
     def trivial(self) -> bool:

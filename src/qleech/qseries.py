@@ -34,9 +34,10 @@ from __future__ import annotations
 import decimal
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import count
-from typing import Iterable, Sequence
+
+from . import _Value
 
 
 class TruncationError(LookupError):
@@ -60,9 +61,9 @@ _EXACT = decimal.Context(
 _str_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
-    """Truncation of sum_m c_m q^m, known exactly for valuation <= m < order.
+class LaurentSeries(_Value):
+    """Truncation of sum_m c_m q^m, known exactly for valuation <= m < order:
+    the ints valuation and order, and coeffs, the tuple of ints c_m.
 
     Invariants: for a nonzero series, coeffs[0] != 0 (the valuation is tight)
     and len(coeffs) == order - valuation.  The zero series is the single
@@ -70,20 +71,21 @@ class LaurentSeries:
     still records how far the series is known to vanish.
     """
 
-    valuation: int
-    order: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("valuation", "order", "coeffs")
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.valuation, int) and isinstance(self.order, int)):
-            raise ValueError("valuation and order must be integers")
-        if len(self.coeffs) != self.order - self.valuation:
+        valuation = _integer(self.valuation, "valuation and order")
+        order = _integer(self.order, "valuation and order")
+        try:
+            coeffs = tuple(map(operator.index, self.coeffs))
+        except TypeError:
+            raise ValueError("coefficients must be integers") from None
+        if len(coeffs) != order - valuation:
             raise ValueError("coefficient window does not match order - valuation")
-        if self.coeffs:
-            if self.coeffs[0] == 0:
-                raise ValueError("valuation is not tight")
-            if not all(isinstance(c, int) for c in self.coeffs):
-                raise ValueError("coefficients must be integers")
+        if coeffs and coeffs[0] == 0:
+            raise ValueError("valuation is not tight")
+        for name, value in zip(self.__slots__, (valuation, order, coeffs)):
+            object.__setattr__(self, name, value)
 
     # -- construction -----------------------------------------------------
 
@@ -94,16 +96,12 @@ class LaurentSeries:
 
         Leading zeros are stripped (tightening the valuation); an all-zero
         window yields the zero series at the same order.  Valuation and
-        coefficients must be integers (operator.index): nothing is converted.
+        coefficients must be integers (operator.index): nothing is rounded.
         """
-        try:
-            coeffs = tuple(map(operator.index, coeffs))
-        except TypeError:
-            raise ValueError("coefficients must be integers") from None
         valuation = _integer(valuation, "valuation and order")
         order = valuation + len(coeffs)
         k = 0
-        while k < len(coeffs) and coeffs[k] == 0:
+        while k < len(coeffs) and _integer(coeffs[k], "coefficients") == 0:
             k += 1
         if k == len(coeffs):
             return cls(order, order, ())

@@ -560,6 +560,35 @@ def run_python(args):
     )
 
 
+# what the package keeps out of every CLI process: dataclasses, the inspect
+# it imports, and typing
+HEAVY = {"dataclasses", "inspect", "typing"}
+
+# lists the modules loaded by building and running a parser with argparse
+# alone: the interpreter's site hook may load some of HEAVY, and so may a
+# newer argparse for its own use
+ARGPARSE_ONLY = (
+    "import argparse, sys\n"
+    "parser = argparse.ArgumentParser(prog='p')\n"
+    "parser.add_subparsers().add_parser('c').add_argument('--n', type=int)\n"
+    "parser.parse_args(['c', '--n', '1'])\n"
+    "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"
+)
+
+
+@lru_cache(maxsize=None)
+def heavy_without_the_package(flags):
+    done = run_python([*flags, "-c", ARGPARSE_ONLY])
+    assert done.returncode == 0, done.stderr
+    return frozenset(HEAVY & set(done.stderr.split()))
+
+
+def test_argparse_alone_loads_no_heavy_module_without_site():
+    # so on CPython 3.10-3.13 the -S runs below refuse every one of HEAVY
+    if sys.version_info < (3, 14):
+        assert heavy_without_the_package(("-S",)) == set()
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
@@ -570,19 +599,32 @@ def run_python(args):
         (["verify", "--observation", "jm"], set()),
         (["cannonball", "--max-n", "10"], set()),
         (["leech", "gram"], set()),
+        (["leech", "min"], set()),
         (["leech", "kissing", "--max-norm", "2", "--jobs", "2"], set()),
         (["e8", "--max-norm", "2", "--jobs", "3"], set()),
     ],
-    ids=["coeffs", "verify", "cannonball", "leech-gram", "leech-kissing-jobs2", "e8-jobs3"],
+    ids=[
+        "coeffs",
+        "verify",
+        "cannonball",
+        "leech-gram",
+        "leech-min",
+        "leech-kissing-jobs2",
+        "e8-jobs3",
+    ],
 )
 def test_subcommand_loads_only_what_it_runs(argv, absent):
     # the walk runs in one process, so no process pool module is loaded,
-    # whatever --jobs says
-    done = run_python(["-c", LIST_MODULES, *argv])
-    assert done.returncode == 0, done.stderr
-    loaded = set(done.stderr.split())
-    assert "qleech.cli" in loaded
-    assert loaded & ({"concurrent.futures", "multiprocessing"} | absent) == set()
+    # whatever --jobs says; and the package adds none of HEAVY to what
+    # argparse and the interpreter load, with the site hook, which may load
+    # typing itself, and without it (-S)
+    for flags in ((), ("-S",)):
+        done = run_python([*flags, "-c", LIST_MODULES, *argv])
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stderr.split())
+        assert "qleech.cli" in loaded
+        assert loaded & ({"concurrent.futures", "multiprocessing"} | absent) == set()
+        assert loaded & HEAVY <= heavy_without_the_package(flags)
 
 
 def test_module_entry_point_matches_main(capsys):

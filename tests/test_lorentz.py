@@ -437,6 +437,19 @@ def test_inexact_entries_are_refused(bad):
             routine([[bad, 1], [1, 2]])
 
 
+@pytest.mark.parametrize("bad", [2.0, Fraction(2), "2", None])
+def test_non_integer_gram_dim_is_refused(bad):
+    # the dim goes through operator.index too: no TypeError from a range
+    with pytest.raises(ValueError, match="must be integers"):
+        GramMatrix(bad, ((2, 1), (1, 2)))
+
+
+def test_bool_gram_dim_is_a_plain_int():
+    g = GramMatrix(True, [[2]])
+    assert type(g.dim) is int and g == GramMatrix(1, ((2,),))
+    assert repr(g) == "GramMatrix(dim=1, entries=((2,),))"
+
+
 def test_bool_and_int_subclass_entries_are_plain_ints():
     class Int(int):
         pass

@@ -116,6 +116,36 @@ def test_from_coeffs_rejects_non_integers(bad):
         LaurentSeries.from_coeffs(0, [bad])
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0, Fraction(0), decimal.Decimal(0)])
+def test_from_coeffs_refuses_an_inexact_leading_zero(zero):
+    # a stripped leading zero is checked like any other coefficient: an
+    # all-zero float window is no zero series
+    for window in ([zero], [zero, 1], [0, zero, 5]):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            LaurentSeries.from_coeffs(0, window)
+
+
+def test_constructor_owns_its_window():
+    # a list window is stored as a tuple: equal to and hashed like the tuple
+    # form, and deaf to later changes to the list, which could otherwise
+    # break the tight valuation after the check
+    window = [1, 2]
+    s = LaurentSeries(0, 2, window)
+    assert s == LaurentSeries(0, 2, (1, 2)) and hash(s) == hash(LaurentSeries(0, 2, (1, 2)))
+    window[0] = 0
+    assert s.coeffs == (1, 2) and s.coeff(0) == 1
+
+
+def test_constructor_stores_plain_ints():
+    class Exponent(int):
+        pass
+
+    s = LaurentSeries(True, Exponent(3), (True, Exponent(2)))
+    assert s == LaurentSeries(1, 3, (1, 2))
+    assert {type(x) for x in (s.valuation, s.order, *s.coeffs)} == {int}
+    assert repr(s) == "LaurentSeries(valuation=1, order=3, coeffs=(1, 2))"
+
+
 @pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2), decimal.Decimal(2)])
 def test_non_integer_valuation_or_order_refused(bad):
     # a series with exponents 0.5, 1.5, 2.5 or a zero known below q^2.5 is no

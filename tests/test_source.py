@@ -51,13 +51,13 @@ def float_uses(sources):
     ]
 
 
-def fraction_imports(sources):
+def imports_of(modules, sources):
     return [
         f"{name}:{node.lineno}"
         for name, source in sources
         for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        if (isinstance(node, ast.Import) and any(a.name in modules for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module in modules)
     ]
 
 
@@ -73,10 +73,16 @@ def test_no_floats_in_package():
     assert float_uses(walker_sources()) == []
 
 
+def test_no_dataclasses_typing_or_inspect_in_package():
+    # every CLI process would pay for their import: the records derive from
+    # qleech._Value, and annotations take their names from collections.abc
+    assert imports_of({"dataclasses", "typing", "inspect"}, package_sources()) == []
+
+
 def test_no_fractions_in_package():
     # one integer elimination core: rational arithmetic lives only in the
     # test oracles
-    assert fraction_imports(package_sources()) == []
+    assert imports_of({"fractions"}, package_sources()) == []
 
 
 def test_walker_source_depends_only_on_its_tables():

@@ -36,7 +36,9 @@ class _Value:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
 
     def __hash__(self):
         return hash(self.__reduce__())

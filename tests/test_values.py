@@ -55,7 +55,8 @@ REPRS = {
     "vector": f"LorentzVector(doubled={MEMBER!r})",
     "gram": "GramMatrix(dim=2, entries=((2, -1), (-1, 2)))",
     "reduced": (
-        "ReducedBasis(gram=GramMatrix(dim=2, entries=((2, -1), (-1, 2))), transform=((1, 0), (0, 1)))"
+        "ReducedBasis(gram=GramMatrix(dim=2, entries=((2, -1), (-1, 2))),"
+        " transform=((1, 0), (0, 1)))"
     ),
     "counts": "ShortVectorCount(max_norm=2, counts={1: 0, 2: 6})",
     "row": "ThetaRow(norm=2, enumerated=6, series_coefficient=6, matches=True)",
@@ -114,11 +115,8 @@ def test_fields_can_be_neither_assigned_nor_deleted(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_copies_and_pickles_compare_equal(kind):
     value, _ = sample(kind)
-    for twin in (
-        copy.copy(value),
-        copy.deepcopy(value),
-        *(pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
-    ):
+    pickled = (pickle.dumps(value, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+    for twin in (copy.copy(value), copy.deepcopy(value), *map(pickle.loads, pickled)):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 

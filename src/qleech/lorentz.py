@@ -15,14 +15,13 @@ and it is integer valued and even on lattice members.
 
 The Leech lattice appears as w_perp / w for the isotropic Weyl vector
 w = (0, 1, 2, ..., 24 | 70): the lattice basis is a staircase certified by
-its Gram, a basis of the sublattice orthogonal to w comes from integer row
-reduction, and 24 representatives of a complement of w inside it give an
-even positive definite Gram matrix of determinant 1.
+its Gram, and 24 representatives of w_perp / w follow from a rule in that
+staircase, a projection onto w_perp along a member that pairs with w to 1.
+Their Gram, even, positive definite and of determinant 1, proves them a
+basis of the quotient.
 
 The exact linear algebra lives here too, as two elimination routines.  A
-row-style Hermite normal form returns its unimodular transform U together
-with the transpose of U^-1, built step by step; it yields the complement of
-w, the coordinates of w in that complement and the unimodular completion.
+row-style Hermite normal form returns its unimodular transform U.
 One fraction-free symmetric LDL^T gives every determinant and inertia, both
 read from one pass, and the lattice module reuses its integers for LLL, the
 LLL check and the Fincke-Pohst tables.
@@ -114,22 +113,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _hermite(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Row-style Hermite normal form with both transforms: (H, U, V) with
-    H = U M, U unimodular and V the transpose of U^-1, so M = V^T H.
+def hermite_normal_form(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Row-style Hermite normal form H of an integer matrix M.
 
-    V is kept in step with U: each 2x2 step E = [[s, t], [-p_i, p_r]] on
-    rows (r, i) of U applies E^-T = [[p_r, p_i], [-t, s]] to the same rows
-    of V, a negation of U[r] negates V[r], and subtracting q U[r] from U[i]
-    adds q V[i] to V[r].
+    Returns (H, U) with H = U M, U unimodular.  Pivots are positive and
+    strictly step right going down, entries above each pivot are reduced
+    into [0, pivot), and zero rows sink to the bottom.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    h = [[int(operator.index(x)) for x in r] for r in rows]
+    h = [[operator.index(x) for x in r] for r in rows]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [row[:] for row in u]
 
     def mix(a, r, i, s, t, p, q):
         # rows (r, i) of a become (s a_r + t a_i, p a_r + q a_i)
@@ -150,33 +148,18 @@ def _hermite(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...]
             pr, pi = h[r][c] // g, h[i][c] // g
             mix(h, r, i, s, t, -pi, pr)
             mix(u, r, i, s, t, -pi, pr)
-            mix(v, r, i, pr, pi, -t, s)
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
-            for a in (h, u, v):
-                a[r] = [-x for x in a[r]]
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                v[r] = [x + q * y for x, y in zip(v[r], v[i])]
         r += 1
-    return tuple(tuple(tuple(row) for row in a) for a in (h, u, v))
-
-
-def hermite_normal_form(
-    rows: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Row-style Hermite normal form H of an integer matrix M.
-
-    Returns (H, U) with H = U M, U unimodular.  Pivots are positive and
-    strictly step right going down, entries above each pivot are reduced
-    into [0, pivot), and zero rows sink to the bottom.
-    """
-    h, u, _ = _hermite(rows)
-    return h, u
+    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
 
 
 def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -196,7 +179,7 @@ def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     step, so there d[k+1] / d[k] = |b_k*|^2 and q_ik = mu_ik.
     """
     n = len(rows)
-    a = [[int(operator.index(x)) for x in r] for r in rows]
+    a = [[operator.index(x) for x in r] for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix must be square")
     for i in range(n):
@@ -345,60 +328,25 @@ def _combination(coefs: Sequence[int], vectors: Sequence[LorentzVector]) -> Lore
     return LorentzVector(tuple(d))
 
 
-def coordinates_in_basis(v: LorentzVector) -> tuple[int, ...]:
-    """Integer coordinates of a member with respect to lattice_basis().
-
-    The basis is a full-rank staircase: row k has its pivot in column k and
-    zeros to the left of it, so the coordinates follow by forward
-    substitution with exact division.
-    """
-    basis, _ = lattice_basis()
-    coords: list[int] = []
-    for k, b in enumerate(basis):
-        rest = v.doubled[k] - sum(c * e.doubled[k] for c, e in zip(coords, basis))
-        c, r = divmod(rest, b.doubled[k])
-        if r:
-            raise ConstructionError("member has non-integer basis coordinates")
-        coords.append(c)
-    return tuple(coords)
-
-
-def _complement(w: LorentzVector):
-    """(complement basis, V) from the HNF U P = H of the column P of
-    pairings <b_k, w>: the complement is U[1:] applied to the basis, and V
-    is the transpose of U^-1."""
-    basis, _ = lattice_basis()
-    h, u, v = _hermite([[inner_product(b, w)] for b in basis])
-    # the lattice is unimodular, so w is primitive iff its pairings are coprime
-    if h[0][0] != 1:
-        raise ValueError("non-primitive vector")
-    comp = tuple(_combination(row, basis) for row in u[1:])
-    if any(inner_product(vec, w) for vec in comp):
-        raise ConstructionError("complement vector is not orthogonal to w")
-    return comp, v
-
-
 @lru_cache(maxsize=1)
 def quotient_representatives() -> tuple[LorentzVector, ...]:
     """24 members of w_perp descending to a basis of w_perp / w.
 
-    Extends the coordinate vector of w (primitive inside w_perp) to a
-    unimodular basis of the coordinate space: V from the HNF of that vector
-    as a column has it as its first row.  The other 24 rows, mapped back to
-    lattice vectors, represent the quotient classes.
+    In the staircase basis b, a = b_0 + 2 b_1 pairs with w to -23 and
+    z = b_2 - 3a pairs with it to 1, so x -> x - <x, w> z maps the lattice
+    onto w_perp.  The representatives are the images of -a, b_3, ..., b_25.
+    They lie in w_perp, so their Gram is that of their classes in w_perp / w,
+    and leech_gram's certificate, an even Gram of determinant 1, proves them
+    a basis: a sublattice of index i has determinant i^2.
     """
+    basis, _ = lattice_basis()
     w = weyl_vector()
-    comp, v = _complement(w)
-    # w = c . basis = (c U^-1) . (U basis); row 0 of U basis pairs with w to
-    # 1, so entry 0 is <w, w> = 0 and the rest are w's coordinates in comp
-    c = coordinates_in_basis(w)
-    wcoords = tuple(sum(x * y for x, y in zip(c, row)) for row in v)
-    if wcoords[0] != 0:
-        raise ConstructionError("w does not lie in its orthogonal complement")
-    h, _, completion = _hermite([[x] for x in wcoords[1:]])
-    if h[0][0] != 1 or completion[0] != wcoords[1:]:
-        raise ConstructionError("w is imprimitive inside its complement")
-    return tuple(_combination(row, comp) for row in completion[1:])
+    a = _combination((1, 2), basis)
+    z = _combination((1, -3), (basis[2], a))
+    if inner_product(z, w) != 1:
+        raise ConstructionError("z does not pair with w to 1")
+    lifts = (_combination((-1,), (a,)), *basis[3:])
+    return tuple(_combination((1, -inner_product(x, w)), (x, z)) for x in lifts)
 
 
 @lru_cache(maxsize=1)

@@ -2,9 +2,12 @@
 
 Determinants and ranks asserted here are recomputed with a plain
 fraction-based Gaussian elimination so the library's LDL^T/HNF code is
-never its own witness.  Two slow routes live here as oracles: a rational
-Gauss-Jordan solver for coordinates, and a congruence diagonalization for
-inertia that eliminates without recording multipliers.
+never its own witness.  Slow routes live here as oracles: a rational
+Gauss-Jordan solver for coordinates, a congruence diagonalization for
+inertia that eliminates without recording multipliers, and the HNF route to
+the Leech quotient representatives that the rule in quotient_representatives
+replaced: an HNF that also keeps the inverse of its transform, the
+complement of the Weyl vector, and coordinates by forward substitution.
 """
 
 import random
@@ -24,10 +27,7 @@ from qleech.lorentz import (
     GramMatrix,
     LorentzVector,
     _certify,
-    _complement,
-    _hermite,
     bareiss_determinant,
-    coordinates_in_basis,
     gram_of,
     hermite_normal_form,
     inertia,
@@ -161,9 +161,109 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def hermite_with_inverse(rows):
+    """Oracle: row-style Hermite normal form with both transforms, (H, U, V)
+    with H = U M, U unimodular and V the transpose of U^-1, so M = V^T H.
+
+    V is kept in step with U: each 2x2 step E = [[s, t], [-p_i, p_r]] on
+    rows (r, i) of U applies E^-T = [[p_r, p_i], [-t, s]] to the same rows
+    of V, a negation of U[r] negates V[r], and subtracting q U[r] from U[i]
+    adds q V[i] to V[r].
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    h = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [row[:] for row in u]
+
+    def mix(a, r, i, s, t, p, q):
+        # rows (r, i) of a become (s a_r + t a_i, p a_r + q a_i)
+        a[r], a[i] = (
+            [s * x + t * y for x, y in zip(a[r], a[i])],
+            [p * x + q * y for x, y in zip(a[r], a[i])],
+        )
+
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        for i in range(r + 1, m):
+            if h[i][c] == 0:
+                continue
+            g, s, t = xgcd(h[r][c], h[i][c])
+            pr, pi = h[r][c] // g, h[i][c] // g
+            mix(h, r, i, s, t, -pi, pr)
+            mix(u, r, i, s, t, -pi, pr)
+            mix(v, r, i, pr, pi, -t, s)
+        if h[r][c] == 0:
+            continue
+        if h[r][c] < 0:
+            for a in (h, u, v):
+                a[r] = [-x for x in a[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                v[r] = [x + q * y for x, y in zip(v[r], v[i])]
+        r += 1
+    return tuple(tuple(tuple(row) for row in a) for a in (h, u, v))
+
+
+def combine(coefs, vectors):
+    """sum_k coefs[k] vectors[k], a lattice member."""
+    return LorentzVector(
+        tuple(sum(c * v.doubled[k] for c, v in zip(coefs, vectors)) for k in range(DIM))
+    )
+
+
+def coordinates_in_basis(v):
+    """Oracle: integer coordinates of a member in lattice_basis(), by
+    forward substitution down the staircase with exact division."""
+    basis, _ = lattice_basis()
+    coords = []
+    for k, b in enumerate(basis):
+        rest = v.doubled[k] - sum(c * e.doubled[k] for c, e in zip(coords, basis))
+        c, r = divmod(rest, b.doubled[k])
+        assert r == 0, "member has non-integer basis coordinates"
+        coords.append(c)
+    return tuple(coords)
+
+
+def complement(w):
+    """Oracle: (complement basis, V) from the HNF U P = H of the column P of
+    pairings <b_k, w>: the complement is U[1:] applied to the basis, and V
+    is the transpose of U^-1."""
+    basis, _ = lattice_basis()
+    h, u, v = hermite_with_inverse([[inner_product(b, w)] for b in basis])
+    # the lattice is unimodular, so w is primitive iff its pairings are coprime
+    if h[0][0] != 1:
+        raise ValueError("non-primitive vector")
+    comp = tuple(combine(row, basis) for row in u[1:])
+    assert not any(inner_product(vec, w) for vec in comp)
+    return comp, v
+
+
+def hnf_quotient_representatives():
+    """Oracle: the 24 representatives by the HNF route.  V from the HNF of
+    w's coordinates in the complement, taken as a column, has them as its
+    first row; its other 24 rows, mapped back to lattice vectors, represent
+    the quotient classes."""
+    w = weyl_vector()
+    comp, v = complement(w)
+    # w = c . basis = (c U^-1) . (U basis); row 0 of U basis pairs with w to
+    # 1, so entry 0 is <w, w> = 0 and the rest are w's coordinates in comp
+    c = coordinates_in_basis(w)
+    wcoords = tuple(sum(x * y for x, y in zip(c, row)) for row in v)
+    assert wcoords[0] == 0
+    h, _, completion = hermite_with_inverse([[x] for x in wcoords[1:]])
+    assert h[0][0] == 1 and completion[0] == wcoords[1:]
+    return tuple(combine(row, comp) for row in completion[1:])
+
+
 def assert_inverse_transpose(m):
-    """_hermite agrees with hermite_normal_form and U V^T = I."""
-    h, u, v = _hermite(m)
+    """The oracle agrees with hermite_normal_form and U V^T = I."""
+    h, u, v = hermite_with_inverse(m)
     assert (h, u) == hermite_normal_form(m)
     eye = [[int(i == j) for j in range(len(u))] for i in range(len(u))]
     assert matmul(u, list(zip(*v))) == eye
@@ -432,7 +532,7 @@ def test_inexact_entries_are_refused(bad):
         GramMatrix.from_rows([[bad, 1], [1, 2]])
     with pytest.raises(ValueError, match="must be integers"):
         LorentzVector((bad,) + (0,) * 24 + (2,))
-    for routine in (_hermite, bareiss_determinant, ldl):
+    for routine in (hermite_normal_form, bareiss_determinant, ldl):
         with pytest.raises(TypeError):
             routine([[bad, 1], [1, 2]])
 
@@ -461,7 +561,7 @@ def test_bool_and_int_subclass_entries_are_plain_ints():
     v = LorentzVector((Int(2),) + (False,) * 24 + (True + True,))
     assert v.doubled == (2,) + (0,) * 24 + (2,) and {type(c) for c in v.doubled} == {int}
     assert bareiss_determinant(rows) == 3
-    assert ldl(rows) == ldl(plain) and _hermite(rows) == _hermite(plain)
+    assert ldl(rows) == ldl(plain) and hermite_normal_form(rows) == hermite_normal_form(plain)
 
 
 # -- the certificates ----------------------------------------------------------
@@ -558,7 +658,7 @@ def test_lattice_basis_spans_sample_members():
 
 def test_complement_of_weyl_vector():
     w = weyl_vector()
-    comp = _complement(w)[0]
+    comp = complement(w)[0]
     assert len(comp) == SPACELIKE_DIM
     for v in comp:
         assert is_member(v.doubled)
@@ -569,7 +669,7 @@ def test_complement_of_weyl_vector():
 def test_weyl_vector_in_complement_span():
     # w and the 24 representatives have integer coordinates in the
     # complement basis, and together they form another basis of it
-    comp = _complement(weyl_vector())[0]
+    comp = complement(weyl_vector())[0]
     cols = [[Fraction(v.doubled[i]) for v in comp] for i in range(DIM)]
     coords = [
         solve_linear_exact(cols, [Fraction(c) for c in v.doubled])
@@ -581,9 +681,9 @@ def test_weyl_vector_in_complement_span():
 
 def test_complement_rejects_bad_input():
     with pytest.raises(ValueError):
-        _complement(LorentzVector((0,) * DIM))
+        complement(LorentzVector((0,) * DIM))
     with pytest.raises(ValueError, match="non-primitive"):
-        _complement(weyl_vector() + weyl_vector())
+        complement(weyl_vector() + weyl_vector())
 
 
 def test_quotient_representatives():
@@ -595,6 +695,23 @@ def test_quotient_representatives():
         assert inner_product(r, w) == 0
     # representatives plus the isotropic vector still sit inside its complement
     assert fraction_rank([w.doubled] + [r.doubled for r in reps]) == SPACELIKE_DIM
+
+
+def test_quotient_representatives_match_the_hnf_route():
+    # the rule writes down, entry for entry, the 24 vectors the HNF route
+    # reaches, and so the same Leech Gram
+    oracle = hnf_quotient_representatives()
+    assert [r.doubled for r in quotient_representatives()] == [r.doubled for r in oracle]
+    assert gram_of(oracle).entries == leech_gram().entries
+
+
+def test_quotient_rule_refuses_z_off_one(monkeypatch):
+    # 2w is an isotropic member too, but z pairs with it to 2; the check is
+    # a ConstructionError, not an assert, so python -O keeps it
+    w = weyl_vector()
+    monkeypatch.setattr(lorentz, "weyl_vector", lambda: w + w)
+    with pytest.raises(ConstructionError, match="pair with w to 1"):
+        lorentz.quotient_representatives.__wrapped__()
 
 
 def test_leech_gram_certificate():

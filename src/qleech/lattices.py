@@ -4,9 +4,8 @@ vector enumeration, and theta-series cross checks.
 Everything operates on Gram matrices only; no basis embedding and no
 floating point arithmetic anywhere.  LLL with deep insertions (delta =
 99/100) runs in integers on the leading minors and multipliers of the
-fraction-free LDL^T, keeps the Gram matrix current through each step, and
-returns both the reduced Gram matrix and the unimodular transform that
-produced it.
+fraction-free LDL^T alone and logs its steps, from which it rebuilds both
+the reduced Gram matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints.  It runs as a cascade of phases
 split at cut levels, every three levels from norm 4 up: each phase walks
@@ -32,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 from . import MAX_JOBS, _Value
 from .modforms import delta, eisenstein_e4, sigma
@@ -56,12 +56,13 @@ def lll(gram: GramMatrix) -> ReducedBasis:
 
     Cohen's integral LLL (GTM 138, Alg. 2.6.7) with the deep insertions of
     Schnorr and Euchner (Math. Programming 66, 1994) at delta = 99/100 keeps
-    the leading minors d and the multipliers lam[k][j] = d[j+1] mu_kj of
-    one ldl call, all integers, and the Gram matrix of the current rows up
-    to date: a size reduction subtracts q times row l and then q times
-    column l, a swap exchanges two rows and two columns.  Row k, size
-    reduced against rows k-1 down to 0, moves to the first level i with
-    |pi_i(b_k)|^2 < 99/100 B_i, as k - i swaps of neighbours.
+    only the leading minors d and the multipliers lam[k][j] = d[j+1] mu_kj
+    of one ldl call, all integers.  Row k, size reduced against rows k-1
+    down to 0, moves to the first level i with |pi_i(b_k)|^2 < 99/100 B_i,
+    as k - i swaps of neighbours; D_i = d[i] |pi_i(b_k)|^2 runs downward
+    from D_k = d[k+1], one exact Bareiss step a level taken backwards.  The
+    loop logs its unimodular steps, and lll replays the log onto the
+    identity to get the transform U and forms the reduced Gram as U G U^T.
 
     The loop ends: an insertion at level i leaves d[1..i] as they were and
     lowers d[i+1] by a factor below 99/100, so it lowers the tuple of
@@ -69,21 +70,30 @@ def lll(gram: GramMatrix) -> ReducedBasis:
     well-order; between insertions k only grows.  The output is also
     LLL-reduced at 3/4 (is_lll_reduced).  Raises ValueError for a form that
     is not positive definite."""
-    g, u, _, _ = _lll(gram)
-    return ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
+    u = [[int(i == j) for j in range(gram.dim)] for i in range(gram.dim)]
+    for k, l, q in _lll(gram)[2]:
+        if q:
+            u[k] = [x - q * y for x, y in zip(u[k], u[l])]
+        else:
+            u[k], u[l] = u[l], u[k]
+    # G is symmetric, so its rows are its columns
+    ug = [[sum(map(mul, row, col)) for col in gram.entries] for row in u]
+    reduced = [[sum(map(mul, a, b)) for b in u] for a in ug]
+    return ReducedBasis(GramMatrix.from_rows(reduced), tuple(map(tuple, u)))
 
 
 def _lll(gram: GramMatrix):
-    """lll's loop: the reduced Gram rows, the transform, and the minors and
-    multipliers it ends with, those of ldl on the reduced rows."""
+    """lll's loop on d and lam alone: the minors and multipliers it ends
+    with, those of ldl on the reduced rows, and the log of its steps, (k, l,
+    q) for row k less q times row l and (k, k - 1, 0) for the swap of rows
+    k - 1 and k."""
     n = gram.dim
     if n == 0:
         raise ValueError("empty Gram matrix")
-    g = [list(row) for row in gram.entries]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = ldl(g)
+    d, lam = ldl(gram.entries)
     if len(d) <= n or min(d) <= 0:
         raise ValueError("not positive definite")
+    steps = []
 
     def red(k: int, l: int) -> None:
         m, dl = lam[k][l], d[l + 1]
@@ -91,10 +101,7 @@ def _lll(gram: GramMatrix):
             return
         # nearest integer to mu = m / dl, ties toward +infinity
         q = (2 * m + dl) // (2 * dl)
-        u[k] = [x - q * y for x, y in zip(u[k], u[l])]
-        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
-        for row in g:
-            row[k] -= q * row[l]
+        steps.append((k, l, q))
         lam[k][l] -= q * dl
         for i in range(l):
             lam[k][i] -= q * lam[l][i]
@@ -102,10 +109,7 @@ def _lll(gram: GramMatrix):
     def swap(k: int) -> None:
         # exchange rows k-1 and k, then patch the minors and multipliers
         m = lam[k][k - 1]
-        u[k], u[k - 1] = u[k - 1], u[k]
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
+        steps.append((k, k - 1, 0))
         lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
         b = (d[k - 1] * d[k + 1] + m * m) // d[k]  # the new d[k]
         for i in range(k + 1, n):
@@ -118,11 +122,13 @@ def _lll(gram: GramMatrix):
     while k < n:
         for l in range(k - 1, -1, -1):
             red(k, l)
-        # D = d[i] |pi_i(b_k)|^2 from i = 0 up, one exact Bareiss step a level
-        D, i = g[k][k], 0
-        while i < k and 100 * D >= 99 * d[i + 1]:
-            D = (D * d[i + 1] - lam[k][i] ** 2) // d[i]
-            i += 1
+        # D = d[j] |pi_j(b_k)|^2 from D_k = d[k+1] down, the exact Bareiss
+        # step run backwards; i is the lowest level where 100 D < 99 d[i+1]
+        D, i, row = d[k + 1], k, lam[k]
+        for j in range(k - 1, -1, -1):
+            D = (D * d[j] + row[j] * row[j]) // d[j + 1]
+            if 100 * D < 99 * d[j + 1]:
+                i = j
         if i < k:
             # deep insertion: row k moves to row i, rows i..k-1 move up one
             for j in range(k, i, -1):
@@ -130,7 +136,7 @@ def _lll(gram: GramMatrix):
             k = max(i, 1)
         else:
             k += 1
-    return g, u, d, lam
+    return d, lam, steps
 
 
 def is_lll_reduced(gram: GramMatrix) -> bool:
@@ -398,7 +404,7 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
         raise ValueError("max_norm must be a positive integer")
     if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
-    rows, step, scale = _fincke_pohst_tables(*_lll(gram)[2:])
+    rows, step, scale = _fincke_pohst_tables(*_lll(gram)[:2])
     budget = max_norm * scale
     found = _walk_states(rows, step, scale, budget, slice(None), [((budget,), 1)])
     counts = {m: found.get(m, 0) for m in range(1, max_norm + 1)}

@@ -86,7 +86,7 @@ class LorentzVector(_Value):
 def inner_product(a: LorentzVector, b: LorentzVector) -> int:
     """The form on two lattice members; always an integer."""
     x, y = a.doubled, b.doubled
-    value, r = divmod(sum(x[i] * y[i] for i in range(SPACELIKE_DIM)) - x[-1] * y[-1], 4)
+    value, r = divmod(sum(map(operator.mul, x, y)) - 2 * x[-1] * y[-1], 4)
     if r:
         raise ConstructionError("form is not integral on claimed members")
     return value
@@ -282,7 +282,11 @@ class GramMatrix(_Value):
 
 
 def gram_of(vectors: Sequence[LorentzVector]) -> GramMatrix:
-    rows = [[inner_product(a, b) for b in vectors] for a in vectors]
+    """The Gram matrix of the vectors, each pair i <= j paired once and mirrored."""
+    rows = [[0] * len(vectors) for _ in vectors]
+    for i, a in enumerate(vectors):
+        for j in range(i, len(vectors)):
+            rows[i][j] = rows[j][i] = inner_product(a, vectors[j])
     return GramMatrix.from_rows(rows)
 
 

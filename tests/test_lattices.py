@@ -208,6 +208,24 @@ def oracle_lll(gram):
     return lattices.ReducedBasis(GramMatrix.from_rows(g), tuple(tuple(row) for row in u))
 
 
+def replay_on_gram(gram, steps):
+    """The Gram matrix of the rows after _lll's logged steps, kept current
+    step by step: a size reduction (k, l, q) subtracts q times row l and
+    then q times column l, a swap (k, k - 1, 0) exchanges two rows and two
+    columns."""
+    g = [list(row) for row in gram.entries]
+    for k, l, q in steps:
+        if q:
+            g[k] = [x - q * y for x, y in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+        else:
+            g[k], g[l] = g[l], g[k]
+            for row in g:
+                row[k], row[l] = row[l], row[k]
+    return GramMatrix.from_rows(g)
+
+
 def tables(entries):
     """The Fincke-Pohst tables of a form, from its own LDL^T."""
     return lattices._fincke_pohst_tables(*ldl(entries))
@@ -503,6 +521,18 @@ def test_lll_matches_oracle_lll():
         assert lll(g) == oracle_lll(g)
 
 
+def test_lll_step_log_is_pinned_and_replays_to_the_reduced_gram():
+    # with lll == oracle_lll, the counts show that D taken downward from
+    # d[k+1] chose the insertions the upward Bareiss steps chose
+    for g, want in ((leech_gram(), (1226, 321)), (e8_gram(), (6, 3))):
+        steps = lattices._lll(g)[2]
+        assert (sum(1 for s in steps if s[2]), sum(1 for s in steps if not s[2])) == want
+    for g in pinned_forms():
+        steps = lattices._lll(g)[2]
+        assert all(q or l == k - 1 for k, l, q in steps)
+        assert replay_on_gram(g, steps) == lll(g).gram
+
+
 def test_lll_reaches_minimal_vectors_on_leech_and_e8():
     # deep insertion leaves a basis of minimal vectors, which is what keeps
     # the Fincke-Pohst scale small
@@ -721,7 +751,9 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
     # short_vectors takes d and lam from the LLL run instead of a second
     # elimination: they are the minors and multipliers of the reduced rows
     for g in pinned_forms():
-        rows, u, d, lam = lattices._lll(g)
+        d, lam = lattices._lll(g)[:2]
+        reduced = lll(g)
+        rows, u = reduced.gram.entries, reduced.transform
         want_d, want_lam = ldl(rows)
         n = g.dim
         assert d == want_d

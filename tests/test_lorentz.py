@@ -741,6 +741,38 @@ def test_quotient_gram_ignores_representative_choice():
     assert gram_of(shifted).entries == leech_gram().entries
 
 
+def oracle_inner_product(a, b):
+    """The form on plain coordinates: spacelike products less the timelike
+    one, a quarter of the doubled coordinates' sum."""
+    x, y = a.doubled, b.doubled
+    return Fraction(sum(x[i] * y[i] for i in range(SPACELIKE_DIM)) - x[-1] * y[-1], 4)
+
+
+def test_gram_of_matches_every_pairing():
+    # each pair is paired once and mirrored: against the full double loop of
+    # inner_product, and inner_product against the plain coordinates
+    basis = lattice_basis()[0]
+    rng = random.Random(37)
+    members = [
+        LorentzVector(tuple(sum(c * v.doubled[t] for c, v in zip(coefs, basis)) for t in range(DIM)))
+        for coefs in ([rng.randint(-6, 6) for _ in basis] for _ in range(20))
+    ]
+    for vectors in (basis, quotient_representatives(), members, members[:1], []):
+        want = [[inner_product(a, b) for b in vectors] for a in vectors]
+        assert gram_of(vectors).entries == tuple(map(tuple, want))
+        assert want == [[oracle_inner_product(a, b) for b in vectors] for a in vectors]
+
+
+def test_non_integral_pairing_raises(monkeypatch):
+    # a non-member slipped past the constructor pairs to a quarter integer
+    monkeypatch.setattr(lorentz, "is_member", lambda doubled: True)
+    odd = LorentzVector((1,) + (0,) * SPACELIKE_DIM)
+    with pytest.raises(ConstructionError, match="not integral"):
+        inner_product(odd, odd)
+    with pytest.raises(ConstructionError, match="not integral"):
+        gram_of([weyl_vector(), odd])
+
+
 def test_gram_of_mixed_vectors():
     w = weyl_vector()
     ones = LorentzVector((1,) * DIM)

@@ -9,7 +9,11 @@ observations, lorentz, lattices and cli.
 The record types derive from _Value, a frozen dataclass stand-in that keeps
 dataclasses, inspect, ast and dis out of every process: fields in __slots__,
 set in slot order and then checked by __post_init__, equal only within one
-class, shown as ClassName(field=value, ...), copied and pickled via __init__."""
+class, shown as ClassName(field=value, ...), copied and pickled via __init__.
+Every integer input passes _integer, or _integers for a sequence: operator.index,
+else ValueError("<what> must be integers"), the package's one integer rule."""
+
+import operator
 
 __version__ = "0.1.0"
 
@@ -49,3 +53,16 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values through operator.index, as a tuple of plain ints."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
+def _integer(value, what: str) -> int:
+    """value through operator.index, as a plain int."""
+    return _integers((value,), what)[0]

@@ -43,7 +43,7 @@ class UsageError(ValueError):
 
 
 def _stringify(value):
-    """Recursively render payload numerics as decimal strings."""
+    """Recursively render payload ints, dict keys included, as decimal strings (only here)."""
     # bool before int: True is an int
     if isinstance(value, (bool, str)):
         return value
@@ -75,7 +75,7 @@ def _cmd_coeffs(args) -> tuple[bool, dict]:
         "series": args.series,
         "valuation": series.valuation,
         "order": series.order,
-        "coefficients": {str(m): c for m, c in series.coefficients().items()},
+        "coefficients": series.coefficients(),
     }
     return True, payload
 
@@ -133,20 +133,21 @@ def _comparisons(check) -> list[dict]:
 
 def _cmd_leech(args) -> tuple[bool, dict]:
     from . import lattices, lorentz
+    gram = lorentz.leech_gram()
     if args.check == "gram":
         # leech_gram raises unless even, of determinant 1 and inertia (24, 0, 0)
         return True, {
-            "gram": lorentz.leech_gram().to_jsonable(),
+            "gram": {"dim": gram.dim, "entries": gram.entries},
             "determinant": 1,
             "even": True,
             "positiveDefinite": True,
         }
     if args.check == "min":
-        found = lattices.short_vectors(lorentz.leech_gram(), 2)
+        found = lattices.short_vectors(gram, 2)
         ok = found.counts[1] == 0 and found.counts[2] == 0
         payload = {
             "maxNorm": found.max_norm,
-            "counts": {str(m): c for m, c in sorted(found.counts.items())},
+            "counts": found.counts,
             "normTwoCount": found.counts[2],
         }
         return ok, payload
@@ -155,7 +156,7 @@ def _cmd_leech(args) -> tuple[bool, dict]:
     payload = {
         "maxNorm": check.counts.max_norm,
         "combination": {"e4CubedWeight": a, "deltaWeight": b},
-        "counts": {str(m): c for m, c in sorted(check.counts.counts.items())},
+        "counts": check.counts.counts,
         "comparisons": _comparisons(check),
     }
     return check.ok, payload
@@ -168,7 +169,7 @@ def _cmd_e8(args) -> tuple[bool, dict]:
     check = lattices.theta_check_e8(args.max_norm)
     payload = {
         "maxNorm": check.counts.max_norm,
-        "countsByNorm": {str(m): c for m, c in sorted(check.counts.counts.items())},
+        "countsByNorm": check.counts.counts,
         "comparisons": _comparisons(check),
     }
     return check.ok, payload

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from . import MAX_JOBS, _Value
+from . import MAX_JOBS, _Value, _integer, _integers
 from .modforms import delta, eisenstein_e4, sigma
 from .lorentz import (
     ConstructionError,
@@ -400,9 +400,10 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
     short_vectors(gram, 4, jobs=2), as --jobs stays for the kissing-jobs2
     workload.
     """
-    if not isinstance(max_norm, int) or max_norm < 1:
+    max_norm, jobs = _integers((max_norm, jobs), "max_norm and jobs")
+    if max_norm < 1:
         raise ValueError("max_norm must be a positive integer")
-    if not isinstance(jobs, int) or not 1 <= jobs <= MAX_JOBS:
+    if not 1 <= jobs <= MAX_JOBS:
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     rows, step, scale = _fincke_pohst_tables(*_lll(gram)[:2])
     budget = max_norm * scale
@@ -467,6 +468,7 @@ def theta_check_leech(max_norm: int = 4) -> ThetaCheck:
     The combination is solved for at run time from the first two
     coefficients of the two forms; nothing about the answer is assumed.
     """
+    max_norm = _integer(max_norm, "max_norm")
     if max_norm not in (2, 4, 6):
         raise ValueError("max_norm must be 2, 4 or 6")
     found = short_vectors(leech_gram(), max_norm)
@@ -486,6 +488,7 @@ def theta_check_leech(max_norm: int = 4) -> ThetaCheck:
 def theta_check_e8(max_norm: int = 4) -> ThetaCheck:
     """Compare E8 counts with the classical formula: 240 sigma_3(n) vectors
     of norm 2n."""
+    max_norm = _integer(max_norm, "max_norm")
     if max_norm < 2 or max_norm % 2:
         raise ValueError("max_norm must be a positive even integer")
     found = short_vectors(e8_gram(), max_norm)

@@ -31,10 +31,10 @@ Everything is plain int; nothing here ever rounds.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
-from . import _Value
+from . import _Value, _integer, _integers
 
 SPACELIKE_DIM = 25
 DIM = 26
@@ -65,10 +65,7 @@ class LorentzVector(_Value):
     __slots__ = ("doubled",)
 
     def __post_init__(self) -> None:
-        try:
-            coords = tuple(map(operator.index, self.doubled))
-        except TypeError:
-            raise ValueError("doubled coordinates must be integers") from None
+        coords = _integers(self.doubled, "doubled coordinates")
         object.__setattr__(self, "doubled", coords)
         if not is_member(coords):
             raise ValueError("doubled coordinates are not a lattice member")
@@ -241,11 +238,10 @@ class GramMatrix(_Value):
     __slots__ = ("dim", "entries")
 
     def __post_init__(self) -> None:
-        try:
-            dim = operator.index(self.dim)
-            entries = tuple(tuple(map(operator.index, row)) for row in self.entries)
-        except TypeError:
-            raise ValueError("Gram dim and entries must be integers") from None
+        what = "Gram dim and entries"
+        # entries that are not iterable, None say, are refused as one bad row
+        rows = self.entries if isinstance(self.entries, Iterable) else (self.entries,)
+        dim, entries = _integer(self.dim, what), tuple(_integers(row, what) for row in rows)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", entries)
         if len(entries) != dim or any(len(r) != dim for r in entries):
@@ -272,13 +268,6 @@ class GramMatrix(_Value):
     @property
     def is_positive_definite(self) -> bool:
         return self.inertia() == (self.dim, 0, 0)
-
-    def to_jsonable(self) -> dict:
-        """Exchange form: all integers rendered as decimal strings."""
-        return {
-            "dim": str(self.dim),
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
 
 def gram_of(vectors: Sequence[LorentzVector]) -> GramMatrix:

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .qseries import LaurentSeries, _integer, euler_product_cubed, euler_product_pentagonal
+from . import _integer, _integers
+from .qseries import LaurentSeries, _order, euler_product_cubed, euler_product_pentagonal
 
 
 def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n) = sum_{d | n} d^k, for n >= 1."""
-    k, n = _integer(k, "power and argument"), _integer(n, "power and argument")
+    k, n = _integers((k, n), "power and argument")
     if k < 1:
         raise ValueError("power must be at least 1")
     if n < 1:
@@ -50,9 +51,7 @@ def sigma(k: int, n: int) -> int:
 def _eisenstein(order: int, factor: int, power: int) -> LaurentSeries:
     """1 + factor sum_{n>=1} sigma_power(n) q^n modulo q^order, by one sieve:
     each d < order adds factor d^power to its multiples, O(order log order)."""
-    order = _integer(order, "orders")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _order(order, 1)
     coeffs = [0] * order
     for d in range(1, order):
         term = factor * d**power
@@ -78,9 +77,7 @@ def delta(order: int) -> LaurentSeries:
     Built as q * ((J^2)^2)^2, J = (euler product)^3, three squarings taken
     to order - 1 so that the shifted window is exactly [1, order).
     """
-    order = _integer(order, "orders")
-    if order < 2:
-        raise ValueError("order must be at least 2 to see the leading term")
+    order = _order(order, 2, " to see the leading term")
     power = euler_product_cubed(order - 1)
     for _ in range(3):
         power = power * power
@@ -94,9 +91,7 @@ def j_invariant(order: int) -> LaurentSeries:
     factor taken to order + 1, so that the shifted window is exactly
     [-1, order).
     """
-    order = _integer(order, "orders")
-    if order < 0:
-        raise ValueError("order must be at least 0 to see the pole")
+    order = _order(order, 0, " to see the pole")
     work = order + 1
     e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
     return (e4e8 * euler_product_cubed(work) ** -8).shift(-1)

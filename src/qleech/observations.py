@@ -14,12 +14,10 @@ so a caller can re-reduce them independently.
 
 from __future__ import annotations
 
-import operator
 from math import isqrt
 
-from . import _Value
+from . import _Value, _integer, _integers
 from .modforms import SERIES
-from .qseries import _integer
 
 _SEQUENCE_VALUATIONS = {"j": -1, "delta": 1}
 
@@ -35,10 +33,7 @@ def check_congruence(sequence: str, lo: int, hi: int, modulus: int) -> Congruenc
     """Square-and-sum the named expansion's coefficients on [lo, hi]."""
     if sequence not in _SEQUENCE_VALUATIONS:
         raise ValueError(f"unknown sequence {sequence!r}; choose from {sorted(_SEQUENCE_VALUATIONS)}")
-    try:
-        lo, hi, modulus = map(operator.index, (lo, hi, modulus))
-    except TypeError:
-        raise ValueError("lo, hi and modulus must be integers") from None
+    lo, hi, modulus = _integers((lo, hi, modulus), "lo, hi and modulus")
     if lo > hi:
         raise ValueError("empty range: lo must not exceed hi")
     if modulus < 1:

@@ -32,12 +32,11 @@ Euler's pentagonal number theorem, and of its cube by Jacobi's identity.
 from __future__ import annotations
 
 import decimal
-import operator
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import count
 
-from . import _Value
+from . import _Value, _integer, _integers
 
 
 class TruncationError(LookupError):
@@ -74,12 +73,8 @@ class LaurentSeries(_Value):
     __slots__ = ("valuation", "order", "coeffs")
 
     def __post_init__(self) -> None:
-        valuation = _integer(self.valuation, "valuation and order")
-        order = _integer(self.order, "valuation and order")
-        try:
-            coeffs = tuple(map(operator.index, self.coeffs))
-        except TypeError:
-            raise ValueError("coefficients must be integers") from None
+        valuation, order = _integers((self.valuation, self.order), "valuation and order")
+        coeffs = _integers(self.coeffs, "coefficients")
         if len(coeffs) != order - valuation:
             raise ValueError("coefficient window does not match order - valuation")
         if coeffs and coeffs[0] == 0:
@@ -144,16 +139,10 @@ class LaurentSeries(_Value):
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        val = min(self.valuation, other.valuation, order)
-        out = [0] * (order - val)
-        for src in (self, other):
-            base = src.valuation - val
-            for k, c in enumerate(src.coeffs):
-                if src.valuation + k >= order:
-                    break
-                out[base + k] += c
-        return LaurentSeries.from_coeffs(val, out)
+        # a valuation never exceeds its order, so val <= order
+        val, order = min(self.valuation, other.valuation), min(self.order, other.order)
+        sums = [self.coeff(m) + other.coeff(m) for m in range(val, order)]
+        return LaurentSeries.from_coeffs(val, sums)
 
     def __mul__(self, other):
         """Product with another series.
@@ -218,12 +207,12 @@ class LaurentSeries(_Value):
         return LaurentSeries(self.valuation + k, self.order + k, self.coeffs)
 
 
-def _integer(value, what: str) -> int:
-    """value through operator.index: ints, bools and int subclasses pass."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be integers") from None
+def _order(order, least: int, why: str = "") -> int:
+    """order through _integer, refused below least; why ends the message."""
+    order = _integer(order, "orders")
+    if order < least:
+        raise ValueError(f"order must be at least {least}{why}")
+    return order
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -301,9 +290,7 @@ def euler_product(order: int) -> LaurentSeries:
     Direct expansion: factors with n >= order do not touch the window, so
     the product over n < order is already exact to this order.
     """
-    order = _integer(order, "orders")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _order(order, 1)
     out = [0] * order
     out[0] = 1
     for n in range(1, order):
@@ -316,9 +303,7 @@ def euler_product(order: int) -> LaurentSeries:
 def _sparse(order: int, terms: Iterable[tuple[int, int]]) -> LaurentSeries:
     """The power series sum c q^e modulo q^order, from (e, c) pairs in
     ascending order of e; the pairs are read up to the first e >= order."""
-    order = _integer(order, "orders")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    order = _order(order, 1)
     out = [0] * order
     for e, c in terms:
         if e >= order:

@@ -1267,3 +1267,35 @@ def test_leech_theta_domain():
         theta_check_leech(3)
     with pytest.raises(ValueError):
         theta_check_leech(8)
+
+
+class Index:
+    """An integer in the sense of operator.index, and of nothing else."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_lattices_follow_the_package_integer_rule():
+    # max_norm and jobs pass operator.index, as every integer input of the
+    # package does: an __index__ object counts, a bool is a plain int, and a
+    # float is refused, not compared
+    assert short_vectors(e8_gram(), Index(2)).counts == {1: 0, 2: 240}
+    found = short_vectors(e8_gram(), True)
+    assert type(found.max_norm) is int and found.max_norm == 1
+    assert short_vectors(e8_gram(), 2, jobs=Index(2)).counts == {1: 0, 2: 240}
+    g = GramMatrix.from_rows([[2]])
+    with pytest.raises(ValueError, match="must be integers"):
+        short_vectors(g, 2.0)
+    with pytest.raises(ValueError, match="must be integers"):
+        short_vectors(g, 2, jobs=2.0)
+    e8 = theta_check_e8(Index(2))
+    assert e8.ok and type(e8.counts.max_norm) is int and e8.counts.max_norm == 2
+    leech = theta_check_leech(Index(2))
+    assert leech.ok and type(leech.counts.max_norm) is int and leech.counts.max_norm == 2
+    for check in (theta_check_e8, theta_check_leech):
+        with pytest.raises(ValueError, match="must be integers"):
+            check(Fraction(2))

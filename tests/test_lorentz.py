@@ -19,6 +19,7 @@ import pytest
 
 import qleech.lattices as lattices
 import qleech.lorentz as lorentz
+from qleech import cli
 from qleech.lattices import e8_gram
 from qleech.lorentz import (
     DIM,
@@ -521,7 +522,8 @@ def test_gram_matrix_validation():
     g = GramMatrix.from_rows([[2, 1], [1, 2]])
     assert g.is_even and g.determinant() == 3
     assert g.is_positive_definite
-    assert g.to_jsonable() == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
+    payload = cli._stringify({"dim": g.dim, "entries": g.entries})
+    assert payload == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
 
 
 @pytest.mark.parametrize("bad", [2.0, 2.9, Fraction(2), Fraction(5, 2), "2"])
@@ -544,6 +546,20 @@ def test_non_integer_gram_dim_is_refused(bad):
         GramMatrix(bad, ((2, 1), (1, 2)))
 
 
+@pytest.mark.parametrize("bad", [None, 2, ((2, 1), None), ((2, 1), 1)])
+def test_gram_entries_that_are_not_rows_are_refused(bad):
+    # entries, and each of its rows, must be iterable; anything else is
+    # refused by the integer rule, never a TypeError
+    with pytest.raises(ValueError, match="Gram dim and entries must be integers"):
+        GramMatrix(2, bad)
+
+
+def test_gram_entries_may_be_any_iterable_of_rows():
+    rows = ((2, 1), (1, 2))
+    plain = GramMatrix.from_rows(rows)
+    assert GramMatrix(2, iter(rows)) == GramMatrix(2, (iter(row) for row in rows)) == plain
+
+
 def test_bool_gram_dim_is_a_plain_int():
     g = GramMatrix(True, [[2]])
     assert type(g.dim) is int and g == GramMatrix(1, ((2,),))
@@ -557,7 +573,8 @@ def test_bool_and_int_subclass_entries_are_plain_ints():
     rows, plain = [[Int(2), True], [True, Int(2)]], [[2, 1], [1, 2]]
     g = GramMatrix.from_rows(rows)
     assert g == GramMatrix.from_rows(plain) and {type(x) for row in g.entries for x in row} == {int}
-    assert g.to_jsonable() == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
+    payload = cli._stringify({"dim": g.dim, "entries": g.entries})
+    assert payload == {"dim": "2", "entries": [["2", "1"], ["1", "2"]]}
     v = LorentzVector((Int(2),) + (False,) * 24 + (True + True,))
     assert v.doubled == (2,) + (0,) * 24 + (2,) and {type(c) for c in v.doubled} == {int}
     assert bareiss_determinant(rows) == 3

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qleech import qseries
 from qleech.qseries import (
@@ -36,6 +36,22 @@ def oracle_mul(a, b):
         for j in range(min(n - i, len(b.coeffs))):
             out[i + j] += a.coeffs[i] * b.coeffs[j]
     return LaurentSeries(val, order, tuple(out))
+
+
+def oracle_add(a, b):
+    """a + b by adding each window into one list at its offset, with the
+    library's truncation rules; the reference for __add__, which reads each
+    sum through coeff."""
+    order = min(a.order, b.order)
+    val = min(a.valuation, b.valuation, order)
+    out = [0] * (order - val)
+    for src in (a, b):
+        base = src.valuation - val
+        for k, c in enumerate(src.coeffs):
+            if src.valuation + k >= order:
+                break
+            out[base + k] += c
+    return LaurentSeries.from_coeffs(val, out)
 
 
 def assert_square(a):
@@ -526,6 +542,18 @@ def test_jacobi_cube_is_pentagonal_cube(order):
 @given(series_st(), series_st())
 def test_add_commutes(a, b):
     assert a + b == b + a
+
+
+# zero series of either side, windows that end before the other starts,
+# and a pole against a higher order
+@example(LaurentSeries.zero(3), LaurentSeries.from_coeffs(-2, [1, 2]))
+@example(LaurentSeries.from_coeffs(1, [4, 5, 6]), LaurentSeries.zero(-1))
+@example(LaurentSeries.zero(2), LaurentSeries.zero(5))
+@example(LaurentSeries.from_coeffs(-4, [1]), LaurentSeries.from_coeffs(2, [3, 0, 7]))
+@settings(max_examples=300)
+@given(series_st(), series_st())
+def test_add_matches_offset_oracle(a, b):
+    assert a + b == oracle_add(a, b)
 
 
 @settings(deadline=None, max_examples=200)

@@ -61,6 +61,20 @@ def imports_of(modules, sources):
     ]
 
 
+def type_error_handlers(sources):
+    return [
+        f"{name}:{node.lineno}"
+        for name, source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(
+            isinstance(n, ast.Name) and n.id == "TypeError"
+            for n in (node.type.elts if isinstance(node.type, ast.Tuple) else [node.type])
+        )
+    ]
+
+
 def test_no_assert_statements_in_package():
     # `python -O` strips asserts; invariants must raise named errors instead
     assert assert_statements(package_sources()) == []
@@ -83,6 +97,13 @@ def test_no_fractions_in_package():
     # one integer elimination core: rational arithmetic lives only in the
     # test oracles
     assert imports_of({"fractions"}, package_sources()) == []
+
+
+def test_integer_rule_has_one_home():
+    # every integer input goes through qleech._integers: one handler turns
+    # operator.index's TypeError into ValueError("... must be integers")
+    handlers = type_error_handlers(package_sources())
+    assert [h.split(":")[0] for h in handlers] == ["__init__.py"], handlers
 
 
 def test_walker_source_depends_only_on_its_tables():

@@ -241,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
-        p.add_argument("--out", metavar="FILE", help="also write the payload to FILE")
-
     def add_jobs(p):
         p.add_argument(
             "--jobs",
@@ -261,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"allow orders beyond the default ceiling of {ORDER_CEILING}, up to {ORDER_MAX}",
     )
-    add_out(p)
 
     p = sub.add_parser("verify", help="check the mod-70 coefficient observations")
     p.add_argument(
@@ -270,11 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("jm", "yhh", "both"),
         help="jm: squared j coefficients; yhh: squared tau values",
     )
-    add_out(p)
 
     p = sub.add_parser("cannonball", help="search square pyramid numbers that are squares")
     p.add_argument("--max-n", required=True, type=int, help="inclusive search bound")
-    add_out(p)
 
     p = sub.add_parser("leech", help="certify the quotient-construction Leech lattice")
     p.add_argument("check", choices=("gram", "min", "kissing"))
@@ -286,13 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="norm bound for the kissing check",
     )
     add_jobs(p)
-    add_out(p)
 
     p = sub.add_parser("e8", help="compare E8 vector counts with 240 sigma_3(n)")
     p.add_argument("--max-norm", type=int, default=4, help="even norm bound, at most 8")
     add_jobs(p)
-    add_out(p)
 
+    # last, so that it ends every subcommand's options
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="FILE", help="also write the payload to FILE")
     return parser
 
 

@@ -217,24 +217,24 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
 def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
     """A linear key of Z^{cut+1} / B Z^{cut+1}, B = rows[0..cut][0..cut]:
     pairs (u, e), e > 1, with t, t' in one coset exactly when u . (t - t')
-    = 0 mod e for each.  Row and column operations take B to a diagonal
-    U B V (Cohen, GTM 138, 2.4.4, no divisor chain), the u being the rows
-    of U; V is never formed.  Entries are kept mod D = prod L_j, as D
-    Z^{cut+1} lies in U B Z^{cut+1}, so e_k = gcd(U B V [k][k], D).  Raises
+    = 0 mod e for each.  Row operations on [B | I] and column operations on
+    its left block take it to [U B V | U], U B V diagonal (Cohen, GTM 138,
+    2.4.4, no divisor chain); the u are the rows of U, and V is never formed.
+    Entries are kept mod D = prod L_j, as D Z^{cut+1} lies in U B Z^{cut+1},
+    so e_k = gcd(U B V [k][k], D); U's too, as each e_k divides D.  Raises
     ConstructionError unless the e_k multiply to D, the group order."""
     n = cut + 1
     order = prod(rows[k][k] for k in range(n))
     half = order // 2
-    a, u = [list(row[:n]) for row in rows[:n]], [[int(i == j) for j in range(n)] for i in range(n)]
+    a = [list(row[:n]) + [int(i == j) for j in range(n)] for i, row in enumerate(rows[:n])]
     for k in range(n):
-        while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 :]):
+        while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 : n]):
             if any(a[i][k] for i in range(k + 1, n)):
                 p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
-                a[k], a[p], u[k], u[p] = a[p], a[k], u[p], u[k]
+                a[k], a[p] = a[p], a[k]
                 for i in range(k + 1, n):
                     if q := a[i][k] // a[k][k]:
                         a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
-                        u[i] = [(x - q * y) % order for x, y in zip(u[i], u[k])]
             else:
                 p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
                 for row in a[k:]:
@@ -246,7 +246,7 @@ def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
     moduli = [gcd(a[k][k], order) for k in range(n)]
     if prod(moduli) != order:
         raise ConstructionError("coset key does not match the order of the block group")
-    return [([v % e for v in row], e) for row, e in zip(u, moduli) if e > 1]
+    return [([v % e for v in row[n:]], e) for row, e in zip(a, moduli) if e > 1]
 
 
 def _walker_sources(rows, step, scale, cuts) -> list[str]:

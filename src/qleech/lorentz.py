@@ -51,7 +51,9 @@ def is_member(doubled: Sequence[int]) -> bool:
     """Lattice membership test on doubled coordinates."""
     if len(doubled) != DIM:
         return False
-    if not all(isinstance(c, int) for c in doubled):
+    try:
+        doubled = _integers(doubled, "doubled coordinates")
+    except ValueError:
         return False
     parity = doubled[0] & 1
     if any((c & 1) != parity for c in doubled):
@@ -117,22 +119,17 @@ def hermite_normal_form(
 
     Returns (H, U) with H = U M, U unimodular.  Pivots are positive and
     strictly step right going down, entries above each pivot are reduced
-    into [0, pivot), and zero rows sink to the bottom.
+    into [0, pivot), and zero rows sink to the bottom.  The row operations
+    take one augmented matrix [M | I] to [H | U] (Cohen, GTM 138, 2.4).
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    h = [[operator.index(x) for x in r] for r in rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def mix(a, r, i, s, t, p, q):
-        # rows (r, i) of a become (s a_r + t a_i, p a_r + q a_i)
-        a[r], a[i] = (
-            [s * x + t * y for x, y in zip(a[r], a[i])],
-            [p * x + q * y for x, y in zip(a[r], a[i])],
-        )
-
+    h = [
+        [operator.index(x) for x in r] + [int(i == j) for j in range(m)]
+        for i, r in enumerate(rows)
+    ]
     r = 0
     for c in range(n):
         if r == m:
@@ -143,20 +140,20 @@ def hermite_normal_form(
                 continue
             g, s, t = xgcd(h[r][c], h[i][c])
             pr, pi = h[r][c] // g, h[i][c] // g
-            mix(h, r, i, s, t, -pi, pr)
-            mix(u, r, i, s, t, -pi, pr)
+            h[r], h[i] = (
+                [s * x + t * y for x, y in zip(h[r], h[i])],
+                [pr * y - pi * x for x, y in zip(h[r], h[i])],
+            )
         if h[r][c] == 0:
             continue
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+    return tuple(tuple(row[:n]) for row in h), tuple(tuple(row[n:]) for row in h)
 
 
 def ldl(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:

@@ -98,8 +98,6 @@ class LaurentSeries(_Value):
         k = 0
         while k < len(coeffs) and _integer(coeffs[k], "coefficients") == 0:
             k += 1
-        if k == len(coeffs):
-            return cls(order, order, ())
         return cls(valuation + k, order, coeffs[k:])
 
     @classmethod
@@ -164,8 +162,7 @@ class LaurentSeries(_Value):
 
     def __pow__(self, k: int) -> "LaurentSeries":
         """self ** k for any integer k; k < 0 needs a leading coefficient +-1."""
-        if not isinstance(k, int):
-            return NotImplemented
+        k = _integer(k, "exponents")
         if k < 0 and (self.is_zero or self.coeffs[0] not in (1, -1)):
             raise NonUnitError("negative powers need a leading coefficient of +-1")
         if self.is_zero:

@@ -496,6 +496,26 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--series", "delta", "--order", "3"],
+        ["verify"],
+        ["cannonball", "--max-n", "3"],
+        ["leech", "gram"],
+        ["e8"],
+    ],
+)
+def test_out_ends_every_subcommand(capsys, argv):
+    # every subcommand takes --out, and its help lists it last; the rest of
+    # the layout is argparse's, which differs between Python versions
+    assert cli.build_parser().parse_args([*argv, "--out", "F"]).out == "F"
+    code, out, _ = run(capsys, [argv[0], "--help"])
+    assert code == 0
+    options = [line.strip() for line in out.splitlines() if line.lstrip().startswith("-")]
+    assert options[-1].startswith("--out FILE")
+
+
 def test_elapsed_is_native_int(capsys):
     _, out, _ = run(capsys, ["coeffs", "--series", "euler", "--order", "3"])
     assert '"elapsedMillis": ' in out

@@ -10,7 +10,9 @@ compared with a Gram-Schmidt recomputed entry by entry.  The integral
 `lll` is compared with `oracle_lll`, the same deep-insertion loop over the
 rationals on a Gram-Schmidt of its own, and the fraction-free `ldl` with
 `oracle_ldl`, the rational routine it replaced; the output of
-`lll` is pinned by a digest.
+`lll` is pinned by a digest.  The coset key, which row-reduces one
+augmented matrix, is compared with `oracle_coset_key`, which keeps its
+transform in a second matrix.
 """
 
 import ast
@@ -20,7 +22,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -908,18 +910,50 @@ def test_deep_forms_walk_one_function_per_phase():
             assert calls <= {"range", "isqrt", "divmod", "tally.get", "ConstructionError"}
 
 
+def oracle_coset_key(rows, cut):
+    """The coset key of lattices._coset_key by the route it replaced: the
+    transform U kept in a matrix of its own, each row operation on the
+    block repeated on it, entries of U kept in [0, D)."""
+    n = cut + 1
+    order = prod(rows[k][k] for k in range(n))
+    half = order // 2
+    a, u = [list(row[:n]) for row in rows[:n]], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 :]):
+            if any(a[i][k] for i in range(k + 1, n)):
+                p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
+                a[k], a[p], u[k], u[p] = a[p], a[k], u[p], u[k]
+                for i in range(k + 1, n):
+                    if q := a[i][k] // a[k][k]:
+                        a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
+                        u[i] = [(x - q * y) % order for x, y in zip(u[i], u[k])]
+            else:
+                p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
+                for row in a[k:]:
+                    row[k], row[p] = row[p], row[k]
+                qs = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // a[k][k])]
+                for row in a[k:]:
+                    for j, q in qs:
+                        row[j] = (row[j] - q * row[k] + half) % order - half
+    moduli = [gcd(a[k][k], order) for k in range(n)]
+    if prod(moduli) != order:
+        raise ConstructionError("coset key does not match the order of the block group")
+    return [([v % e for v in row], e) for row, e in zip(u, moduli) if e > 1]
+
+
 def test_coset_keys_are_exact_at_every_level():
     # at every level K of these forms each column of the block rows[0..K][0..K]
     # has key 0, so the key is constant on cosets, and the moduli multiply to
     # prod L_j, the order of the group, so it also separates them: the tables
     # of reduced Leech (norms 2, 4 and 6 cut at levels among these), E8, the
-    # 302 pinned forms raw and reduced, and Z^70
+    # 302 pinned forms raw and reduced, and Z^70; and each key is the oracle's
     forms = [lll(g).gram for g in (leech_gram(), e8_gram())] + [identity_gram(70)]
     forms += [h for g in pinned_forms() for h in (g, lll(g).gram)]
     for g in forms:
         rows = tables(g.entries)[0]
         for cut in range(g.dim):
             key = lattices._coset_key(rows, cut)
+            assert key == oracle_coset_key(rows, cut)
             assert all(e > 1 and len(u) == cut + 1 for u, e in key)
             assert prod(e for _, e in key) == prod(rows[k][k] for k in range(cut + 1))
             for j in range(cut + 1):

@@ -297,6 +297,23 @@ def test_member_rejects_bad_residue():
     assert not is_member(unit_doubled(DIM - 1))
 
 
+def test_member_follows_the_integer_rule():
+    # coordinates pass operator.index, as LorentzVector's do: __index__
+    # objects are members when their ints are, and floats are not
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    w = weyl_vector().doubled
+    assert is_member(tuple(map(Index, w)))
+    assert LorentzVector(tuple(map(Index, w))) == weyl_vector()
+    assert not is_member(tuple(map(float, w)))
+    assert not is_member((None,) * DIM)
+
+
 def test_member_rejects_wrong_length():
     assert not is_member((2, 2))
 

@@ -230,6 +230,36 @@ def test_j_against_pentagonal_power():
     assert j_invariant(2000) == (e4e8 * euler_product_pentagonal(work) ** -24).shift(-1)
 
 
+# Lehner's congruences (Amer. J. Math. 71, 1949): when p^a exactly divides
+# n, a >= 1, p^(s a + t) divides the j coefficient c(n), with (s, t) here
+LEHNER_EXPONENTS = {2: (3, 8), 3: (2, 3), 5: (1, 1), 7: (1, 0), 11: (0, 1)}
+
+
+def lehner_failures(c):
+    """The pairs (n, p) at which the coefficients c, a dict from n >= 1,
+    break one of Lehner's congruences."""
+    failures = []
+    for n, value in c.items():
+        for p, (s, t) in LEHNER_EXPONENTS.items():
+            a, m = 0, n
+            while m % p == 0:
+                a, m = a + 1, m // p
+            if a and value % p ** (s * a + t):
+                failures.append((n, p))
+    return failures
+
+
+def test_j_meets_lehners_congruences_past_the_cli_ceiling():
+    # c(1) to c(5000), one past what `qleech coeffs` prints at its ceiling
+    # --order 5000, by a rule the builder does not use
+    c = {n: value for n, value in j_invariant(5001).coefficients().items() if n >= 1}
+    assert len(c) == 5000
+    assert lehner_failures(c) == []
+    # the check bites: 210 = 2 3 5 7 is divisible once by each of four primes
+    c[210] += 1
+    assert sorted(p for n, p in lehner_failures(c)) == [2, 3, 5, 7]
+
+
 def test_j_delta_product_is_e4_cubed():
     order = 300
     lhs = j_invariant(order) * delta(order + 1)

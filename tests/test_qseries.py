@@ -222,6 +222,9 @@ def test_zero_series_shape():
     assert z.is_zero
     assert z.order == 5
     assert z.coeff(4) == 0
+    # an all-zero window of any sequence type, an empty one too
+    for window in ([0, 0, 0], (0, 0, 0), [], range(1)):
+        assert LaurentSeries.from_coeffs(2, window) == LaurentSeries.zero(2 + len(window))
 
 
 def test_valuation_tightening_on_build():
@@ -433,6 +436,20 @@ def test_pow_square():
 def test_pow_zero_is_one():
     a = LaurentSeries.from_coeffs(2, [5, 1, 1])
     assert a**0 == LaurentSeries.one(a.order - a.valuation)
+
+
+def test_pow_follows_the_integer_rule():
+    # the exponent passes operator.index, as every exponent of the package
+    # does: an __index__ object is its int, anything else a ValueError
+    class Index:
+        def __index__(self):
+            return 2
+
+    a = LaurentSeries.from_coeffs(1, [1, -1, 2])
+    assert a ** Index() == a**2
+    for bad in (2.5, 2.0, Fraction(2), "2", None):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            a**bad
 
 
 def test_pow_negative_needs_unit_lead():

@@ -8,11 +8,11 @@ fraction-free LDL^T alone and logs its steps, from which it rebuilds both
 the reduced Gram matrix and the unimodular transform that produced it.
 Short vectors are counted with a scaled integer Fincke-Pohst search whose
 hot loop touches nothing but Python ints.  It runs as a cascade of phases
-split at cut levels, every three levels from norm 4 up: each phase walks
-the distinct states (remaining budget, coset of the partial sums, named
-by a linear key from a diagonal form of the block) that the phase above
+split at cut levels, every two levels from norm 4 up: each phase walks the
+distinct states (remaining budget, coset of the partial sums, named by a
+linear key, built for every level in one pass) that the phase above
 tallied, each once and weighted by its tally, and tallies the states at
-the next cut: about 49,000 nodes for a 24-dimensional norm-4 sweep.
+the next cut: about 32,000 nodes for a 24-dimensional norm-4 sweep.
 Every phase runs as one function of Python source generated for the
 form: one nested loop per level, table entries written in as literals,
 Schnorr-Euchner partial sums in plain locals, each phase compiled on its
@@ -41,6 +41,7 @@ from .lorentz import (
     _certify,
     ldl,
     leech_gram,
+    xgcd,
 )
 
 
@@ -196,14 +197,14 @@ def _fincke_pohst_tables(d: Sequence[int], lam: Sequence[Sequence[int]]):
 def _cut_levels(n: int, max_norm: int) -> tuple[int, ...]:
     """The levels, from the top down, at which the walk of an n-dimensional
     form up to max_norm changes phase, in 0..n-1 (the top phase is empty
-    when the first is n-1).  From norm 4 up a cut every three levels from
-    3n // 4 down to n // 4: 18, 15, 12, 9 and 6 on Leech, which visit a
-    tenth of the nodes of one cut at 14.  Below norm 4 the states repeat
-    too little for a cut to pay for its tallies, and one cut at 3n // 5
-    (14 on Leech) walks fastest.  Cuts every 20 levels, from n - 21 down
-    above these and from the last of them - 20 down below, keep each phase
-    within the 20 nested loops CPython compiles in one function."""
-    cuts = (3 * n // 5,) if max_norm < 4 else range(3 * n // 4, n // 4 - 1, -3)
+    when the first is n-1).  From norm 4 up a cut every two levels from
+    4n // 5 down to n // 5: 19, 17, ..., 5 on Leech, which visit a sixteenth
+    of the nodes of one cut at 14.  Below norm 4 the states repeat too
+    little for a cut to pay for its tallies, and one cut at 3n // 5 (14 on
+    Leech) walks fastest.  Cuts every 20 levels, from n - 21 down above
+    these and from the last of them - 20 down below, keep each phase within
+    the 20 nested loops CPython compiles in one function."""
+    cuts = (3 * n // 5,) if max_norm < 4 else range(4 * n // 5, n // 5 - 1, -2)
     return (*range(n - 21, cuts[0], -20), *cuts, *range(cuts[-1] - 20, -1, -20))
 
 
@@ -214,39 +215,53 @@ def _plus(expr: str | None, coeff: int, name: str) -> str | None:
     return f"{coeff} * {name}" if expr is None else f"{expr} + {coeff} * {name}"
 
 
-def _coset_key(rows, cut: int) -> list[tuple[list[int], int]]:
-    """A linear key of Z^{cut+1} / B Z^{cut+1}, B = rows[0..cut][0..cut]:
-    pairs (u, e), e > 1, with t, t' in one coset exactly when u . (t - t')
-    = 0 mod e for each.  Row operations on [B | I] and column operations on
-    its left block take it to [U B V | U], U B V diagonal (Cohen, GTM 138,
-    2.4.4, no divisor chain); the u are the rows of U, and V is never formed.
-    Entries are kept mod D = prod L_j, as D Z^{cut+1} lies in U B Z^{cut+1},
-    so e_k = gcd(U B V [k][k], D); U's too, as each e_k divides D.  Raises
-    ConstructionError unless the e_k multiply to D, the group order."""
-    n = cut + 1
-    order = prod(rows[k][k] for k in range(n))
-    half = order // 2
-    a = [list(row[:n]) + [int(i == j) for j in range(n)] for i, row in enumerate(rows[:n])]
-    for k in range(n):
-        while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 : n]):
-            if any(a[i][k] for i in range(k + 1, n)):
-                p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
-                a[k], a[p] = a[p], a[k]
-                for i in range(k + 1, n):
-                    if q := a[i][k] // a[k][k]:
-                        a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
-            else:
-                p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
-                for row in a[k:]:
-                    row[k], row[p] = row[p], row[k]
-                qs = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // a[k][k])]
-                for row in a[k:]:
-                    for j, q in qs:
-                        row[j] = (row[j] - q * row[k] + half) % order - half
-    moduli = [gcd(a[k][k], order) for k in range(n)]
-    if prod(moduli) != order:
-        raise ConstructionError("coset key does not match the order of the block group")
-    return [([v % e for v in row[n:]], e) for row, e in zip(a, moduli) if e > 1]
+def _coset_keys(rows, top: int) -> list[list[tuple[list[int], int]]]:
+    """For K = 0..top, a key of G_K = Z^{K+1} / B Z^{K+1}, B = rows[0..K][0..K]:
+    pairs (u, e), e > 1, as many as G_K's rank, with t, t' in one coset
+    exactly when u . (t - t') = 0 mod e for each.  From level K-1's key,
+    row operations on [A | U], A = [[diag(e), w], [0, L_K]], w_c = u_c .
+    rows[0..K-1][K] mod e_c, U's rows [u_c, 0] and [0, 1], and column
+    operations on A make A diagonal mod D = prod L_j (Cohen, GTM 138, 2.4.4),
+    so e_c = gcd(A[c][c], D).  Then moduli x, y (y later, x not dividing y)
+    become g = gcd(x, y) = s x + t y and l = lcm(x, y), keyed by s u_x + t u_y
+    and ((x - l t) u_y - (y + l s) u_x) / g: a divisor chain.  Raises
+    ConstructionError for an entry below the diagonal or prod e_c != D."""
+    keys, key, order, columns = [], [], 1, list(zip(*rows))
+    for level in range(top + 1):
+        order *= rows[level][level]
+        half, n = order // 2, len(key) + 1
+        w = [sum(map(mul, u, columns[level])) % e for u, e in key]
+        a = [[e * (c == j) for j in range(n - 1)] + [w[c], *u, 0] for c, (u, e) in enumerate(key)]
+        a.append([0] * (n - 1) + [rows[level][level]] + [0] * level + [1])
+        for k in range(n):
+            while any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 : n]):
+                if any(a[i][k] for i in range(k + 1, n)):
+                    p = min((i for i in range(k, n) if a[i][k]), key=lambda i: abs(a[i][k]))
+                    a[k], a[p] = a[p], a[k]
+                    for i in range(k + 1, n):
+                        if q := a[i][k] // a[k][k]:
+                            a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
+                else:
+                    p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
+                    for row in a[k:]:
+                        row[k], row[p] = row[p], row[k]
+                    qs = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // a[k][k])]
+                    for row in a[k:]:
+                        for j, q in qs:
+                            row[j] = (row[j] - q * row[k] + half) % order - half
+        moduli = [gcd(a[k][k], order) for k in range(n)]
+        if any(rows[level][:level]) or prod(moduli) != order:
+            raise ConstructionError("coset key does not match the order of the block group")
+        key = [([v % e for v in row[n:]], e) for row, e in zip(a, moduli) if e > 1]
+        for k in range(len(key)):
+            for i in range(k + 1, len(key)):
+                (u, x), (v, y) = key[k], key[i]
+                if y % x:
+                    (g, s, t), l = xgcd(x, y), lcm(x, y)
+                    key[k] = ([(s * p + t * q) % g for p, q in zip(u, v)], g)
+                    key[i] = ([((x - l * t) * q - (y + l * s) * p) // g % l for p, q in zip(u, v)], l)
+        keys.append(key := [(u, e) for u, e in key if e > 1])
+    return keys
 
 
 def _walker_sources(rows, step, scale, cuts) -> list[str]:
@@ -262,12 +277,12 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     _p{p}(budget, tally, times, R, t_a, ..., t_0) walks levels a..K+1
     below the state (R, t) at level a, its first level (the top phase has
     a = n-1 and no t), and at each descent into its cut K adds times to
-    tally[(R, w)] = [times, (R, t_K, ..., t_0)], w the key of t by
-    _coset_key(rows, K).  The state first seen with a key is stored, in one
-    entry under both (R, w) and (R, -w mod e): x -> -x maps the subtree of
-    (R, t) onto that of (R, -t), so the two count alike, and a later
-    descent of either sign finds the entry by one lookup.  The last phase
-    walks levels K..0 and adds 2 times to tally[norm] at each leaf.
+    tally[(R, w)] = [times, (R, t_K, ..., t_0)], w the key of t by the
+    level-K pairs of _coset_keys.  The state first seen with a key is
+    stored, in one entry under both (R, w) and (R, -w mod e): x -> -x maps
+    the subtree of (R, t) onto that of (R, -t), so the two count alike, and
+    a later descent of either sign finds the entry by one lookup.  The last
+    phase walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
     One per-level emitter writes every phase: a `for x_i in range(lo, hi +
     1)` loop per level with the table entries written in as literals.  A
@@ -302,7 +317,8 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
         params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
         out = [f"def _p{p}({', '.join(params)}, isqrt=isqrt):"]
         pad = "    "
-        table = [*rows, *([sum(x * r[j] for x, r in zip(u, rows)) % e for j in range(n)] for u, e in key)]
+        levels = range(last, first + 1)
+        table = [*rows, *({j: sum(x * r[j] for x, r in zip(u, rows)) % e for j in levels} for u, e in key)]
         for c, (u, e) in enumerate(key):
             expr = " + ".join(f"{u[k]} * {sums[k]}" for k in range(last) if u[k] and sums[k])
             sums.append(f"s{n + c}" if expr else None)
@@ -348,10 +364,9 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
         out += [f"{pad}if seen is None:", f"{pad}    tally[key] = tally[({neg},)] = [times, ({held})]"]
         return out + [f"{pad}else:", f"{pad}    seen[0] += times"]
 
-    sources = []
+    sources, keys = [], [*_coset_keys(rows, cuts[0]), []]  # [] for the last phase, cut -1
     for p, (first, cut) in enumerate(zip([n - 1, *cuts], [*cuts, -1])):
-        key = _coset_key(rows, cut) if cut >= 0 else []
-        out = phase(p, first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], key)
+        out = phase(p, first, cut + 1, [f"t{k}" if p and k <= first else None for k in range(n)], keys[cut])
         sources.append("\n".join(out) + "\n")
     return sources
 

@@ -55,6 +55,16 @@ def strip_elapsed(parsed):
     return trimmed
 
 
+def test_payloads_render_ints_as_strings_and_refuse_other_values():
+    # the one place payload numbers are rendered: ints, dict keys included,
+    # become decimal strings, bools and strs stay, and any other value is
+    # refused rather than passed to json
+    assert cli._stringify({1: [2, (True, "x")]}) == {"1": ["2", [True, "x"]]}
+    for bad, name in ((None, "NoneType"), (object(), "object"), ({1: {2: [None]}}, "NoneType")):
+        with pytest.raises(TypeError, match=f"^cannot serialize {name} in a payload$"):
+            cli._stringify(bad)
+
+
 # -- coeffs --------------------------------------------------------------------
 
 

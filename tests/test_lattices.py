@@ -10,9 +10,12 @@ compared with a Gram-Schmidt recomputed entry by entry.  The integral
 `lll` is compared with `oracle_lll`, the same deep-insertion loop over the
 rationals on a Gram-Schmidt of its own, and the fraction-free `ldl` with
 `oracle_ldl`, the rational routine it replaced; the output of
-`lll` is pinned by a digest.  The coset key, which row-reduces one
-augmented matrix, is compared with `oracle_coset_key`, which keeps its
-transform in a second matrix.
+`lll` is pinned by a digest.  The coset keys, built for every level in
+one pass, are checked by what they mean: constant on cosets, onto the sum
+of their cyclic groups, and with as many components as the group has
+rank, computed over F_p and never more than `oracle_coset_key` has, the
+block-by-block key with its transform in a second matrix.  The state and
+node pins of the walk are those of `oracle_fold_walk`.
 """
 
 import ast
@@ -480,6 +483,13 @@ def test_lll_sorts_weighted_diagonal():
     assert lll(tie).gram == tie == oracle_lll(tie).gram
 
 
+def test_lll_rejects_an_empty_gram_matrix():
+    empty = GramMatrix.from_rows([])
+    for reduce in (lll, lattices._lll, lambda g: short_vectors(g, 2)):
+        with pytest.raises(ValueError, match="^empty Gram matrix$"):
+            reduce(empty)
+
+
 def test_lll_rejects_non_positive_definite():
     # indefinite, a zero or negative diagonal, and singular positive
     # semidefinite forms, whose zero minor the integral route must not
@@ -810,7 +820,7 @@ def test_each_state_at_each_cut_matches_oracle_walk():
     # at every cut, every state walked alone through the phases below it
     # counts what the single-phase oracle counts below that node, and the
     # states weighted by their tallies add up to the whole count; on the
-    # oracle cases, E8 at norm 8 and Leech at norm 4 (two and five cuts),
+    # oracle cases, E8 at norm 8 and Leech at norm 4 (three and eight cuts),
     # and at norm 2, one cut of its own, on forms deep enough for
     # _cut_levels to add a cut every 20 levels: diagonal ones (Z^70 is cut
     # at 49, 42, 22 and 2), Leech + [[4]], Leech + E8, whose bottom phase
@@ -839,34 +849,49 @@ def test_each_state_at_each_cut_matches_oracle_walk():
         assert serial_walk(rows, step, scale, budget) == whole
 
 
+# the distinct states at each cut of the walk of reduced Leech and E8, by
+# max_norm, and the nodes of each phase of the Leech walk, as
+# oracle_fold_walk counts them; it runs at norm 6 too, in about twice the
+# time of norm 4, which test_pins_match_the_oracle_fold_walk leaves out
+STATES_PER_CUT = {
+    ("leech", 2): [266],
+    ("leech", 4): [77, 255, 508, 935, 1007, 676, 386, 157],
+    ("leech", 6): [116, 381, 796, 1519, 1657, 1164, 682, 285],
+    ("e8", 8): [5, 12, 13],
+}
+NODES_PER_PHASE = {
+    2: [3467, 6198],
+    4: [431, 1269, 3082, 5487, 7596, 5807, 3768, 1555, 2757],
+    6: [939, 2599, 6835, 13010, 18421, 15096, 10074, 4454, 14172],
+}
+
+
+def reduced_tables(name):
+    return tables(lll(leech_gram() if name == "leech" else e8_gram()).gram.entries)
+
+
 def test_state_counts_per_cut_are_pinned():
     # a key that is exact but not canonical, or not folded with its
     # negation, gives more states, and a cut moved by a level other ones;
-    # below norm 4 one cut at 3n // 5, from norm 4 up a cut every three
-    # levels from 3n // 4 down to n // 4, and a cut every 20 levels beyond
+    # below norm 4 one cut at 3n // 5, from norm 4 up a cut every two
+    # levels from 4n // 5 down to n // 5, and a cut every 20 levels beyond
     # them where a phase would be taller
-    pins = (
-        (leech_gram(), 2, [266]),
-        (leech_gram(), 4, [158, 508, 1030, 676, 262]),
-        (leech_gram(), 6, [236, 796, 1682, 1164, 470]),
-        (e8_gram(), 8, [5, 17]),
-    )
-    for g, max_norm, want in pins:
-        rows, step, scale = tables(lll(g).gram.entries)
+    for (name, max_norm), want in STATES_PER_CUT.items():
+        rows, step, scale = reduced_tables(name)
         assert [len(states) for states in states_per_cut(rows, step, scale, max_norm * scale)] == want
     schedules = {n: [lattices._cut_levels(n, m) for m in range(1, 9)] for n in (1, 2, 8, 24, 60)}
     assert schedules == {
         1: [(0,)] * 8,
         2: [(1,)] * 8,
-        8: [(4,)] * 3 + [(6, 3)] * 5,
-        24: [(14,)] * 3 + [(18, 15, 12, 9, 6)] * 5,
-        60: [(39, 36, 16)] * 3 + [(45, 42, 39, 36, 33, 30, 27, 24, 21, 18, 15)] * 5,
+        8: [(4,)] * 3 + [(6, 4, 2)] * 5,
+        24: [(14,)] * 3 + [(19, 17, 15, 13, 11, 9, 7, 5)] * 5,
+        60: [(39, 36, 16)] * 3 + [tuple(range(48, 11, -2))] * 5,
     }
 
 
 def old_cut_levels(n, max_norm):
     """The schedule before _cut_levels kept each phase to 20 levels."""
-    return (3 * n // 5,) if max_norm < 4 else tuple(range(3 * n // 4, n // 4 - 1, -3))
+    return (3 * n // 5,) if max_norm < 4 else tuple(range(4 * n // 5, n // 5 - 1, -2))
 
 
 def phase_heights(n, cuts):
@@ -879,7 +904,7 @@ def test_cut_levels_keep_each_phase_to_20_levels():
     # the cuts strictly decrease inside 0..n-1 (the top phase may be
     # empty), no phase is taller than the 20 nested loops CPython compiles
     # in one function, the old cuts all stay, and a schedule whose phases
-    # all fit is the old one: for n <= 33 below norm 4 and n <= 74 from 4 up
+    # all fit is the old one: for n <= 33 below norm 4 and n <= 94 from 4 up
     for n in range(1, 121):
         for max_norm in range(1, 9):
             cuts, old = lattices._cut_levels(n, max_norm), old_cut_levels(n, max_norm)
@@ -887,7 +912,7 @@ def test_cut_levels_keep_each_phase_to_20_levels():
             assert 0 <= top <= 20 and all(0 < h <= 20 for h in below), (n, max_norm)
             assert set(old) <= set(cuts)
             assert (cuts == old) == (max(phase_heights(n, old)) <= 20), (n, max_norm)
-            if n <= (33 if max_norm < 4 else 74):
+            if n <= (33 if max_norm < 4 else 94):
                 assert cuts == old
 
 
@@ -911,9 +936,9 @@ def test_deep_forms_walk_one_function_per_phase():
 
 
 def oracle_coset_key(rows, cut):
-    """The coset key of lattices._coset_key by the route it replaced: the
-    transform U kept in a matrix of its own, each row operation on the
-    block repeated on it, entries of U kept in [0, D)."""
+    """The coset key of one block, rows[0..cut][0..cut], by the route before
+    lattices._coset_keys: the transform U kept in a matrix of its own, each
+    row operation on the block repeated on it, entries of U kept in [0, D)."""
     n = cut + 1
     order = prod(rows[k][k] for k in range(n))
     half = order // 2
@@ -941,29 +966,90 @@ def oracle_coset_key(rows, cut):
     return [([v % e for v in row], e) for row, e in zip(u, moduli) if e > 1]
 
 
+def rank_mod(q, matrix):
+    """(rank, 1), the rank of an integer matrix over Z/q by a Gauss-Jordan
+    elimination whose pivots are all units mod q, which is then its rank
+    over F_p for every prime p dividing q; or (None, g) at the first pivot
+    that is not a unit, g its gcd with q, a proper divisor of q."""
+    m = [[x % q for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        if (g := gcd(m[pivot][c], q)) > 1:
+            return None, g
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, q)
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] * inv % q
+                m[r] = [(x - f * y) % q for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, 1
+
+
+def prime_ranks(factors, *matrices):
+    """The ranks of the matrices over F_p for every prime p dividing one of
+    the factors, without factoring them: a tuple of ranks for each divisor q
+    of a factor that rank_mod eliminates with unit pivots, as every prime
+    dividing q gives those ranks; a divisor whose pivot is not a unit splits
+    at it."""
+    todo, found = set(factors), []
+    while todo:
+        q = todo.pop()
+        if q > 1:
+            ranks = [rank_mod(q, m) for m in matrices]
+            g = max(g for _, g in ranks)
+            todo |= {g, q // g} if g > 1 else set()
+            found += [] if g > 1 else [tuple(r for r, _ in ranks)]
+    return found
+
+
+def block_group_rank(rows, level):
+    """The rank of Z^{K+1} / B Z^{K+1}, B = rows[0..K][0..K], K = level: the
+    largest dimension of its quotient by p, K + 1 less the rank of B over
+    F_p, for a prime p dividing its order prod L_j."""
+    block = [row[: level + 1] for row in rows[: level + 1]]
+    diagonal = [rows[k][k] for k in range(level + 1)]
+    return max((level + 1 - r for r, in prime_ranks(diagonal, block)), default=0)
+
+
 def test_coset_keys_are_exact_at_every_level():
-    # at every level K of these forms each column of the block rows[0..K][0..K]
-    # has key 0, so the key is constant on cosets, and the moduli multiply to
-    # prod L_j, the order of the group, so it also separates them: the tables
-    # of reduced Leech (norms 2, 4 and 6 cut at levels among these), E8, the
-    # 302 pinned forms raw and reduced, and Z^70; and each key is the oracle's
+    # at every level K of these forms: each pair (u, e) of the key has u . t
+    # = 0 mod e on every column t of the block rows[0..K][0..K], so the key
+    # is constant on cosets; the moduli multiply to prod L_j, the order of
+    # the block group; and the key maps onto the sum of the Z/e, as the
+    # images of the unit vectors and the e times unit vectors have rank m
+    # over F_p for every p, so its kernel is the block lattice and it
+    # parts t as the oracle's key does.  It has as many pairs as the group
+    # has rank, never more than the oracle's.  The forms: the tables of
+    # reduced Leech (norms 2, 4 and 6 cut at levels among these), E8, the
+    # 302 pinned forms raw and reduced, and Z^70
     forms = [lll(g).gram for g in (leech_gram(), e8_gram())] + [identity_gram(70)]
     forms += [h for g in pinned_forms() for h in (g, lll(g).gram)]
     for g in forms:
         rows = tables(g.entries)[0]
-        for cut in range(g.dim):
-            key = lattices._coset_key(rows, cut)
-            assert key == oracle_coset_key(rows, cut)
-            assert all(e > 1 and len(u) == cut + 1 for u, e in key)
-            assert prod(e for _, e in key) == prod(rows[k][k] for k in range(cut + 1))
-            for j in range(cut + 1):
+        for level, key in enumerate(lattices._coset_keys(rows, g.dim - 1)):
+            order = prod(rows[k][k] for k in range(level + 1))
+            assert all(e > 1 and len(u) == level + 1 for u, e in key)
+            for j in range(level + 1):
                 assert all(sum(u[k] * rows[k][j] for k in range(j + 1)) % e == 0 for u, e in key)
+            assert prod(e for _, e in key) == order
+            # row c: the c-th component of the image of each unit vector, then e_c at c
+            m = len(key)
+            onto = [[*u, *(e * (c == i) for i in range(m))] for c, (u, e) in enumerate(key)]
+            assert all(r == m for r, in prime_ranks([rows[k][k] for k in range(level + 1)], onto))
+            assert m == block_group_rank(rows, level) <= len(oracle_coset_key(rows, level)), (g.dim, level)
 
 
 def test_coset_key_components_are_pinned_on_leech():
+    # the rank of the block group at each cut of norm 4, from rank_mod
     rows = tables(lll(leech_gram()).gram.entries)[0]
     cuts = lattices._cut_levels(24, 4)
-    assert [len(lattices._coset_key(rows, cut)) for cut in cuts] == [13, 11, 8, 6, 6]
+    keys = lattices._coset_keys(rows, cuts[0])
+    assert [len(keys[cut]) for cut in cuts] == [13, 12, 11, 9, 7, 6, 6, 6]
+    assert [block_group_rank(rows, cut) for cut in cuts] == [13, 12, 11, 9, 7, 6, 6, 6]
 
 
 def test_coset_key_rejects_a_block_that_is_not_triangular():
@@ -973,7 +1059,7 @@ def test_coset_key_rejects_a_block_that_is_not_triangular():
         bad = [list(row) for row in rows]
         bad[cut][0] += 1
         with pytest.raises(ConstructionError, match="order of the block group"):
-            lattices._coset_key(bad, cut)
+            lattices._coset_keys(bad, cut)
 
 
 def counting_walker(real, nodes):
@@ -1001,19 +1087,63 @@ def test_nodes_per_phase_are_pinned(monkeypatch):
     # the nodes each phase visits, counted on every loop iteration: a new
     # label for the states at a cut moves none of them, and a key that
     # splits or merges cosets moves the phases below
-    pins = (
-        (2, [3467, 6198], {}),
-        (4, [1474, 5897, 14140, 14344, 7174, 5942], {4: 196560}),
-        (6, [3763, 15272, 40007, 43615, 23265, 36501], {4: 196560, 6: 16773120}),
-    )
-    rows, step, scale = tables(lll(leech_gram()).gram.entries)
+    pins = ((2, {}), (4, {4: 196560}), (6, {4: 196560, 6: 16773120}))
+    rows, step, scale = reduced_tables("leech")
     real = lattices._walker
-    for max_norm, want, counts in pins:
+    for max_norm, counts in pins:
+        want = NODES_PER_PHASE[max_norm]
         nodes = [0] * len(want)
         monkeypatch.setattr(lattices, "_walker", counting_walker(real, nodes))
         budget = max_norm * scale
         assert serial_walk(rows, step, scale, budget) == counts
         assert nodes == want
+
+
+def oracle_fold_walk(rows, step, scale, budget, cuts):
+    """The counts of distinct states at each cut and of nodes in each
+    phase, by a plain recursive walk: it folds the nodes that reach a cut by
+    the budget they leave and the class of their partial sums, or of the
+    negated sums, whichever oracle_canon orders first, walks on from the
+    first node of each fold, and counts each coordinate it tries as a node."""
+    n = len(rows)
+    states, per_cut, per_phase = [(budget, [0] * n)], [], []
+    for first, last in zip([n - 1, *cuts], [cut + 1 for cut in cuts] + [0]):
+        folds, nodes = {}, 0
+
+        def descend(i, rest, t):
+            nonlocal nodes
+            ymax, c, l = isqrt(rest // step[i]), t[i], rows[i][i]
+            low = -((ymax + c) // l)
+            for x in range(max(low, 0) if rest == budget else low, (ymax - c) // l + 1):
+                nodes += 1
+                below = rest - step[i] * (c + l * x) ** 2
+                sums = [v + rows[k][i] * x if k < i else v for k, v in enumerate(t)]
+                if i and i == last:
+                    tail = sums[i - 1 :: -1]
+                    canon = min(oracle_canon(rows, tail), oracle_canon(rows, [-v for v in tail]))
+                    folds.setdefault((below, canon) if below < budget else (below,), (below, sums))
+                elif i:
+                    descend(i - 1, below, sums)
+
+        for rest, t in states:
+            descend(first, rest, t)
+        per_phase.append(nodes)
+        if last:
+            per_cut.append(len(folds))
+            states = list(folds.values())
+    return per_cut, per_phase
+
+
+def test_pins_match_the_oracle_fold_walk():
+    # the state and node pins at norms 2 and 4, and E8's, re-derived by a
+    # walk that shares no code with the generated walker or its keys
+    for (name, max_norm), want in STATES_PER_CUT.items():
+        if max_norm < 6:
+            rows, step, scale = reduced_tables(name)
+            cuts = lattices._cut_levels(len(rows), max_norm)
+            states, nodes = oracle_fold_walk(rows, step, scale, max_norm * scale, cuts)
+            assert states == want
+            assert name == "e8" or nodes == NODES_PER_PHASE[max_norm]
 
 
 @lru_cache(maxsize=None)
@@ -1044,9 +1174,9 @@ def oracle_canon(rows, t):
 
 
 def coset_key(rows, t):
-    """The key of the partial sums t = (t_K, ..., t_0) by _coset_key(rows,
-    K): u . t mod e for each of its pairs (u, e)."""
-    pairs = lattices._coset_key(rows, len(t) - 1)
+    """The key of the partial sums t = (t_K, ..., t_0) by the level-K key of
+    _coset_keys: u . t mod e for each of its pairs (u, e)."""
+    pairs = lattices._coset_keys(rows, len(t) - 1)[-1]
     return tuple(sum(x * v for x, v in zip(u, t[::-1])) % e for u, e in pairs)
 
 
@@ -1062,7 +1192,7 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     rows, step, scale, budget, keys = invariance_states(name)
     cuts = lattices._cut_levels(len(rows), budget // scale)
     p = data.draw(st.sampled_from([p for p, found in enumerate(keys) if found]))
-    cut, moduli = cuts[p], [e for _, e in lattices._coset_key(rows, cuts[p])]
+    cut, moduli = cuts[p], [e for _, e in lattices._coset_keys(rows, cuts[p])[-1]]
     rest, *t = data.draw(st.sampled_from(keys[p]))
     z = data.draw(st.lists(st.integers(-3, 3), min_size=cut + 1, max_size=cut + 1))
     # t holds t_k for k = cut down to 0; moved is t + M z
@@ -1129,7 +1259,7 @@ def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
     # is off the scale
     rows, step, scale, budget = large_scale_tables()
     cuts = lattices._cut_levels(len(rows), budget // scale)
-    assert cuts == (19, 16, 13, 10, 7)
+    assert cuts == (20, 18, 16, 14, 12, 10, 8, 6)
     for level in (len(step) - 1, *cuts, 0):
         wrong = list(step)
         wrong[level] += 1

@@ -419,6 +419,14 @@ def test_hnf_random_square():
         assert_inverse_transpose(m)
 
 
+def test_hnf_and_ldl_refuse_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        hermite_normal_form([[1, 2], [3]])
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1], [2]]):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            ldl(rows)
+
+
 def test_hnf_rectangular_and_rank_deficient():
     m = [[2, 4, 6], [1, 2, 3], [0, 0, 5]]
     h, u = hermite_normal_form(m)

@@ -2,10 +2,12 @@
 
 import decimal
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 
-from qleech.cli import main
+from qleech.cli import ORDER_MAX, main
 from qleech.modforms import (
     SERIES,
     delta,
@@ -208,6 +210,77 @@ def test_tau_against_naive_euler_route():
     naive = oracle_delta(26)
     for m in (6, 12, 24):
         assert tau(m) == naive.coeff(m)
+
+
+@lru_cache(maxsize=1)
+def tau_to_order_max():
+    """[0, tau(1), ..., tau(20000)]: one past what `qleech coeffs delta`
+    prints at its largest order, --order 20000 with --unsafe-order."""
+    d = delta(ORDER_MAX + 1)
+    return tuple(d.coeff(n) for n in range(ORDER_MAX + 1))
+
+
+def hecke_failures(tau):
+    """The n >= 2 at which tau, with tau[n] = tau(n), breaks a relation of
+    Mordell's (Proc. Cambridge Philos. Soc. 19, 1917): tau(p^k q) = tau(p^k)
+    tau(q) for p the least prime factor of n, p^k || n and q > 1, and
+    tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)).  A prime n enters
+    only the relations of its multiples."""
+    spf = list(range(len(tau)))  # the least prime factor, by a sieve
+    for p in range(2, isqrt(len(tau) - 1) + 1):
+        if spf[p] == p:
+            for m in range(p * p, len(tau), p):
+                spf[m] = min(spf[m], p)
+    failures = []
+    for n in range(2, len(tau)):
+        p = power = spf[n]
+        while n % (power * p) == 0:
+            power *= p
+        if power < n:
+            want = tau[power] * tau[n // power]
+        elif power > p:
+            want = tau[p] * tau[n // p] - p**11 * tau[n // p**2]
+        else:
+            continue
+        if tau[n] != want:
+            failures.append(n)
+    return failures
+
+
+def ramanujan_failures(tau):
+    """The n >= 1 at which tau(n) = sigma_11(n) mod 691 fails (Ramanujan,
+    Trans. Cambridge Philos. Soc. 22, 1916), sigma_11 mod 691 summed over
+    the multiples of each divisor."""
+    sigma11 = [0] * len(tau)
+    for d in range(1, len(tau)):
+        power = pow(d, 11, 691)
+        for m in range(d, len(tau), d):
+            sigma11[m] += power
+    return [n for n in range(1, len(tau)) if (tau[n] - sigma11[n]) % 691]
+
+
+def test_delta_meets_heckes_relations_and_ramanujans_congruence_at_order_max():
+    tau = tau_to_order_max()
+    assert len(tau) == 20001
+    assert hecke_failures(tau) == []
+    assert ramanujan_failures(tau) == []
+
+
+def test_heckes_relations_catch_a_change_the_congruence_misses():
+    # 691 more on tau(210) keeps the congruence; 210 = 2 105 breaks
+    # multiplicativity, and no other n has tau(210) in its relation
+    tau = list(tau_to_order_max())
+    tau[210] += 691
+    assert hecke_failures(tau) == [210]
+    assert ramanujan_failures(tau) == []
+
+
+def test_ramanujans_congruence_catches_a_change_the_relations_miss():
+    # 19997 is a prime with no multiple up to 20000 but itself
+    tau = list(tau_to_order_max())
+    tau[19997] += 1
+    assert ramanujan_failures(tau) == [19997]
+    assert hecke_failures(tau) == []
 
 
 def test_j_first_coefficients():

@@ -427,6 +427,21 @@ def test_mul_by_zero_series():
     assert p.order == 3 + b.valuation
 
 
+def test_constructor_refuses_a_window_that_breaks_an_invariant():
+    with pytest.raises(ValueError, match="^coefficient window does not match order - valuation$"):
+        LaurentSeries(0, 3, (1, 2))
+    with pytest.raises(ValueError, match="^valuation is not tight$"):
+        LaurentSeries(0, 2, (0, 1))
+
+
+def test_add_and_mul_leave_a_non_series_to_the_other_operand():
+    a = LaurentSeries.one(3)
+    assert a.__add__(1) is NotImplemented and a.__mul__(1) is NotImplemented
+    for op, apply in (("+", lambda: a + 1), ("*", lambda: a * 1)):
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for \{op}: 'LaurentSeries' and 'int'$"):
+            apply()
+
+
 def test_pow_square():
     a = LaurentSeries.from_coeffs(0, [1, -1, 0])
     sq = a**2
@@ -436,6 +451,12 @@ def test_pow_square():
 def test_pow_zero_is_one():
     a = LaurentSeries.from_coeffs(2, [5, 1, 1])
     assert a**0 == LaurentSeries.one(a.order - a.valuation)
+
+
+def test_zero_to_the_zero_is_one():
+    # the empty product, known to the zero series' order, and to q^1 at least
+    for order, want in ((3, 3), (0, 1), (-2, 1)):
+        assert LaurentSeries.zero(order) ** 0 == LaurentSeries.one(want)
 
 
 def test_pow_follows_the_integer_rule():

@@ -126,10 +126,10 @@ def test_walker_source_depends_only_on_its_tables():
 # sha256 of the walker source, its phases joined in order; Leech's norms 4
 # and 6 share one schedule of cuts, and so one source
 WALKER_DIGESTS = {
-    ("leech", 2): "d4342b3c50b9b7b1806011cc72667cfe29f3eb3679cd0670056afa1f84d6ef81",
-    ("leech", 4): "1f1a1e4858c7d660686bb50582ac7340908cdd76cb60ba810f57edb319236699",
-    ("leech", 6): "1f1a1e4858c7d660686bb50582ac7340908cdd76cb60ba810f57edb319236699",
-    ("e8", 8): "0d3f6692b8ec2915c61162507aa6abea163142a9e70e8f89c692dcdb483d4000",
+    ("leech", 2): "7bac904b9f13292c9b592ae12cced191b96a6d5f0cf37b20b7766c1e7cd899e6",
+    ("leech", 4): "f61b0809a85cefa5fa0241973c2108caeb298084bd662cdac5fed793870741f0",
+    ("leech", 6): "f61b0809a85cefa5fa0241973c2108caeb298084bd662cdac5fed793870741f0",
+    ("e8", 8): "10e5b856199088b1577173ef0222343528504aaeaf176c300ff95a0d5d007c18",
 }
 
 

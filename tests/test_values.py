@@ -133,3 +133,13 @@ def test_no_sequence_or_ordering_behaviour(kind):
     ):
         with pytest.raises(TypeError):
             op(value)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_wrong_number_of_values_is_refused(kind):
+    # the base counts the values against the slots before it sets any
+    value, fields = sample(kind)
+    name, size = type(value).__name__, len(fields)
+    for wrong in (fields[:-1], (*fields, None)):
+        with pytest.raises(TypeError, match=rf"^{name} takes {size} values$"):
+            type(value)(*wrong)

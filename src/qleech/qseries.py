@@ -223,8 +223,9 @@ def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     w = len(str(2 n max|a| max|b|)) + 1; w is counted on a Decimal and
     checked against sys.get_int_max_str_digits() before any str() call.
 
-    A bias of 10^w / 2 makes each slot a nonnegative w-digit string, and the
-    packed biases are subtracted before and added back after the multiply,
+    A bias of 10^w / 2, or 0 when no coefficient of either window is negative
+    and so none of the product, makes each slot a nonnegative w-digit string;
+    the packed biases are subtracted before and added back after the multiply,
     which turns the first n signed, borrowing slots into digits again.  When
     the whole total is negative, str() shows its magnitude rather than its
     residue mod 10^(w n), so 10^K for K past both is added first.
@@ -239,7 +240,7 @@ def _product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     limit = _str_digit_limit()
     if limit and width > limit:
         raise SlotWidthError(f"product slots need {width} digits, past the str limit {limit}")
-    bias = 10**width // 2
+    bias = 10**width // 2 if min(a) < 0 or min(b) < 0 else 0
     biases = _EXACT.create_decimal(str(bias) * n)
 
     def pack(c: tuple[int, ...]) -> decimal.Decimal:

@@ -198,9 +198,10 @@ def test_library_value_error_is_internal_failure(monkeypatch, capsys):
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str limit")
 def test_slot_width_error_is_internal_failure(monkeypatch, capsys):
     # 640-digit coefficients need product slots past a 640-digit str limit
-    monkeypatch.setattr(
-        cli.modforms, "eisenstein_e4", lambda order: LaurentSeries.from_coeffs(0, [10**639] * order)
-    )
+    def sieve(order, *rule):
+        return LaurentSeries.from_coeffs(0, [10**639] * order)
+
+    monkeypatch.setattr(cli.modforms, "_eisenstein", sieve)
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)

@@ -7,18 +7,20 @@ from math import isqrt
 
 import pytest
 
+from qleech import modforms
 from qleech.cli import ORDER_MAX, main
 from qleech.modforms import (
     SERIES,
+    DivisibilityError,
     delta,
     eisenstein_e4,
-    eisenstein_e8,
     j_coeff,
     j_invariant,
     sigma,
 )
 from qleech.qseries import (
     LaurentSeries,
+    _order,
     euler_product,
     euler_product_cubed,
     euler_product_pentagonal,
@@ -28,6 +30,18 @@ from test_qseries import oracle_mul
 
 def sigma3_by_enumeration(n):
     return sum(d**3 for d in range(1, n + 1) if n % d == 0)
+
+
+def eisenstein_e8(order):
+    """E8 = 1 + 480 sum_{n>=1} sigma_7(n) q^n modulo q^order, each d < order
+    adding 480 d^7 to its multiples, under the library's order rule; the
+    oracle for E4^2 and for the route j took through E4 * E8."""
+    order = _order(order, 1)
+    coeffs = [1] + [0] * (order - 1)
+    for d in range(1, order):
+        for n in range(d, order, d):
+            coeffs[n] += 480 * d**7
+    return LaurentSeries.from_coeffs(0, coeffs)
 
 
 def oracle_pow(a, k):
@@ -301,6 +315,30 @@ def test_j_against_pentagonal_power():
     work = 2001
     e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
     assert j_invariant(2000) == (e4e8 * euler_product_pentagonal(work) ** -24).shift(-1)
+
+
+@pytest.mark.parametrize("order", [*range(7), 2000])
+def test_j_against_e4_e8_route(order):
+    # the route j_invariant took before 691 j = 691 E12 q^-1 J^-8 + 432000:
+    # E4 * E8 * J^-8, one product more and no division
+    work = order + 1
+    e4e8 = eisenstein_e4(work) * eisenstein_e8(work)
+    assert j_invariant(order) == (e4e8 * euler_product_cubed(work) ** -8).shift(-1)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 300])
+def test_691_check_catches_one_wrong_coefficient(monkeypatch, index):
+    # 1 more on one coefficient of the product j divides by 691: q^-1, the
+    # q^0 that takes 432000, q^1, and one far inside the window
+    def corrupt(a, b):
+        c = list(product(a, b))
+        c[index] += 1
+        return tuple(c)
+
+    product = modforms._product
+    monkeypatch.setattr(modforms, "_product", corrupt)
+    with pytest.raises(DivisibilityError, match="691"):
+        j_invariant(301)
 
 
 # Lehner's congruences (Amer. J. Math. 71, 1949): when p^a exactly divides

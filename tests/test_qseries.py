@@ -606,6 +606,32 @@ def test_square_matches_schoolbook_oracle(a):
     assert_square(a)
 
 
+def nonnegative(s):
+    """s with every coefficient replaced by its absolute value."""
+    return LaurentSeries.from_coeffs(s.valuation, [abs(c) for c in s.coeffs])
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_series_st().map(nonnegative), wide_series_st().map(nonnegative))
+def test_mul_of_nonnegative_windows_matches_schoolbook_oracle(a, b):
+    # no factor has a negative coefficient, so the kernel packs both
+    # windows, zero runs and wide values among them, with no bias; a * a
+    # takes the square path
+    assert a * b == oracle_mul(a, b)
+    assert_square(a)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_one_negative_coefficient_takes_the_bias_path(side):
+    # one negative value, in the last slot of either window, makes the
+    # product's last coefficient negative: only biased slots can hold it
+    windows = [[1, 2**100, 0, 10**30 - 1] * 5, [1, 0, 7, 2**64 - 1] * 5]
+    windows[side][-1] = -(10**60)
+    a, b = (LaurentSeries.from_coeffs(0, w) for w in windows)
+    assert a * b == oracle_mul(a, b)
+    assert (a * b).coeffs[-1] < 0 <= min((a * b).coeffs[:-1])
+
+
 @given(series_st(), series_st())
 def test_mul_commutes(a, b):
     assert a * b == b * a

@@ -241,14 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs(p):
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help=f"accepted for compatibility, 1 to {MAX_JOBS}; the walk runs in one process",
-        )
-
     p = sub.add_parser("coeffs", help="expand a named q-series")
     p.add_argument("--series", required=True, choices=tuple(modforms.SERIES))
     p.add_argument("--order", required=True, type=int, help="truncation order")
@@ -279,11 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(2, 4, 6),
         help="norm bound for the kissing check",
     )
-    add_jobs(p)
 
     p = sub.add_parser("e8", help="compare E8 vector counts with 240 sigma_3(n)")
     p.add_argument("--max-norm", type=int, default=4, help="even norm bound, at most 8")
-    add_jobs(p)
+
+    for name in ("leech", "e8"):
+        sub.choices[name].add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help=f"accepted for compatibility, 1 to {MAX_JOBS}; the walk runs in one process",
+        )
 
     # last, so that it ends every subcommand's options
     for p in sub.choices.values():

@@ -29,7 +29,6 @@ first two coefficients rather than hardcoded.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -285,25 +284,25 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     phase walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
     One per-level emitter writes every phase: a `for x_i in range(lo, hi +
-    1)` loop per level with the table entries written in as literals.  A
-    node computes only its child's centre and range and skips an empty
-    range; a descent also brings up to date, in plain locals, the partial
-    sums of the phase's lower rows (Schnorr-Euchner) and of the key.
+    1)` loop per level with the table entries written in as literals.
+    Every node has one shape: y, the budget left below it, the partial sums
+    of the phase's lower rows (Schnorr-Euchner) and of the key brought up to
+    date in plain locals, then its child's range, which is empty at a dead
+    end, so the child's loop runs zero times.
     _cut_levels keeps a phase to 20 levels, the most nested loops CPython
     compiles in one function, so no phase calls another.
     """
     n = len(rows)
 
-    def child(pad, i, remaining, centre, skip):
-        # the range of x_i, skipping an empty one when in a loop; every step
-        # is positive, so the coordinates above are all zero exactly when
-        # none of the budget is used: the +-v rule
+    def child(pad, i, remaining, centre):
+        # the range of x_i, empty at a dead end; every step is positive, so
+        # the coordinates above are all zero exactly when none of the budget
+        # is used: the +-v rule
         low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
         return [
             f"{pad}m = isqrt({remaining} // {step[i]})",
             f"{pad}lo = -(({low}) // {rows[i][i]})",
             f"{pad}hi = ({high}) // {rows[i][i]}",
-            *([f"{pad}if lo > hi:", f"{pad}    continue"] if skip else []),
             f"{pad}if {remaining} == budget and lo < 0:",
             f"{pad}    lo = 0",
         ]
@@ -324,7 +323,7 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
             sums.append(f"s{n + c}" if expr else None)
             out += [f"{pad}s{n + c} = ({expr}) % {e}"] * bool(expr)
         if first >= last:
-            out += child(pad, first, remaining, sums[first], False)
+            out += child(pad, first, remaining, sums[first])
         for i in range(first, last - 1, -1):
             out.append(f"{pad}for x{i} in range(lo, hi + 1):")
             pad += "    "
@@ -342,17 +341,12 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
                 return out
             remaining = f"R{i - 1}"
             out.append(f"{pad}{remaining} = {rest}")
-            if i > last:
-                centre = _plus(sums[i - 1], rows[i - 1][i], f"x{i}")
-                if centre is not None and not centre.isidentifier():
-                    out.append(f"{pad}c{i - 1} = {centre}")
-                    centre = f"c{i - 1}"
-                sums[i - 1] = centre
-                out += child(pad, i - 1, remaining, centre, True)
-            for k in [*range(last, i - 1), *range(n, len(sums))]:
+            for k in [*range(last, i), *range(n, len(sums))]:
                 if table[k][i]:
                     out.append(f"{pad}s{k}_{i} = {_plus(sums[k], table[k][i], f'x{i}')}")
                     sums[k] = f"s{k}_{i}"
+            if i > last:
+                out += child(pad, i - 1, remaining, sums[i - 1])
         # the key, and on its first sighting the state: input t_k plus the walked levels
         state = sums[:last]
         for j in range(first, last - 1, -1):
@@ -371,10 +365,9 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     return sources
 
 
-@lru_cache(maxsize=1)
 def _walker(rows, step, scale, cuts):
-    """The phases _p{p} of the walker for these tables (as tuples, the
-    cache key) and cut levels, compiled once per process.  Each phase
+    """The phases _p{p} of the walker for these tables and cut levels,
+    compiled afresh for each walk: every CLI command walks once.  Each phase
     compiles on its own, so the compiler never holds the whole walker at
     once."""
     namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
@@ -392,7 +385,7 @@ def _walk_states(rows, step, scale, budget, phases, states):
     found stands for its +-v pair.  Returns the states (R, t_K, ..., t_0)
     of the distinct entries in walk order, or the counts by norm."""
     cuts = _cut_levels(len(rows), budget // scale)
-    walker = _walker(tuple(map(tuple, rows)), tuple(step), scale, cuts)
+    walker = _walker(rows, step, scale, cuts)
     for phase in walker[phases]:
         tally: dict = {}
         for state, times in states:
@@ -429,7 +422,6 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
 
 # -- reference lattices and theta checks --------------------------------------
 
-@lru_cache(maxsize=1)
 def e8_gram() -> GramMatrix:
     """Gram matrix of E8: the Cartan matrix of its Dynkin diagram (Bourbaki's
     nodes 0..7, the chain 0-2-3-4-5-6-7 with node 1 joined to node 3), checked

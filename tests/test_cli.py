@@ -494,6 +494,27 @@ def test_e8_rejects_out_of_contract_norms(capsys):
         assert err
 
 
+def test_each_walking_command_builds_one_walker(monkeypatch, capsys):
+    # every command that walks generates the walker's source once, so a
+    # cache of the compiled walker would serve no CLI process
+    built = []
+    real = lattices._walker_sources
+
+    def sources(*tables):
+        built.append(tables)
+        return real(*tables)
+
+    monkeypatch.setattr(lattices, "_walker_sources", sources)
+    commands = [["leech", "min"]]
+    commands += [["leech", "kissing", "--max-norm", m] for m in ("2", "4", "6")]
+    commands += [["e8", "--max-norm", m] for m in ("2", "4", "6", "8")]
+    for argv in commands:
+        built.clear()
+        code, parsed = run_json(capsys, argv)
+        assert (code, parsed["ok"]) == (0, True), argv
+        assert len(built) == 1, argv
+
+
 # -- envelope details ----------------------------------------------------------
 
 

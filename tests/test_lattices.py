@@ -774,6 +774,22 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
         assert lll(g) == lattices.ReducedBasis(GramMatrix.from_rows(rows), tuple(map(tuple, u)))
 
 
+@pytest.fixture
+def walker_per_form(monkeypatch):
+    """lattices._walker compiled once per form and cut schedule, for the
+    tests that walk one form many times, slice by slice or state by state:
+    every walk runs the same generated code, compiled once."""
+    compiled, real = {}, lattices._walker
+
+    def walker(rows, step, scale, cuts):
+        key = (tuple(map(tuple, rows)), tuple(step), scale, cuts)
+        if key not in compiled:
+            compiled[key] = real(rows, step, scale, cuts)
+        return compiled[key]
+
+    monkeypatch.setattr(lattices, "_walker", walker)
+
+
 def walk(rows, step, scale, budget, phases, states):
     """The phases in that slice of the walk, from (state, times) pairs."""
     return lattices._walk_states(rows, step, scale, budget, phases, states)
@@ -793,7 +809,7 @@ def serial_walk(rows, step, scale, budget):
     return walk(rows, step, scale, budget, slice(None), [((budget,), 1)])
 
 
-def test_dealt_counts_match_oracle_walk_on_pinned_forms():
+def test_dealt_counts_match_oracle_walk_on_pinned_forms(walker_per_form):
     # raw and reduced tables of the 302 forms at three norms each: the walk
     # of every phase counts what the single-phase oracle counts, and so
     # does short_vectors for each accepted jobs 1..4.  Leech runs reduced
@@ -816,7 +832,7 @@ def test_dealt_counts_match_oracle_walk_on_pinned_forms():
             assert short_vectors(g, max_norm, jobs=jobs).counts == want
 
 
-def test_each_state_at_each_cut_matches_oracle_walk():
+def test_each_state_at_each_cut_matches_oracle_walk(walker_per_form):
     # at every cut, every state walked alone through the phases below it
     # counts what the single-phase oracle counts below that node, and the
     # states weighted by their tallies add up to the whole count; on the
@@ -1294,7 +1310,6 @@ def test_short_vectors_builds_the_walker_once(monkeypatch):
 
     walker_sources = lattices._walker_sources
     monkeypatch.setattr(lattices, "_walker_sources", sources)
-    lattices._walker.cache_clear()
     assert short_vectors(e8_gram(), 4, jobs=3).counts == {1: 0, 2: 240, 3: 0, 4: 2160}
     assert len(built) == 1
 

@@ -629,15 +629,12 @@ def test_certificate_refuses_each_failure():
 
 
 def test_each_certificate_is_one_ldl_call(monkeypatch):
-    # fresh, cold caches stand in for the four cached builders, and
-    # monkeypatch puts the warm ones back afterwards
-    for module, name in (
-        (lorentz, "lattice_basis"),
-        (lorentz, "quotient_representatives"),
-        (lorentz, "leech_gram"),
-        (lattices, "e8_gram"),
-    ):
-        monkeypatch.setattr(module, name, lru_cache(maxsize=1)(getattr(module, name).__wrapped__))
+    # fresh, cold caches stand in for the three cached builders, and
+    # monkeypatch puts the warm ones back afterwards; e8_gram builds afresh
+    # on every call, so the references are built before the spy counts
+    want = (lattice_basis()[1].entries, leech_gram(), e8_gram())
+    for name in ("lattice_basis", "quotient_representatives", "leech_gram"):
+        monkeypatch.setattr(lorentz, name, lru_cache(maxsize=1)(getattr(lorentz, name).__wrapped__))
     sizes = []
     real = lorentz.ldl
 
@@ -646,11 +643,11 @@ def test_each_certificate_is_one_ldl_call(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(lorentz, "ldl", spy)
-    assert lorentz.lattice_basis()[1].entries == lattice_basis()[1].entries
+    assert lorentz.lattice_basis()[1].entries == want[0]
     assert sizes == [26]
-    assert lorentz.leech_gram() == leech_gram()
+    assert lorentz.leech_gram() == want[1]
     assert sizes == [26, 24]
-    assert lattices.e8_gram() == e8_gram()
+    assert lattices.e8_gram() == want[2]
     assert sizes == [26, 24, 8]
 
 

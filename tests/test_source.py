@@ -126,10 +126,10 @@ def test_walker_source_depends_only_on_its_tables():
 # sha256 of the walker source, its phases joined in order; Leech's norms 4
 # and 6 share one schedule of cuts, and so one source
 WALKER_DIGESTS = {
-    ("leech", 2): "7bac904b9f13292c9b592ae12cced191b96a6d5f0cf37b20b7766c1e7cd899e6",
-    ("leech", 4): "f61b0809a85cefa5fa0241973c2108caeb298084bd662cdac5fed793870741f0",
-    ("leech", 6): "f61b0809a85cefa5fa0241973c2108caeb298084bd662cdac5fed793870741f0",
-    ("e8", 8): "10e5b856199088b1577173ef0222343528504aaeaf176c300ff95a0d5d007c18",
+    ("leech", 2): "567375ef7e8c1fa598aa3ac89075eba28fda691742170a339d52c11db033d748",
+    ("leech", 4): "a65521123f75189b01ecfb3c413e48dafd20e71daa138b2ba4efe6628d3002a0",
+    ("leech", 6): "a65521123f75189b01ecfb3c413e48dafd20e71daa138b2ba4efe6628d3002a0",
+    ("e8", 8): "6012e19bf96d88ecbdd698d7e28bf8e3079c6d0b5d3e476f0e5fd0b36013c0d4",
 }
 
 
@@ -141,6 +141,21 @@ def test_walker_source_is_pinned():
         sources = lattices._walker_sources(*tables, cuts)
         assert len(sources) == len(cuts) + 1
         assert hashlib.sha256("".join(sources).encode()).hexdigest() == digest, (name, max_norm)
+
+
+def test_walker_nodes_have_one_shape():
+    # every node refreshes its partial sums into s<k>_<i> locals and then
+    # computes its child's range, which is empty at a dead end: no phase
+    # skips a node with `continue` or keeps a centre in a c<i> local
+    grams = {"leech": leech_gram(), "e8": lattices.e8_gram()}
+    for name, max_norm in (("leech", 2), ("leech", 4), ("leech", 6), ("e8", 8)):
+        tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
+        cuts = lattices._cut_levels(grams[name].dim, max_norm)
+        for p, source in enumerate(lattices._walker_sources(*tables, cuts)):
+            nodes = list(ast.walk(ast.parse(source)))
+            assert not any(isinstance(node, ast.Continue) for node in nodes), (name, max_norm, p)
+            names = {node.id for node in nodes if isinstance(node, ast.Name)}
+            assert not any(re.fullmatch(r"c\d+", v) for v in names), (name, max_norm, p)
 
 
 REPO = Path(__file__).resolve().parents[1]

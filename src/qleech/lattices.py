@@ -376,26 +376,22 @@ def _walker(rows, step, scale, cuts):
     return [namespace[f"_p{p}"] for p in range(len(cuts) + 1)]
 
 
-def _walk_states(rows, step, scale, budget, phases, states):
-    """Run the phases in a slice of the walk from a list of (state, times).
-    Each phase walks each state once into one tally, weighted by its times.
-    A tally holds each entry under a key and its negation, which count
-    alike while R < budget; the zero-prefix state R == budget has t = 0,
-    its own negation, and keeps the +-v clamp, under which each vector
-    found stands for its +-v pair.  Returns the states (R, t_K, ..., t_0)
-    of the distinct entries in walk order, or the counts by norm."""
-    cuts = _cut_levels(len(rows), budget // scale)
-    walker = _walker(rows, step, scale, cuts)
-    for phase in walker[phases]:
-        tally: dict = {}
-        for state, times in states:
-            phase(budget, tally, times, *state)
-        if phase is walker[-1]:
-            return tally
+def _walk(phases, budget, tally):
+    """Run the compiled phases in turn from tally and return the last
+    phase's tally: the counts by norm when the phases end the walk.  A tally
+    maps keys to entries [times, state]; each phase walks each distinct
+    entry once into a fresh tally, weighted by its times.  A tally holds
+    each entry under a key and its negation, which count alike while R <
+    budget; the zero-prefix state R == budget has t = 0, its own negation,
+    and keeps the +-v clamp, under which each vector found stands for its
+    +-v pair."""
+    for phase in phases:
         # each entry sits under its key and that key's negation, maybe the same
         entries = {id(entry): entry for entry in tally.values()}
-        states = [(state, times) for times, state in entries.values()]
-    return states
+        tally = {}
+        for times, state in entries.values():
+            phase(budget, tally, times, *state)
+    return tally
 
 
 def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVectorCount:
@@ -415,9 +411,9 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     rows, step, scale = _fincke_pohst_tables(*_lll(gram)[:2])
     budget = max_norm * scale
-    found = _walk_states(rows, step, scale, budget, slice(None), [((budget,), 1)])
-    counts = {m: found.get(m, 0) for m in range(1, max_norm + 1)}
-    return ShortVectorCount(max_norm, counts)
+    phases = _walker(rows, step, scale, _cut_levels(len(rows), max_norm))
+    found = _walk(phases, budget, {(budget,): [1, (budget,)]})
+    return ShortVectorCount(max_norm, {m: found.get(m, 0) for m in range(1, max_norm + 1)})
 
 
 # -- reference lattices and theta checks --------------------------------------

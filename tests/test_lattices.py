@@ -774,47 +774,63 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
         assert lll(g) == lattices.ReducedBasis(GramMatrix.from_rows(rows), tuple(map(tuple, u)))
 
 
-@pytest.fixture
-def walker_per_form(monkeypatch):
-    """lattices._walker compiled once per form and cut schedule, for the
-    tests that walk one form many times, slice by slice or state by state:
-    every walk runs the same generated code, compiled once."""
-    compiled, real = {}, lattices._walker
-
-    def walker(rows, step, scale, cuts):
-        key = (tuple(map(tuple, rows)), tuple(step), scale, cuts)
-        if key not in compiled:
-            compiled[key] = real(rows, step, scale, cuts)
-        return compiled[key]
-
-    monkeypatch.setattr(lattices, "_walker", walker)
+def phases_for(rows, step, scale, budget):
+    """The phases of the walker for these tables up to budget, compiled once."""
+    return lattices._walker(rows, step, scale, lattices._cut_levels(len(rows), budget // scale))
 
 
-def walk(rows, step, scale, budget, phases, states):
-    """The phases in that slice of the walk, from (state, times) pairs."""
-    return lattices._walk_states(rows, step, scale, budget, phases, states)
+def walk(phases, budget, states):
+    """The tally that _walk leaves after the phases, from (state, times) pairs."""
+    return lattices._walk(phases, budget, {k: [times, state] for k, (state, times) in enumerate(states)})
 
 
-def states_per_cut(rows, step, scale, budget):
-    """The folded states at each cut, from the top phase down."""
-    found, states = [], [((budget,), 1)]
-    for p in range(len(lattices._cut_levels(len(rows), budget // scale))):
-        states = walk(rows, step, scale, budget, slice(p, p + 1), states)
-        found.append(states)
+def states_per_cut(phases, budget):
+    """The distinct (state, times) at each cut, from the top phase down, as
+    _walk hands them one by one to the phase below the cut."""
+    found = [[] for _ in phases[1:]]
+
+    def recording(phase, states):
+        def run(budget, tally, times, *state):
+            states.append((state, times))
+            phase(budget, tally, times, *state)
+
+        return run
+
+    walk([phases[0], *map(recording, phases[1:], found)], budget, [((budget,), 1)])
     return found
 
 
 def serial_walk(rows, step, scale, budget):
     """The counts by norm of the whole walk, every phase in turn."""
-    return walk(rows, step, scale, budget, slice(None), [((budget,), 1)])
+    return walk(phases_for(rows, step, scale, budget), budget, [((budget,), 1)])
 
 
-def test_dealt_counts_match_oracle_walk_on_pinned_forms(walker_per_form):
-    # raw and reduced tables of the 302 forms at three norms each: the walk
-    # of every phase counts what the single-phase oracle counts, and so
-    # does short_vectors for each accepted jobs 1..4.  Leech runs reduced
-    # at norm 2 only: its raw Gram has diagonal entries up to 1.3 M, a tree
-    # far too big for the oracle
+def test_walk_runs_each_distinct_entry_once_per_phase():
+    # stand-in phases that record their calls: an entry stored under two
+    # keys is walked once, with its times, each phase starts from the tally
+    # of the phase above, and the last phase's tally is returned
+    calls = []
+
+    def top(budget, tally, times, *state):
+        calls.append(("top", budget, times, state))
+        tally[(budget - 1, 1)] = tally[(budget - 1, 2)] = [3 * times, (budget - 1, 5)]
+        tally[(budget - 2,)] = [times, (budget - 2, 0)]
+
+    def bottom(budget, tally, times, *state):
+        calls.append(("bottom", budget, times, state))
+        tally[state[0]] = tally.get(state[0], 0) + 2 * times
+
+    assert lattices._walk([top, bottom], 9, {(9,): [2, (9,)]}) == {8: 12, 7: 4}
+    assert calls == [("top", 9, 2, (9,)), ("bottom", 9, 6, (8, 5)), ("bottom", 9, 2, (7, 0))]
+
+
+def test_walk_counts_match_oracle_walk_on_pinned_forms():
+    # raw and reduced tables of the 302 forms at three norms each: _walk
+    # through every phase counts what the single-phase oracle counts, and so
+    # does short_vectors for each accepted jobs 1..4.  Each table compiles
+    # its walker once per cut schedule.  Leech runs reduced at norm 2 only:
+    # its raw Gram has diagonal entries up to 1.3 M, a tree far too big for
+    # the oracle
     for g in pinned_forms():
         reduced = lll(g).gram
         first = reduced.entries[0][0]
@@ -822,17 +838,21 @@ def test_dealt_counts_match_oracle_walk_on_pinned_forms(walker_per_form):
         norms = (2,) if leech else (first, first + 1, first + 3)
         for entries in (reduced.entries,) if leech else (g.entries, reduced.entries):
             rows, step, scale = tables(entries)
+            phases = {}
             for max_norm in norms:
+                cuts = lattices._cut_levels(len(rows), max_norm)
+                if cuts not in phases:
+                    phases[cuts] = lattices._walker(rows, step, scale, cuts)
                 budget = max_norm * scale
                 want = oracle_walk(rows, step, scale, budget)
-                assert serial_walk(rows, step, scale, budget) == want
+                assert walk(phases[cuts], budget, [((budget,), 1)]) == want
         # want is the count of the reduced form at the largest norm
         want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
         for jobs in (1, 2, 3, 4):
             assert short_vectors(g, max_norm, jobs=jobs).counts == want
 
 
-def test_each_state_at_each_cut_matches_oracle_walk(walker_per_form):
+def test_each_state_at_each_cut_matches_oracle_walk():
     # at every cut, every state walked alone through the phases below it
     # counts what the single-phase oracle counts below that node, and the
     # states weighted by their tallies add up to the whole count; on the
@@ -851,18 +871,19 @@ def test_each_state_at_each_cut_matches_oracle_walk(walker_per_form):
     for g, max_norm in cases:
         rows, step, scale = tables(lll(g).gram.entries)
         budget = max_norm * scale
+        phases = phases_for(rows, step, scale, budget)
         # on Leech at norm 4 the kissing number stands in for a 3 s oracle
         # walk, and every 8th state, the zero state first, for all of them
         leech4 = (g, max_norm) == (leech_gram(), 4)
         whole = {4: 196560} if leech4 else oracle_walk(rows, step, scale, budget)
-        for p, states in enumerate(states_per_cut(rows, step, scale, budget)):
+        for p, states in enumerate(states_per_cut(phases, budget)):
             assert len({key for key, _ in states}) == len(states)
-            assert walk(rows, step, scale, budget, slice(p + 1, None), states) == whole, (g.dim, p)
+            assert walk(phases[p + 1 :], budget, states) == whole, (g.dim, p)
             for key, times in states[:: 8 if leech4 else 1]:
-                alone = walk(rows, step, scale, budget, slice(p + 1, None), [(key, times)])
+                alone = walk(phases[p + 1 :], budget, [(key, times)])
                 below = oracle_walk(rows, step, scale, budget, start=key)
                 assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, p, key)
-        assert serial_walk(rows, step, scale, budget) == whole
+        assert walk(phases, budget, [((budget,), 1)]) == whole
 
 
 # the distinct states at each cut of the walk of reduced Leech and E8, by
@@ -894,7 +915,9 @@ def test_state_counts_per_cut_are_pinned():
     # them where a phase would be taller
     for (name, max_norm), want in STATES_PER_CUT.items():
         rows, step, scale = reduced_tables(name)
-        assert [len(states) for states in states_per_cut(rows, step, scale, max_norm * scale)] == want
+        budget = max_norm * scale
+        found = states_per_cut(phases_for(rows, step, scale, budget), budget)
+        assert [len(states) for states in found] == want
     schedules = {n: [lattices._cut_levels(n, m) for m in range(1, 9)] for n in (1, 2, 8, 24, 60)}
     assert schedules == {
         1: [(0,)] * 8,
@@ -1078,40 +1101,33 @@ def test_coset_key_rejects_a_block_that_is_not_triangular():
             lattices._coset_keys(bad, cut)
 
 
-def counting_walker(real, nodes):
-    """A stand-in for lattices._walker, real, that runs a copy of the
-    generated source compiled here, with `nodes[p] += 1` as the first
-    statement of every loop body of phase p, in place of the functions real
-    compiles."""
-
-    def walker(*args):
-        namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError, "nodes": nodes}
-        for phase, source in enumerate(lattices._walker_sources(*args)):
-            lines = []
-            for line in source.splitlines():
-                lines.append(line)
-                if line.lstrip().startswith("for x"):
-                    lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
-            exec(compile("\n".join(lines) + "\n", f"<counting phase {phase}>", "exec"), namespace)
-        # each phase real compiles, by its name
-        return [namespace[phase.__name__] for phase in real(*args)]
-
-    return walker
+def counting_phases(rows, step, scale, cuts, nodes):
+    """The phases _p{p} of the walker for these tables and cut levels,
+    compiled here from a copy of the generated source with `nodes[p] += 1`
+    as the first statement of every loop body of phase p."""
+    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError, "nodes": nodes}
+    for phase, source in enumerate(lattices._walker_sources(rows, step, scale, cuts)):
+        lines = []
+        for line in source.splitlines():
+            lines.append(line)
+            if line.lstrip().startswith("for x"):
+                lines.append(f"{' ' * (len(line) - len(line.lstrip()) + 4)}nodes[{phase}] += 1")
+        exec(compile("\n".join(lines) + "\n", f"<counting phase {phase}>", "exec"), namespace)
+    return [namespace[f"_p{p}"] for p in range(len(cuts) + 1)]
 
 
-def test_nodes_per_phase_are_pinned(monkeypatch):
+def test_nodes_per_phase_are_pinned():
     # the nodes each phase visits, counted on every loop iteration: a new
     # label for the states at a cut moves none of them, and a key that
     # splits or merges cosets moves the phases below
     pins = ((2, {}), (4, {4: 196560}), (6, {4: 196560, 6: 16773120}))
     rows, step, scale = reduced_tables("leech")
-    real = lattices._walker
     for max_norm, counts in pins:
         want = NODES_PER_PHASE[max_norm]
         nodes = [0] * len(want)
-        monkeypatch.setattr(lattices, "_walker", counting_walker(real, nodes))
+        phases = counting_phases(rows, step, scale, lattices._cut_levels(len(rows), max_norm), nodes)
         budget = max_norm * scale
-        assert serial_walk(rows, step, scale, budget) == counts
+        assert walk(phases, budget, [((budget,), 1)]) == counts
         assert nodes == want
 
 
@@ -1164,7 +1180,8 @@ def test_pins_match_the_oracle_fold_walk():
 
 @lru_cache(maxsize=None)
 def invariance_states(name):
-    """Tables, budget, and for each cut the folded states with R < budget."""
+    """Tables, budget, the compiled phases, and for each cut the folded
+    states with R < budget."""
     if name == "raw":
         g, max_norm = random_spd_gram(random.Random(71), 7, spread=3), 12
     else:
@@ -1172,8 +1189,9 @@ def invariance_states(name):
         g = lll(g).gram
     rows, step, scale = tables(g.entries)
     budget = max_norm * scale
-    found = states_per_cut(rows, step, scale, budget)
-    return rows, step, scale, budget, [[key for key, _ in states if key[0] < budget] for states in found]
+    phases = phases_for(rows, step, scale, budget)
+    keys = [[key for key, _ in states if key[0] < budget] for states in states_per_cut(phases, budget)]
+    return rows, step, scale, budget, phases, keys
 
 
 def oracle_canon(rows, t):
@@ -1205,7 +1223,7 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     # counts below unchanged (R < budget, so no +-v clamp); the cut's key is
     # the same on the translate, negated mod e on the negation, and equal on
     # two drawn sums exactly when oracle_canon reduces them alike
-    rows, step, scale, budget, keys = invariance_states(name)
+    rows, step, scale, budget, phases, keys = invariance_states(name)
     cuts = lattices._cut_levels(len(rows), budget // scale)
     p = data.draw(st.sampled_from([p for p, found in enumerate(keys) if found]))
     cut, moduli = cuts[p], [e for _, e in lattices._coset_keys(rows, cuts[p])[-1]]
@@ -1215,7 +1233,7 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     moved = [t[cut - k] + sum(rows[k][j] * z[j] for j in range(k, cut + 1)) for k in range(cut, -1, -1)]
 
     def below(sums):
-        return walk(rows, step, scale, budget, slice(p + 1, None), [((rest, *sums), 1)])
+        return walk(phases[p + 1 :], budget, [((rest, *sums), 1)])
 
     want = below(t)
     assert want == oracle_walk(rows, step, scale, budget, start=(rest, *t))
@@ -1318,7 +1336,7 @@ def test_short_vectors_domain(monkeypatch):
     def no_walk(*args):
         raise RuntimeError("walk started")
 
-    monkeypatch.setattr(lattices, "_walk_states", no_walk)
+    monkeypatch.setattr(lattices, "_walk", no_walk)
     g = GramMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
         short_vectors(g, 0)

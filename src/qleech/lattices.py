@@ -283,28 +283,27 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     a later descent of either sign finds the entry by one lookup.  The last
     phase walks levels K..0 and adds 2 times to tally[norm] at each leaf.
 
-    One per-level emitter writes every phase: a `for x_i in range(lo, hi +
-    1)` loop per level with the table entries written in as literals.
-    Every node has one shape: y, the budget left below it, the partial sums
-    of the phase's lower rows (Schnorr-Euchner) and of the key brought up to
-    date in plain locals, then its child's range, which is empty at a dead
-    end, so the child's loop runs zero times.
+    One per-level emitter writes every phase: m = isqrt(R_i // step_i), then
+    a `for x_i in range(...)` loop whose range, the +-v clamp included, sits
+    in its header, with the table entries written in as literals.  Every
+    node has one shape: y, the budget left below it, the partial sums of
+    the phase's lower rows (Schnorr-Euchner) and of the key brought up to
+    date in plain locals, then its child's loop, whose range is empty at a
+    dead end.  Each key component is reduced once, mod e at the cut.
     _cut_levels keeps a phase to 20 levels, the most nested loops CPython
     compiles in one function, so no phase calls another.
     """
     n = len(rows)
 
-    def child(pad, i, remaining, centre):
-        # the range of x_i, empty at a dead end; every step is positive, so
-        # the coordinates above are all zero exactly when none of the budget
-        # is used: the +-v rule
-        low, high = (f"m + {centre}", f"m - {centre}") if centre else ("m", "m")
+    def level(pad, i, centre):
+        # x_i's loop, its range in the header and empty at a dead end.  Every
+        # step is positive, so R_i == budget only on the zero prefix, where
+        # the centre is 0 and the +-v rule starts x_i at 0; m has its own
+        # line, as the upper end needs it on both branches.
+        low, high = (f"(m + {centre})", f"(m - {centre})") if centre else ("m", "m")
         return [
-            f"{pad}m = isqrt({remaining} // {step[i]})",
-            f"{pad}lo = -(({low}) // {rows[i][i]})",
-            f"{pad}hi = ({high}) // {rows[i][i]}",
-            f"{pad}if {remaining} == budget and lo < 0:",
-            f"{pad}    lo = 0",
+            f"{pad}m = isqrt(R{i} // {step[i]})",
+            f"{pad}for x{i} in range(-({low} // {rows[i][i]}) if R{i} < budget else 0, {high} // {rows[i][i]} + 1):",
         ]
 
     def phase(p, first, last, sums, key):
@@ -321,11 +320,9 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
         for c, (u, e) in enumerate(key):
             expr = " + ".join(f"{u[k]} * {sums[k]}" for k in range(last) if u[k] and sums[k])
             sums.append(f"s{n + c}" if expr else None)
-            out += [f"{pad}s{n + c} = ({expr}) % {e}"] * bool(expr)
-        if first >= last:
-            out += child(pad, first, remaining, sums[first])
+            out += [f"{pad}s{n + c} = {expr}"] * bool(expr)
         for i in range(first, last - 1, -1):
-            out.append(f"{pad}for x{i} in range(lo, hi + 1):")
+            out += level(pad, i, sums[i])
             pad += "    "
             out.append(f"{pad}y = {_plus(sums[i], rows[i][i], f'x{i}')}")
             rest = f"{remaining} - {step[i]} * (y * y)"
@@ -345,8 +342,6 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
                 if table[k][i]:
                     out.append(f"{pad}s{k}_{i} = {_plus(sums[k], table[k][i], f'x{i}')}")
                     sums[k] = f"s{k}_{i}"
-            if i > last:
-                out += child(pad, i - 1, remaining, sums[i - 1])
         # the key, and on its first sighting the state: input t_k plus the walked levels
         state = sums[:last]
         for j in range(first, last - 1, -1):

@@ -62,14 +62,20 @@ class CannonballSolution(_Value):
 def cannonball(max_n: int) -> tuple[CannonballSolution, ...]:
     """All n <= max_n with 1^2 + ... + n^2 a perfect square, ascending.
 
-    The pyramid number n(n+1)(2n+1)/6 is tested with an exact integer
-    square root; no floating point is involved at any scale.
+    Only n = d s^2 with d in {1, 2, 3, 6} can be solutions, about
+    2.7 sqrt(max_n) of them.  n, n + 1 and 2n + 1 are pairwise coprime and
+    their product is 6 m^2, so a prime p >= 5 divides n to the power it
+    divides 6 m^2 to, an even one: n is a square times a squarefree divisor
+    of 6.  Each candidate's pyramid number n(n+1)(2n+1)/6 is tested
+    with an exact integer square root; no floating point is involved at
+    any scale.
     """
     max_n = _integer(max_n, "search bounds")
     if max_n < 1:
         raise ValueError("search bound must be at least 1")
     found = []
-    for n in range(1, max_n + 1):
+    # no n twice: d is squarefree, so n = d s^2 fixes d and s
+    for n in sorted(d * s * s for d in (1, 2, 3, 6) for s in range(1, isqrt(max_n // d) + 1)):
         total = n * (n + 1) * (2 * n + 1) // 6
         r = isqrt(total)
         if r * r == total:

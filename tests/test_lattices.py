@@ -827,10 +827,11 @@ def test_walk_runs_each_distinct_entry_once_per_phase():
 def test_walk_counts_match_oracle_walk_on_pinned_forms():
     # raw and reduced tables of the 302 forms at three norms each: _walk
     # through every phase counts what the single-phase oracle counts, and so
-    # does short_vectors for each accepted jobs 1..4.  Each table compiles
-    # its walker once per cut schedule.  Leech runs reduced at norm 2 only:
-    # its raw Gram has diagonal entries up to 1.3 M, a tree far too big for
-    # the oracle
+    # does short_vectors, once per form: test_short_vectors_jobs_agree and
+    # test_short_vectors_against_oracle_walk check that jobs leaves counts
+    # alone.  Each table compiles its walker once per cut schedule.  Leech
+    # runs reduced at norm 2 only: its raw Gram has diagonal entries up to
+    # 1.3 M, a tree far too big for the oracle
     for g in pinned_forms():
         reduced = lll(g).gram
         first = reduced.entries[0][0]
@@ -848,8 +849,7 @@ def test_walk_counts_match_oracle_walk_on_pinned_forms():
                 assert walk(phases[cuts], budget, [((budget,), 1)]) == want
         # want is the count of the reduced form at the largest norm
         want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
-        for jobs in (1, 2, 3, 4):
-            assert short_vectors(g, max_norm, jobs=jobs).counts == want
+        assert short_vectors(g, max_norm).counts == want
 
 
 def test_each_state_at_each_cut_matches_oracle_walk():

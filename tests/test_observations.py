@@ -1,6 +1,7 @@
 """Congruence windows and the cannonball search."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -106,6 +107,25 @@ def test_cannonball_solutions_satisfy_sum():
 def test_cannonball_prefix_stability():
     assert cannonball(30) == cannonball(5000)[:2][: len(cannonball(30))]
     assert cannonball(100) == cannonball(5000)
+
+
+def cannonball_scan(max_n):
+    """(n, m) for every n <= max_n whose pyramid number is m^2, by testing
+    each n in turn: the oracle for cannonball's candidates n = d s^2."""
+    found = []
+    for n in range(1, max_n + 1):
+        total = n * (n + 1) * (2 * n + 1) // 6
+        r = isqrt(total)
+        if r * r == total:
+            found.append((n, r))
+    return found
+
+
+def test_cannonball_matches_scan_oracle():
+    scan = cannonball_scan(3000)
+    for max_n in range(1, 3001):
+        assert [(s.n, s.m) for s in cannonball(max_n)] == [(n, m) for n, m in scan if n <= max_n]
+    assert [(s.n, s.m) for s in cannonball(10**6)] == cannonball_scan(10**6) == [(1, 1), (24, 70)]
 
 
 def test_cannonball_domain():

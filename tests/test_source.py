@@ -126,10 +126,10 @@ def test_walker_source_depends_only_on_its_tables():
 # sha256 of the walker source, its phases joined in order; Leech's norms 4
 # and 6 share one schedule of cuts, and so one source
 WALKER_DIGESTS = {
-    ("leech", 2): "567375ef7e8c1fa598aa3ac89075eba28fda691742170a339d52c11db033d748",
-    ("leech", 4): "a65521123f75189b01ecfb3c413e48dafd20e71daa138b2ba4efe6628d3002a0",
-    ("leech", 6): "a65521123f75189b01ecfb3c413e48dafd20e71daa138b2ba4efe6628d3002a0",
-    ("e8", 8): "6012e19bf96d88ecbdd698d7e28bf8e3079c6d0b5d3e476f0e5fd0b36013c0d4",
+    ("leech", 2): "40698f42d67e364c1398dcf8f549fa0e6483115ff530514dbcaa5cd61512044d",
+    ("leech", 4): "dcc0c3ed6241322d3b648afce0ea4a60bb1f29250d27861272f7c1af51c71333",
+    ("leech", 6): "dcc0c3ed6241322d3b648afce0ea4a60bb1f29250d27861272f7c1af51c71333",
+    ("e8", 8): "40a31fdb194575604f6c728b0f536523aedeb590c711dcb335f94764887d0484",
 }
 
 
@@ -145,17 +145,27 @@ def test_walker_source_is_pinned():
 
 def test_walker_nodes_have_one_shape():
     # every node refreshes its partial sums into s<k>_<i> locals and then
-    # computes its child's range, which is empty at a dead end: no phase
-    # skips a node with `continue` or keeps a centre in a c<i> local
+    # enters its child's loop, whose range, the +-v clamp included, is
+    # written in the `for` header and empty at a dead end: no phase skips a
+    # node with `continue`, keeps a centre in a c<i> local or names lo or
+    # hi, and the only `if`s are the cut's first sighting and the leaf's
     grams = {"leech": leech_gram(), "e8": lattices.e8_gram()}
     for name, max_norm in (("leech", 2), ("leech", 4), ("leech", 6), ("e8", 8)):
         tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
         cuts = lattices._cut_levels(grams[name].dim, max_norm)
         for p, source in enumerate(lattices._walker_sources(*tables, cuts)):
+            where = (name, max_norm, p)
             nodes = list(ast.walk(ast.parse(source)))
-            assert not any(isinstance(node, ast.Continue) for node in nodes), (name, max_norm, p)
+            assert not any(isinstance(node, ast.Continue) for node in nodes), where
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
-            assert not any(re.fullmatch(r"c\d+", v) for v in names), (name, max_norm, p)
+            assert not any(re.fullmatch(r"c\d+", v) for v in names), where
+            assert not names & {"lo", "hi"}, where
+            for node in nodes:
+                if isinstance(node, ast.For):
+                    header = rf"range\(-.* if R{node.target.id[1:]} < budget else 0, .* \+ 1\)"
+                    assert re.fullmatch(header, ast.unparse(node.iter)), where
+            ifs = [ast.unparse(node.test) for node in nodes if isinstance(node, ast.If)]
+            assert ifs == (["used > 0", "r"] if p == len(cuts) else ["seen is None"]), where
 
 
 REPO = Path(__file__).resolve().parents[1]

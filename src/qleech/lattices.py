@@ -220,15 +220,16 @@ def _coset_keys(rows, top: int) -> list[list[tuple[list[int], int]]]:
     exactly when u . (t - t') = 0 mod e for each.  From level K-1's key,
     row operations on [A | U], A = [[diag(e), w], [0, L_K]], w_c = u_c .
     rows[0..K-1][K] mod e_c, U's rows [u_c, 0] and [0, 1], and column
-    operations on A make A diagonal mod D = prod L_j (Cohen, GTM 138, 2.4.4),
-    so e_c = gcd(A[c][c], D).  Then moduli x, y (y later, x not dividing y)
-    become g = gcd(x, y) = s x + t y and l = lcm(x, y), keyed by s u_x + t u_y
-    and ((x - l t) u_y - (y + l s) u_x) / g: a divisor chain.  Raises
+    operations on A make A diagonal in plain integers (Cohen, GTM 138,
+    2.4.4); they keep |det A| = D = prod L_j, so e_c = gcd(A[c][c], D) =
+    |A[c][c]| for a triangular table.  Then moduli x, y (y later, x not
+    dividing y) become g = gcd(x, y) = s x + t y and l = lcm(x, y), keyed by
+    s u_x + t u_y and ((x - l t) u_y - (y + l s) u_x) / g: a divisor chain.  Raises
     ConstructionError for an entry below the diagonal or prod e_c != D."""
     keys, key, order, columns = [], [], 1, list(zip(*rows))
     for level in range(top + 1):
         order *= rows[level][level]
-        half, n = order // 2, len(key) + 1
+        n = len(key) + 1
         w = [sum(map(mul, u, columns[level])) % e for u, e in key]
         a = [[e * (c == j) for j in range(n - 1)] + [w[c], *u, 0] for c, (u, e) in enumerate(key)]
         a.append([0] * (n - 1) + [rows[level][level]] + [0] * level + [1])
@@ -239,7 +240,7 @@ def _coset_keys(rows, top: int) -> list[list[tuple[list[int], int]]]:
                     a[k], a[p] = a[p], a[k]
                     for i in range(k + 1, n):
                         if q := a[i][k] // a[k][k]:
-                            a[i] = [(x - q * y + half) % order - half for x, y in zip(a[i], a[k])]
+                            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
                 else:
                     p = min((j for j in range(k, n) if a[k][j]), key=lambda j: abs(a[k][j]))
                     for row in a[k:]:
@@ -247,7 +248,7 @@ def _coset_keys(rows, top: int) -> list[list[tuple[list[int], int]]]:
                     qs = [(j, q) for j in range(k + 1, n) if (q := a[k][j] // a[k][k])]
                     for row in a[k:]:
                         for j, q in qs:
-                            row[j] = (row[j] - q * row[k] + half) % order - half
+                            row[j] -= q * row[k]
         moduli = [gcd(a[k][k], order) for k in range(n)]
         if any(rows[level][:level]) or prod(moduli) != order:
             raise ConstructionError("coset key does not match the order of the block group")

@@ -264,7 +264,7 @@ def _coset_keys(rows, top: int) -> list[list[tuple[list[int], int]]]:
     return keys
 
 
-def _walker_sources(rows, step, scale, cuts) -> list[str]:
+def _walker_sources(rows, step, cuts) -> list[str]:
     """Python source of the walker for these tables and cut levels, one
     phase per string; the source is a pure function of its inputs.
 
@@ -282,38 +282,41 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     stored, in one entry under both (R, w) and (R, -w mod e): x -> -x maps
     the subtree of (R, t) onto that of (R, -t), so the two count alike, and
     a later descent of either sign finds the entry by one lookup.  The last
-    phase walks levels K..0 and adds 2 times to tally[norm] at each leaf.
+    phase walks levels K..0 into the cut -1, whose key is empty: each leaf
+    adds times to tally[(R,)] = [times, (R,)], R the budget it leaves, and
+    short_vectors reads the norms from that tally.
 
-    One per-level emitter writes every phase: m = isqrt(R_i // step_i), then
-    a `for x_i in range(...)` loop whose range, the +-v clamp included, sits
-    in its header, with the table entries written in as literals.  Every
-    node has one shape: y, the budget left below it, the partial sums of
-    the phase's lower rows (Schnorr-Euchner) and of the key brought up to
-    date in plain locals, then its child's loop, whose range is empty at a
-    dead end.  Each key component is reduced once, mod e at the cut.
-    _cut_levels keeps a phase to 20 levels, the most nested loops CPython
-    compiles in one function, so no phase calls another.
+    One per-level emitter writes every phase: m = isqrt(R_{i+1} // step_i),
+    R_{i+1} the budget left above level i, then a `for x_i in range(...)`
+    loop whose range, the +-v clamp included, sits in its header, with the
+    table entries written in as literals.  Every node has one shape: y, the
+    budget left below it, the partial sums of the phase's lower rows
+    (Schnorr-Euchner) and of the key brought up to date in plain locals,
+    then its child's loop, whose range is empty at a dead end.  Each key
+    component is reduced once, mod e at the cut.  _cut_levels keeps a phase
+    to 20 levels, the most nested loops CPython compiles in one function,
+    so no phase calls another.
     """
     n = len(rows)
 
     def level(pad, i, centre):
         # x_i's loop, its range in the header and empty at a dead end.  Every
-        # step is positive, so R_i == budget only on the zero prefix, where
-        # the centre is 0 and the +-v rule starts x_i at 0; m has its own
-        # line, as the upper end needs it on both branches.
+        # step is positive, so R_{i+1} == budget only on the zero prefix,
+        # where the centre is 0 and the +-v rule starts x_i at 0; m has its
+        # own line, as the upper end needs it on both branches.
         low, high = (f"(m + {centre})", f"(m - {centre})") if centre else ("m", "m")
         return [
-            f"{pad}m = isqrt(R{i} // {step[i]})",
-            f"{pad}for x{i} in range(-({low} // {rows[i][i]}) if R{i} < budget else 0, {high} // {rows[i][i]} + 1):",
+            f"{pad}m = isqrt(R{i + 1} // {step[i]})",
+            f"{pad}for x{i} in range(-({low} // {rows[i][i]}) if R{i + 1} < budget else 0, {high} // {rows[i][i]} + 1):",
         ]
 
     def phase(p, first, last, sums, key):
         # levels first down to last, then a tally at the cut last - 1 keyed
-        # by key's pairs (u, e), or the leaves of level 0; sums[k] names
-        # sum_{j>i} table[k][j] x_j at level i, None for 0 (rows k < last
-        # keep their input t_k), sums[n + c] u_c . t plus the key's terms
-        remaining = f"R{first}"
-        params = ["budget", "tally", "times", remaining, *filter(None, sums[::-1])]
+        # by key's pairs (u, e), none in the last phase; R{i} names the
+        # budget left below level i, sums[k] sum_{j>i} table[k][j] x_j at
+        # level i, None for 0 (rows k < last keep their input t_k), sums[n +
+        # c] u_c . t plus the key's terms
+        params = ["budget", "tally", "times", f"R{first + 1}", *filter(None, sums[::-1])]
         out = [f"def _p{p}({', '.join(params)}, isqrt=isqrt):"]
         pad = "    "
         levels = range(last, first + 1)
@@ -325,20 +328,7 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
         for i in range(first, last - 1, -1):
             out += level(pad, i, sums[i])
             pad += "    "
-            out.append(f"{pad}y = {_plus(sums[i], rows[i][i], f'x{i}')}")
-            rest = f"{remaining} - {step[i]} * (y * y)"
-            if i == 0:
-                out += [
-                    f"{pad}used = budget - ({rest})",
-                    f"{pad}if used > 0:",
-                    f"{pad}    norm, r = divmod(used, {scale})",
-                    f"{pad}    if r:",
-                    f'{pad}        raise ConstructionError("scaled norm is not a multiple of the scale")',
-                    f"{pad}    tally[norm] = tally.get(norm, 0) + 2 * times",
-                ]
-                return out
-            remaining = f"R{i - 1}"
-            out.append(f"{pad}{remaining} = {rest}")
+            out += [f"{pad}y = {_plus(sums[i], rows[i][i], f'x{i}')}", f"{pad}R{i} = R{i + 1} - {step[i]} * (y * y)"]
             for k in [*range(last, i), *range(n, len(sums))]:
                 if table[k][i]:
                     out.append(f"{pad}s{k}_{i} = {_plus(sums[k], table[k][i], f'x{i}')}")
@@ -348,10 +338,10 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
         for j in range(first, last - 1, -1):
             state = [_plus(v, rows[k][j], f"x{j}") for k, v in enumerate(state)]
         kept = [(v, e) for v, (_, e) in zip(sums[n:], key) if v]  # a component left at 0 is no key
-        own, neg = (", ".join([remaining, *(f"{s}({v}) % {e}" for v, e in kept)]) for s in ("", "-"))
-        held = ", ".join([remaining, *(v or "0" for v in state[::-1])])
+        own, neg = (", ".join([f"R{last}", *(f"{s}({v}) % {e}" for v, e in kept)]) for s in ("", "-"))
+        held = ", ".join([f"R{last}", *(v or "0" for v in state[::-1])])
         out += [f"{pad}key = ({own},)", f"{pad}seen = tally.get(key)"]
-        out += [f"{pad}if seen is None:", f"{pad}    tally[key] = tally[({neg},)] = [times, ({held})]"]
+        out += [f"{pad}if seen is None:", f"{pad}    tally[key] = tally[({neg},)] = [times, ({held},)]"]
         return out + [f"{pad}else:", f"{pad}    seen[0] += times"]
 
     sources, keys = [], [*_coset_keys(rows, cuts[0]), []]  # [] for the last phase, cut -1
@@ -361,26 +351,25 @@ def _walker_sources(rows, step, scale, cuts) -> list[str]:
     return sources
 
 
-def _walker(rows, step, scale, cuts):
+def _walker(rows, step, cuts):
     """The phases _p{p} of the walker for these tables and cut levels,
     compiled afresh for each walk: every CLI command walks once.  Each phase
     compiles on its own, so the compiler never holds the whole walker at
-    once."""
-    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError}
-    for p, source in enumerate(_walker_sources(rows, step, scale, cuts)):
+    once, into a namespace that holds isqrt alone."""
+    namespace = {"isqrt": isqrt}
+    for p, source in enumerate(_walker_sources(rows, step, cuts)):
         exec(compile(source, f"<walker phase {p}>", "exec"), namespace)
     return [namespace[f"_p{p}"] for p in range(len(cuts) + 1)]
 
 
 def _walk(phases, budget, tally):
     """Run the compiled phases in turn from tally and return the last
-    phase's tally: the counts by norm when the phases end the walk.  A tally
-    maps keys to entries [times, state]; each phase walks each distinct
-    entry once into a fresh tally, weighted by its times.  A tally holds
-    each entry under a key and its negation, which count alike while R <
-    budget; the zero-prefix state R == budget has t = 0, its own negation,
-    and keeps the +-v clamp, under which each vector found stands for its
-    +-v pair."""
+    phase's tally, which ends the walk with one entry [times, (R,)] under
+    (R,) per budget R left at the leaves.  A tally maps keys to entries
+    [times, state]; each phase walks each distinct entry once into a fresh
+    tally, weighted by its times.  A tally holds each entry under a key and
+    its negation, which count alike while R < budget; the zero-prefix state
+    R == budget has t = 0, its own negation, and keeps the +-v clamp."""
     for phase in phases:
         # each entry sits under its key and that key's negation, maybe the same
         entries = {id(entry): entry for entry in tally.values()}
@@ -395,7 +384,10 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
 
     The Gram matrix is LLL-reduced first; the enumeration then works on the
     reduced form, which leaves counts unchanged.  Every phase of the walk
-    runs in this process.  jobs must lie in 1..MAX_JOBS and is otherwise
+    runs in this process, and its last tally gives the norms: a leaf left
+    with R of the budget has norm (budget - R) / scale, else
+    ConstructionError; norm 0 is the zero vector, and each other leaf
+    stands for its +-v pair.  jobs must lie in 1..MAX_JOBS and is otherwise
     ignored: it stays only for bench/layers.py, which calls
     short_vectors(gram, 4, jobs=2), as --jobs stays for the kissing-jobs2
     workload.
@@ -407,8 +399,13 @@ def short_vectors(gram: GramMatrix, max_norm: int, jobs: int = 1) -> ShortVector
         raise ValueError(f"jobs must be an integer between 1 and {MAX_JOBS}")
     rows, step, scale = _fincke_pohst_tables(*_lll(gram)[:2])
     budget = max_norm * scale
-    phases = _walker(rows, step, scale, _cut_levels(len(rows), max_norm))
-    found = _walk(phases, budget, {(budget,): [1, (budget,)]})
+    phases = _walker(rows, step, _cut_levels(len(rows), max_norm))
+    found = {}
+    for (rest,), (times, _) in _walk(phases, budget, {(budget,): [1, (budget,)]}).items():
+        norm, r = divmod(budget - rest, scale)
+        if r:
+            raise ConstructionError("scaled norm is not a multiple of the scale")
+        found[norm] = 2 * times
     return ShortVectorCount(max_norm, {m: found.get(m, 0) for m in range(1, max_norm + 1)})
 
 

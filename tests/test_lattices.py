@@ -776,12 +776,22 @@ def test_tables_from_lll_match_ldl_of_the_reduced_form():
 
 def phases_for(rows, step, scale, budget):
     """The phases of the walker for these tables up to budget, compiled once."""
-    return lattices._walker(rows, step, scale, lattices._cut_levels(len(rows), budget // scale))
+    return lattices._walker(rows, step, lattices._cut_levels(len(rows), budget // scale))
 
 
-def walk(phases, budget, states):
-    """The tally that _walk leaves after the phases, from (state, times) pairs."""
-    return lattices._walk(phases, budget, {k: [times, state] for k, (state, times) in enumerate(states)})
+def walk(phases, budget, scale, states):
+    """The counts by norm of the walk of the phases from (state, times)
+    pairs, read from the last tally as short_vectors reads it: its entry
+    [times, (R,)] gives 2 times vectors of norm (budget - R) / scale, and
+    norm 0, the zero vector, is left out."""
+    tally = lattices._walk(phases, budget, {k: [times, state] for k, (state, times) in enumerate(states)})
+    counts = {}
+    for key, (times, state) in tally.items():
+        norm, r = divmod(budget - state[0], scale)
+        assert key == state == (state[0],) and not r
+        if norm:
+            counts[norm] = 2 * times
+    return counts
 
 
 def states_per_cut(phases, budget):
@@ -796,13 +806,13 @@ def states_per_cut(phases, budget):
 
         return run
 
-    walk([phases[0], *map(recording, phases[1:], found)], budget, [((budget,), 1)])
+    lattices._walk([phases[0], *map(recording, phases[1:], found)], budget, {(budget,): [1, (budget,)]})
     return found
 
 
 def serial_walk(rows, step, scale, budget):
     """The counts by norm of the whole walk, every phase in turn."""
-    return walk(phases_for(rows, step, scale, budget), budget, [((budget,), 1)])
+    return walk(phases_for(rows, step, scale, budget), budget, scale, [((budget,), 1)])
 
 
 def test_walk_runs_each_distinct_entry_once_per_phase():
@@ -843,10 +853,10 @@ def test_walk_counts_match_oracle_walk_on_pinned_forms():
             for max_norm in norms:
                 cuts = lattices._cut_levels(len(rows), max_norm)
                 if cuts not in phases:
-                    phases[cuts] = lattices._walker(rows, step, scale, cuts)
+                    phases[cuts] = lattices._walker(rows, step, cuts)
                 budget = max_norm * scale
                 want = oracle_walk(rows, step, scale, budget)
-                assert walk(phases[cuts], budget, [((budget,), 1)]) == want
+                assert walk(phases[cuts], budget, scale, [((budget,), 1)]) == want
         # want is the count of the reduced form at the largest norm
         want = {m: want.get(m, 0) for m in range(1, max_norm + 1)}
         assert short_vectors(g, max_norm).counts == want
@@ -878,12 +888,12 @@ def test_each_state_at_each_cut_matches_oracle_walk():
         whole = {4: 196560} if leech4 else oracle_walk(rows, step, scale, budget)
         for p, states in enumerate(states_per_cut(phases, budget)):
             assert len({key for key, _ in states}) == len(states)
-            assert walk(phases[p + 1 :], budget, states) == whole, (g.dim, p)
+            assert walk(phases[p + 1 :], budget, scale, states) == whole, (g.dim, p)
             for key, times in states[:: 8 if leech4 else 1]:
-                alone = walk(phases[p + 1 :], budget, [(key, times)])
+                alone = walk(phases[p + 1 :], budget, scale, [(key, times)])
                 below = oracle_walk(rows, step, scale, budget, start=key)
                 assert alone == {norm: times * cnt for norm, cnt in below.items()}, (g.dim, p, key)
-        assert walk(phases, budget, [((budget,), 1)]) == whole
+        assert walk(phases, budget, scale, [((budget,), 1)]) == whole
 
 
 # the distinct states at each cut of the walk of reduced Leech and E8, by
@@ -959,19 +969,20 @@ def test_deep_forms_walk_one_function_per_phase():
     # 2 I_100 at norm 2 and 2 I_120 at norm 4 (sqrt(2) Z^n, whose norm 2
     # holds the 2n vectors +-e_i and norm 4 the 4 C(n, 2) vectors +-e_i +-e_j)
     # need cuts every 20 levels; each phase is one function _p{p} of at most
-    # 20 nested loops that calls no other phase
+    # 20 nested loops that calls no other phase and nothing but range,
+    # isqrt and tally.get
     for n, max_norm, want in ((100, 2, {1: 0, 2: 200}), (120, 4, {1: 0, 2: 240, 3: 0, 4: 28560})):
         g = GramMatrix.from_rows([[2 * int(i == j) for j in range(n)] for i in range(n)])
         assert short_vectors(g, max_norm).counts == want
         rows, step, scale = tables(lll(g).gram.entries)
         cuts = lattices._cut_levels(n, max_norm)
-        for p, source in enumerate(lattices._walker_sources(rows, step, scale, cuts)):
+        for p, source in enumerate(lattices._walker_sources(rows, step, cuts)):
             (function,) = ast.parse(source).body
             assert function.name == f"_p{p}"
             loops = [node for node in ast.walk(function) if isinstance(node, ast.For)]
             assert len(loops) == phase_heights(n, cuts)[p] <= 20
             calls = {ast.unparse(node.func) for node in ast.walk(function) if isinstance(node, ast.Call)}
-            assert calls <= {"range", "isqrt", "divmod", "tally.get", "ConstructionError"}
+            assert calls <= {"range", "isqrt", "tally.get"}
 
 
 def oracle_coset_key(rows, cut):
@@ -1101,12 +1112,12 @@ def test_coset_key_rejects_a_block_that_is_not_triangular():
             lattices._coset_keys(bad, cut)
 
 
-def counting_phases(rows, step, scale, cuts, nodes):
+def counting_phases(rows, step, cuts, nodes):
     """The phases _p{p} of the walker for these tables and cut levels,
     compiled here from a copy of the generated source with `nodes[p] += 1`
     as the first statement of every loop body of phase p."""
-    namespace = {"isqrt": isqrt, "ConstructionError": ConstructionError, "nodes": nodes}
-    for phase, source in enumerate(lattices._walker_sources(rows, step, scale, cuts)):
+    namespace = {"isqrt": isqrt, "nodes": nodes}
+    for phase, source in enumerate(lattices._walker_sources(rows, step, cuts)):
         lines = []
         for line in source.splitlines():
             lines.append(line)
@@ -1125,9 +1136,9 @@ def test_nodes_per_phase_are_pinned():
     for max_norm, counts in pins:
         want = NODES_PER_PHASE[max_norm]
         nodes = [0] * len(want)
-        phases = counting_phases(rows, step, scale, lattices._cut_levels(len(rows), max_norm), nodes)
+        phases = counting_phases(rows, step, lattices._cut_levels(len(rows), max_norm), nodes)
         budget = max_norm * scale
-        assert walk(phases, budget, [((budget,), 1)]) == counts
+        assert walk(phases, budget, scale, [((budget,), 1)]) == counts
         assert nodes == want
 
 
@@ -1233,7 +1244,7 @@ def test_state_counts_are_invariant_under_the_block_lattice_and_negation(name, d
     moved = [t[cut - k] + sum(rows[k][j] * z[j] for j in range(k, cut + 1)) for k in range(cut, -1, -1)]
 
     def below(sums):
-        return walk(phases[p + 1 :], budget, [((rest, *sums), 1)])
+        return walk(phases[p + 1 :], budget, scale, [((rest, *sums), 1)])
 
     want = below(t)
     assert want == oracle_walk(rows, step, scale, budget, start=(rest, *t))
@@ -1253,11 +1264,19 @@ def identity_gram(n):
     return GramMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def test_walk_checks_that_norms_are_multiples_of_the_scale():
-    # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2
+def short_vectors_on(monkeypatch, tables, max_norm):
+    """short_vectors up to max_norm on the given (rows, step, scale), with
+    _fincke_pohst_tables patched to return them for a one-dimensional Gram."""
+    monkeypatch.setattr(lattices, "_fincke_pohst_tables", lambda d, lam: tables)
+    return short_vectors(identity_gram(1), max_norm)
+
+
+def test_walk_checks_that_norms_are_multiples_of_the_scale(monkeypatch):
+    # inconsistent tables: the leaf at x = 1 uses 3 of a budget scaled by 2;
+    # short_vectors reads each leaf's norm from the last tally and raises
     rows, step, scale, budget = [[1]], [3], 2, 14
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-        serial_walk(rows, step, scale, budget)
+        short_vectors_on(monkeypatch, (rows, step, scale), budget // scale)
     with pytest.raises(ConstructionError, match="not a multiple of the scale"):
         oracle_walk(rows, step, scale, budget)
 
@@ -1287,18 +1306,20 @@ def test_walk_on_a_large_scale_matches_oracle_walk():
     assert serial_walk(rows, step, scale, budget) == want
 
 
-def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale():
+def test_walk_on_a_large_scale_checks_that_norms_are_multiples_of_the_scale(monkeypatch):
     # a step one too large on the top level, in the top phase, on the
     # first level of each later phase, or on level 0: a leaf that uses it
-    # is off the scale
+    # is off the scale, which short_vectors finds in the last tally
     rows, step, scale, budget = large_scale_tables()
     cuts = lattices._cut_levels(len(rows), budget // scale)
     assert cuts == (20, 18, 16, 14, 12, 10, 8, 6)
+    want = {1: 2, 2: 0, 3: 48, 4: 2 + 48 * 2, 5: 0}
+    assert short_vectors_on(monkeypatch, (rows, step, scale), budget // scale).counts == want
     for level in (len(step) - 1, *cuts, 0):
         wrong = list(step)
         wrong[level] += 1
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
-            serial_walk(rows, wrong, scale, budget)
+            short_vectors_on(monkeypatch, (rows, wrong, scale), budget // scale)
         with pytest.raises(ConstructionError, match="not a multiple of the scale"):
             oracle_walk(rows, wrong, scale, budget)
 

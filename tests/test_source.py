@@ -24,10 +24,10 @@ def walker_sources():
     # with the cascade
     found = []
     for name, gram in (("e8", lattices.e8_gram()), ("leech", leech_gram())):
-        tables = lattices._fincke_pohst_tables(*lattices._lll(gram)[:2])
+        rows, step, _ = lattices._fincke_pohst_tables(*lattices._lll(gram)[:2])
         for max_norm in (2, 4):
             cuts = lattices._cut_levels(gram.dim, max_norm)
-            for p, source in enumerate(lattices._walker_sources(*tables, cuts)):
+            for p, source in enumerate(lattices._walker_sources(rows, step, cuts)):
                 found.append((f"{name} norm {max_norm} phase {p}", source))
     return found
 
@@ -107,11 +107,13 @@ def test_integer_rule_has_one_home():
 
 
 def test_walker_source_depends_only_on_its_tables():
+    # the steps are written in as literals, the budget is not: the scale
+    # is applied where short_vectors reads the norms, outside the walker
     for gram in (lattices.e8_gram(), leech_gram()):
         rows, step, scale = lattices._fincke_pohst_tables(*lattices._lll(gram)[:2])
         cuts = lattices._cut_levels(gram.dim, 4)
-        sources = lattices._walker_sources(rows, step, scale, cuts)
-        copies = ([list(row) for row in rows], list(step), scale, cuts)
+        sources = lattices._walker_sources(rows, step, cuts)
+        copies = ([list(row) for row in rows], list(step), cuts)
         assert lattices._walker_sources(*copies) == sources
         literals = {
             node.value
@@ -119,26 +121,26 @@ def test_walker_source_depends_only_on_its_tables():
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Constant)
         }
-        assert scale in literals
+        assert set(step) <= literals
         assert not literals & {max_norm * scale for max_norm in (2, 4, 6)}
 
 
 # sha256 of the walker source, its phases joined in order; Leech's norms 4
 # and 6 share one schedule of cuts, and so one source
 WALKER_DIGESTS = {
-    ("leech", 2): "40698f42d67e364c1398dcf8f549fa0e6483115ff530514dbcaa5cd61512044d",
-    ("leech", 4): "dcc0c3ed6241322d3b648afce0ea4a60bb1f29250d27861272f7c1af51c71333",
-    ("leech", 6): "dcc0c3ed6241322d3b648afce0ea4a60bb1f29250d27861272f7c1af51c71333",
-    ("e8", 8): "40a31fdb194575604f6c728b0f536523aedeb590c711dcb335f94764887d0484",
+    ("leech", 2): "66a83cfa02465aaf25fd152cc70db33d66172de6452ecb537daacf6e4d152abe",
+    ("leech", 4): "2137cf09508073842943bd5ef6f2515b21b515c81350b846af31255300448315",
+    ("leech", 6): "2137cf09508073842943bd5ef6f2515b21b515c81350b846af31255300448315",
+    ("e8", 8): "c51b7f8d88f0129b90626d036e6a44aeaf63e2658cf2b6c4d840daf854712971",
 }
 
 
 def test_walker_source_is_pinned():
     grams = {"leech": leech_gram(), "e8": lattices.e8_gram()}
     for (name, max_norm), digest in WALKER_DIGESTS.items():
-        tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
+        rows, step, _ = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
         cuts = lattices._cut_levels(grams[name].dim, max_norm)
-        sources = lattices._walker_sources(*tables, cuts)
+        sources = lattices._walker_sources(rows, step, cuts)
         assert len(sources) == len(cuts) + 1
         assert hashlib.sha256("".join(sources).encode()).hexdigest() == digest, (name, max_norm)
 
@@ -148,24 +150,38 @@ def test_walker_nodes_have_one_shape():
     # enters its child's loop, whose range, the +-v clamp included, is
     # written in the `for` header and empty at a dead end: no phase skips a
     # node with `continue`, keeps a centre in a c<i> local or names lo or
-    # hi, and the only `if`s are the cut's first sighting and the leaf's
+    # hi.  Every phase, the last one too, ends at a cut: its only `if` is
+    # the first sighting of a key, and no phase reads a norm (divmod, used)
+    # or raises
     grams = {"leech": leech_gram(), "e8": lattices.e8_gram()}
     for name, max_norm in (("leech", 2), ("leech", 4), ("leech", 6), ("e8", 8)):
-        tables = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
+        rows, step, _ = lattices._fincke_pohst_tables(*lattices._lll(grams[name])[:2])
         cuts = lattices._cut_levels(grams[name].dim, max_norm)
-        for p, source in enumerate(lattices._walker_sources(*tables, cuts)):
+        for p, source in enumerate(lattices._walker_sources(rows, step, cuts)):
             where = (name, max_norm, p)
             nodes = list(ast.walk(ast.parse(source)))
-            assert not any(isinstance(node, ast.Continue) for node in nodes), where
+            assert not any(isinstance(node, (ast.Continue, ast.Raise)) for node in nodes), where
             names = {node.id for node in nodes if isinstance(node, ast.Name)}
             assert not any(re.fullmatch(r"c\d+", v) for v in names), where
-            assert not names & {"lo", "hi"}, where
+            assert not names & {"lo", "hi", "divmod", "used", "ConstructionError"}, where
             for node in nodes:
                 if isinstance(node, ast.For):
-                    header = rf"range\(-.* if R{node.target.id[1:]} < budget else 0, .* \+ 1\)"
+                    # R<i+1> is the budget left above level i
+                    header = rf"range\(-.* if R{int(node.target.id[1:]) + 1} < budget else 0, .* \+ 1\)"
                     assert re.fullmatch(header, ast.unparse(node.iter)), where
             ifs = [ast.unparse(node.test) for node in nodes if isinstance(node, ast.If)]
-            assert ifs == (["used > 0", "r"] if p == len(cuts) else ["seen is None"]), where
+            assert ifs == ["seen is None"], where
+
+
+def test_walker_namespace_holds_only_isqrt():
+    # the phases need nothing but isqrt besides the builtins: the scale
+    # check and its ConstructionError live in short_vectors
+    rows, step, _ = lattices._fincke_pohst_tables(*lattices._lll(leech_gram())[:2])
+    cuts = lattices._cut_levels(24, 4)
+    phases = lattices._walker(rows, step, cuts)
+    namespace = phases[0].__globals__
+    assert all(phase.__globals__ is namespace for phase in phases)
+    assert set(namespace) == {"__builtins__", "isqrt", *(f"_p{p}" for p in range(len(cuts) + 1))}
 
 
 REPO = Path(__file__).resolve().parents[1]

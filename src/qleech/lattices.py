@@ -355,7 +355,7 @@ def _walker(rows, step, cuts):
     """The phases _p{p} of the walker for these tables and cut levels,
     compiled afresh for each walk: every CLI command walks once.  Each phase
     compiles on its own, so the compiler never holds the whole walker at
-    once, into a namespace that holds isqrt alone."""
+    once, and runs in a namespace that holds isqrt alone."""
     namespace = {"isqrt": isqrt}
     for p, source in enumerate(_walker_sources(rows, step, cuts)):
         exec(compile(source, f"<walker phase {p}>", "exec"), namespace)

@@ -45,11 +45,13 @@ from qleech.lattices import (
 from qleech.lorentz import (
     ConstructionError,
     GramMatrix,
+    _certify,
+    hermite_normal_form,
     lattice_basis,
     ldl,
     leech_gram,
 )
-from qleech.modforms import sigma
+from qleech.modforms import delta, eisenstein_e4, sigma
 
 DELTA = Fraction(3, 4)
 DEEP_DELTA = Fraction(99, 100)
@@ -1446,6 +1448,48 @@ def test_e8_theta_domain():
 def test_leech_has_no_roots():
     found = short_vectors(leech_gram(), 2)
     assert found.counts == {1: 0, 2: 0}
+
+
+def glued_root_lattice(blocks):
+    """The Gram of the sum of the lattices D_n^+, n in blocks (D_8^+ is E8):
+    the hermite_normal_form of generators in doubled coordinates, the simple
+    roots 2(e_i - e_{i+1}) and 2(e_{n-2} + e_{n-1}) of each D_n and its glue
+    (1, ..., 1), the vector (1/2, ..., 1/2).  For n a multiple of 8 each
+    D_n^+ is even unimodular, and _certify proves the sum so."""
+    dim, generators, at = sum(blocks), [], 0
+    for n in blocks:
+        for i, j, c in [(i, i + 1, -2) for i in range(n - 1)] + [(n - 2, n - 1, 2)]:
+            generators.append([2 * (k == at + i) + c * (k == at + j) for k in range(dim)])
+        generators.append([int(at <= k < at + n) for k in range(dim)])
+        at += n
+    basis = [row for row in hermite_normal_form(generators)[0] if any(row)]
+    products = [[sum(x * y for x, y in zip(a, b)) for b in basis] for a in basis]
+    assert all(p % 4 == 0 for row in products for p in row)
+    gram = GramMatrix.from_rows([[p // 4 for p in row] for row in products])
+    _certify(gram, 1, (dim, 0, 0), "glued root lattice")
+    return gram
+
+
+@pytest.mark.parametrize(
+    "blocks, counts",
+    [
+        ((8, 8, 8), (720, 179280, 16954560)),  # E8^3
+        ((16, 8), (720, 179280, 16954560)),  # D16^+ + E8
+        ((24,), (1104, 170064, 17051328)),  # D24^+
+    ],
+)
+def test_rank_24_lattices_with_roots_match_their_theta_series(blocks, counts):
+    # an even unimodular lattice of rank 24 has theta series E4^3 + (N_2 -
+    # 720) Delta, N_2 its roots: series the walk does not touch.  Unlike
+    # Leech these have roots, and D16^+ + E8 and D24^+ are not sums of E8s
+    # but hold glue; each walks at norms 2 (one cut), 4 and 6 (the cascade)
+    gram = glued_root_lattice(blocks)
+    e4_cubed, disc = eisenstein_e4(4) ** 3, delta(4)
+    series = [e4_cubed.coeff(k) + (counts[0] - 720) * disc.coeff(k) for k in (1, 2, 3)]
+    assert series == list(counts)
+    for max_norm in (2, 4, 6):
+        want = {m: 0 if m % 2 else counts[m // 2 - 1] for m in range(1, max_norm + 1)}
+        assert short_vectors(gram, max_norm).counts == want, max_norm
 
 
 def test_leech_theta_norm_two_window():
